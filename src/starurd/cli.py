@@ -7,7 +7,7 @@ Exit codes are stable:
     2  bad flags or unparseable input file
     3  inadmissible or otherwise invalid build request
     4  admissible pair the constructions do not cover
-    5  internal construction or self-verification failure
+    5  internal construction, self-verification or search failure
     6  search budget exceeded
 
 No command writes partial output: payloads are rendered fully before any
@@ -108,6 +108,9 @@ def cmd_build(args) -> int:
     except ConstructionError as exc:
         print(f"construction failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except AssertionError as exc:
+        print(f"internal construction failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -176,6 +179,9 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal search failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
     print(f"status: {outcome.status}")
     print(f"nodes explored: {outcome.nodes_explored}")

@@ -77,7 +77,20 @@ def _int(obj, what: str) -> int:
     return obj
 
 
-def _vertex(obj, what: str) -> Vertex:
+def _vertex(obj, what: str, interned: dict[tuple[int, int], Vertex]) -> Vertex:
+    """The Vertex a [base, level] pair names.
+
+    A well-formed pair of nonnegative ints is looked up in interned, so one
+    certificate holds one Vertex per pair; anything else goes through the
+    full validation and raises SchemaError where it fails.
+    """
+    if type(obj) is list and len(obj) == 2:
+        base, level = obj
+        if type(base) is int and type(level) is int and base >= 0 and level >= 0:
+            vertex = interned.get((base, level))
+            if vertex is None:
+                vertex = interned[base, level] = Vertex(base, level)
+            return vertex
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise SchemaError(f"{what} must be a [base, level] pair, got {obj!r}")
     base, level = (_int(x, what) for x in obj)
@@ -86,20 +99,21 @@ def _vertex(obj, what: str) -> Vertex:
     return Vertex(base, level)
 
 
-def _block(obj, what: str):
+def _block(obj, what: str, interned: dict[tuple[int, int], Vertex]):
     try:
         if isinstance(obj, (list, tuple)):
             if len(obj) != 2:
                 raise SchemaError(f"{what}: edge block needs two vertices")
-            return K2Block(Edge(_vertex(obj[0], what), _vertex(obj[1], what)))
+            u, w = _vertex(obj[0], what, interned), _vertex(obj[1], what, interned)
+            return K2Block(Edge(u, w))
         if isinstance(obj, dict):
             if set(obj) != {"center", "leaves"}:
                 raise SchemaError(f"{what}: star block needs center and leaves")
             if not isinstance(obj["leaves"], list) or not obj["leaves"]:
                 raise SchemaError(f"{what}: leaves must be a nonempty list")
             return StarBlock(
-                _vertex(obj["center"], what),
-                tuple(_vertex(leaf, what) for leaf in obj["leaves"]),
+                _vertex(obj["center"], what, interned),
+                tuple(_vertex(leaf, what, interned) for leaf in obj["leaves"]),
             )
     except ValueError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
@@ -123,6 +137,7 @@ def from_dict(obj) -> Decomposition:
     if not isinstance(obj["classes"], list):
         raise SchemaError("classes must be a list")
     classes = []
+    interned: dict[tuple[int, int], Vertex] = {}
     for ci, cobj in enumerate(obj["classes"]):
         where = f"class {ci}"
         if not isinstance(cobj, dict) or set(cobj) != {"kind", "blocks"}:
@@ -132,7 +147,8 @@ def from_dict(obj) -> Decomposition:
         if not isinstance(cobj["blocks"], list):
             raise SchemaError(f"{where}: blocks must be a list")
         blocks = tuple(
-            _block(bobj, f"{where} block {bi}") for bi, bobj in enumerate(cobj["blocks"])
+            _block(bobj, f"{where} block {bi}", interned)
+            for bi, bobj in enumerate(cobj["blocks"])
         )
         classes.append(FactorClass(cobj["kind"], blocks))
     return Decomposition(params, tuple(classes), r, s)

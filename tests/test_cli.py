@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 from starurd.cli import main
 from starurd.serialize import loads
@@ -151,6 +152,70 @@ def test_build_self_verify_failure_exits_five(capsys, monkeypatch, tmp_path):
     )
     assert code == 5
     assert "MISSING_EDGE" in err
+    assert not path.exists()
+
+
+def _build_exits_five(capsys, tmp_path, *flags):
+    path = tmp_path / "never.json"
+    argv = ("build", "--v", "12", "--n", "3", *flags, "--out", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 5
+    assert "internal construction failure" in err
+    assert "Traceback" not in out + err
+    assert not path.exists()
+    return err
+
+
+def test_build_assembly_count_assertion_exits_five(capsys, monkeypatch, tmp_path):
+    import starurd.assembler as assembler
+
+    real = assembler.fill_odd
+
+    def short_fill(m, n):
+        out = real(m, n)
+        return SimpleNamespace(classes=out.classes[:-1])
+
+    monkeypatch.setattr(assembler, "fill_odd", short_fill)
+    err = _build_exits_five(capsys, tmp_path, "--ell", "0")
+    assert "assembled (r,s)=(4,4), expected (5,4)" in err
+
+
+def test_build_pair_assertion_exits_five(capsys, monkeypatch, tmp_path):
+    import starurd.assembler as assembler
+    from starurd.model import Decomposition, Params
+
+    empty = Decomposition(Params.for_order(12, 3), (), 0, 0)
+    monkeypatch.setattr(assembler, "construct", lambda req: empty)
+    err = _build_exits_five(capsys, tmp_path, "--r", "5", "--s", "4")
+    assert "built (r,s)=(0,0) but requested (5,4)" in err
+
+
+def test_build_aurd_weight_assertion_exits_five(capsys, monkeypatch, tmp_path):
+    # an odd weight reaches the assertion in matching_aurd for odd m
+    import starurd.assembler as assembler
+    import starurd.aurd as aurd
+    from starurd.blowup import WeightedCycle
+
+    monkeypatch.setattr(aurd, "_check_args", lambda weight, n: None)
+    monkeypatch.setattr(assembler, "WeightedCycle", lambda c, w: WeightedCycle(c, w + 1))
+    err = _build_exits_five(capsys, tmp_path, "--ell", "1")
+    assert "weight n+1 must be even for odd n" in err
+
+
+def test_search_invalid_witness_exits_five(capsys, monkeypatch, tmp_path):
+    import starurd.search as search
+    from starurd.model import VerificationReport
+
+    failed = VerificationReport(False, (("MISSING_EDGE", "induced"),))
+    monkeypatch.setattr(search, "verify", lambda d: failed)
+    path = tmp_path / "never.json"
+    code, out, err = run(
+        capsys,
+        "search", "--v", "4", "--n", "3", "--r", "3", "--s", "0", "--out", str(path),
+    )
+    assert code == 5
+    assert "internal search failure" in err and "MISSING_EDGE" in err
+    assert "Traceback" not in out + err
     assert not path.exists()
 
 

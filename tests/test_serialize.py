@@ -3,6 +3,7 @@ import json
 import pytest
 
 from starurd.assembler import BuildRequest, construct
+from starurd.model import Vertex, block_vertices
 from starurd.serialize import SchemaError, dumps, from_dict, loads, to_dict, to_text
 
 
@@ -102,3 +103,52 @@ def test_text_format_lists_every_class():
     assert "class 9: star_factor" in text
     assert text.count("class ") == 9
     assert "center" in text
+
+
+BAD_VERTICES = [True, 1.5, "0", None, [0], [0, 0, 0], {"base": 0, "level": 0}]
+BAD_COORDINATES = [[True, 0], [0, False], [1.5, 0], [0, 2.0], ["0", 0], [None, 0], [0, -1]]
+
+
+@pytest.mark.parametrize("bad", BAD_VERTICES + BAD_COORDINATES, ids=repr)
+@pytest.mark.parametrize("where", ["endpoint", "center", "leaf"])
+def test_malformed_vertex_rejected(bad, where):
+    obj = to_dict(construct(BuildRequest(12, 3, 0)))
+    if where == "endpoint":
+        obj["classes"][0]["blocks"][0][1] = bad
+    elif where == "center":
+        obj["classes"][-1]["blocks"][0]["center"] = bad
+    else:
+        obj["classes"][-1]["blocks"][0]["leaves"][2] = bad
+    with pytest.raises(SchemaError):
+        from_dict(obj)
+
+
+def test_malformed_vertex_rejected_after_the_same_pair_parsed_well():
+    # [1, 0] is read first, so a lookup by value would accept [true, 0]
+    obj = to_dict(construct(BuildRequest(12, 3, 0)))
+    obj["classes"].insert(0, {"kind": "one_factor", "blocks": [[[1, 0], [1, 1]]]})
+    obj["classes"][1]["blocks"][0] = [[True, 0], [2, 3]]
+    with pytest.raises(SchemaError):
+        from_dict(obj)
+
+
+def test_reader_shares_one_vertex_per_pair():
+    d = construct(BuildRequest(12, 3, 0))
+    text = dumps(d)
+    parsed = loads(text)
+    assert parsed == d
+    by_pair = {}
+    for fc in parsed.classes:
+        for block in fc.blocks:
+            for u in block_vertices(block):
+                by_pair.setdefault((u.base, u.level), []).append(u)
+    assert len(by_pair) == 12
+    for (base, level), vertices in by_pair.items():
+        fresh = Vertex(base, level)
+        assert all(u is vertices[0] for u in vertices)
+        assert vertices[0] == fresh and hash(vertices[0]) == hash(fresh)
+        assert not vertices[0] < fresh and not fresh < vertices[0]
+    # each read has its own vertices: nothing is kept between reads
+    again = loads(text).classes[0].blocks[0].edge.u
+    assert again == parsed.classes[0].blocks[0].edge.u
+    assert again is not parsed.classes[0].blocks[0].edge.u
