@@ -27,6 +27,7 @@ class imbalances that an edge count alone would miss.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 from .model import (
     COUNT_MISMATCH,
@@ -218,7 +219,10 @@ def _audit_flat_edges(
             (EXTRA_EDGE, f"{len(extra)} edges outside the target, e.g. {min(extra)}")
         )
     if len(covered) != len(pairs):
-        dupes = [pair for pair, c in Counter(pairs).items() if c > 1]
+        # sorted in place, equal ids are adjacent: the extra memory is the
+        # duplicates, not a second table of every pair
+        pairs.sort()
+        dupes = {a for a, b in zip(pairs, islice(pairs, 1, None)) if a == b}
         sample = _pair_edge(min(dupes), v, weight)
         violations.append(
             (DUPLICATE_EDGE, f"{len(dupes)} edges covered more than once, e.g. {sample}")
