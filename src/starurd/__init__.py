@@ -1,6 +1,9 @@
 """Uniformly resolvable decompositions of K_v into perfect matchings and
 odd n-star factors: admissibility, explicit constructions for v = m(n+1),
-an independent verifier, and an exhaustive small-case search oracle."""
+an independent verifier, and an exhaustive small-case search oracle.
+
+The construction stages (seeds, blowup, aurd, filling) are importable
+from their own modules."""
 
 from .admissibility import (
     ADMISSIBLE_UNRESOLVED,
@@ -13,18 +16,6 @@ from .admissibility import (
     constructive_pairs,
 )
 from .assembler import BuildRequest, PairNotConstructive, construct, construct_pair
-from .aurd import AurdOutput, matching_aurd, star_aurd, weighted_one_factor_aurd
-from .blowup import (
-    WeightedCycle,
-    WeightedOneFactor,
-    cycle_edge,
-    cycle_edges,
-    difference_edges,
-    edge_difference,
-    j_edges,
-    nonaligned_edges,
-)
-from .filling import FillOutput, fill_even, fill_odd
 from .model import (
     ONE_FACTOR,
     STAR_FACTOR,
@@ -37,10 +28,6 @@ from .model import (
     StarBlock,
     VerificationReport,
     Vertex,
-    all_vertices,
-    block_vertices,
-    edges_of_block,
-    vertex_from_flat,
 )
 from .search import (
     BUDGET_EXCEEDED,
@@ -49,13 +36,6 @@ from .search import (
     SearchOutcome,
     exhaustive_urd,
 )
-from .seeds import (
-    HamDecomposition,
-    OneFactorization,
-    hamiltonian_decomposition,
-    one_factorization,
-    one_factorization_containing,
-)
-from .verifier import verify, verify_aurd
+from .verifier import verify
 
 __version__ = "0.1.0"

@@ -46,6 +46,12 @@ def _require_args(v: int, n: int) -> None:
         raise ValueError(f"v must be positive, got {v}")
 
 
+def construction_range(m: int, n: int) -> tuple[int, int]:
+    """(t, threshold) of the constructions on K_{m(n+1)}: ell runs over
+    0..t and realizes r = 2n*ell + threshold, s = (n+1)(t - ell)."""
+    return (m - 1) // 2, (m + n - 1 if m % 2 == 1 else m + 2 * n - 1)
+
+
 def admissible_pairs(v: int, n: int) -> list[AdmissiblePair]:
     """All (r, s) pairs passing the necessary conditions, in increasing x."""
     _require_args(v, n)
@@ -96,7 +102,7 @@ def check_pair(v: int, n: int, r: int, s: int) -> CoverageVerdict:
             ADMISSIBLE_UNRESOLVED,
             f"m={m} < 3: orders n+1 and 2(n+1) are outside the constructions' reach",
         )
-    threshold = m + n - 1 if m % 2 == 1 else m + 2 * n - 1
+    _, threshold = construction_range(m, n)
     if r < threshold:
         return CoverageVerdict(
             ADMISSIBLE_UNRESOLVED,
@@ -116,8 +122,7 @@ def check_pair(v: int, n: int, r: int, s: int) -> CoverageVerdict:
 def constructive_pairs(v: int, n: int) -> list[tuple[AdmissiblePair, int]]:
     """Every pair the construction engine realizes on K_v, with its ell.
 
-    One entry per ell in 0..(m-1)/2 (odd m) or 0..(m-2)/2 (even m), in
-    increasing ell.
+    One entry per ell in 0..t of `construction_range`, in increasing ell.
     """
     _require_args(v, n)
     if v % (n + 1) != 0:
@@ -125,8 +130,7 @@ def constructive_pairs(v: int, n: int) -> list[tuple[AdmissiblePair, int]]:
     m = v // (n + 1)
     if m < 3:
         raise ValueError(f"need m >= 3, got m={m}")
-    t = (m - 1) // 2 if m % 2 == 1 else (m - 2) // 2
-    threshold = m + n - 1 if m % 2 == 1 else m + 2 * n - 1
+    t, threshold = construction_range(m, n)
     out = []
     for ell in range(t + 1):
         r = 2 * n * ell + threshold

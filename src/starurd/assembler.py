@@ -46,7 +46,7 @@ class BuildRequest:
         params = Params.for_order(self.v, self.n)
         if params.m < 3:
             raise ValueError(f"need m >= 3, got m={params.m}")
-        t = (params.m - 1) // 2 if params.m % 2 == 1 else (params.m - 2) // 2
+        t, _ = admissibility.construction_range(params.m, self.n)
         if not 0 <= self.ell <= t:
             raise ValueError(f"ell={self.ell} out of range 0..{t} for m={params.m}")
 
@@ -78,8 +78,7 @@ def construct(req: BuildRequest) -> Decomposition:
         fill = fill_odd(m, n)
     one_classes.extend(fill.classes)
 
-    t = (m - 1) // 2 if m % 2 == 1 else (m - 2) // 2
-    threshold = m + n - 1 if m % 2 == 1 else m + 2 * n - 1
+    t, threshold = admissibility.construction_range(m, n)
     expected_r = 2 * n * req.ell + threshold
     expected_s = w * (t - req.ell)
     if len(one_classes) != expected_r or len(star_classes) != expected_s:

@@ -106,7 +106,7 @@ def _levels(c: WeightedCycle, parity: int) -> range:
 
 
 # Family bodies.  Each returns the edge list for one level parity; the
-# caller instantiates parities 0 (tag suffix a, even levels) and 1 (odd).
+# caller instantiates both parities as a pair of classes tagged a and b.
 
 
 def _family_uniform(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
@@ -158,22 +158,15 @@ def _family_split_anchor(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
     return edges
 
 
-def _family_mod4(c: WeightedCycle, residue: int) -> list[Edge]:
-    # B7 (odd m, weight 0 mod 4): difference 2 only, levels i and i+1 for
-    # i in one residue class mod 4.
+def _family_mod4(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
+    # B7 (odd m, weight 0 mod 4): difference d = 2 only, levels i and i+1
+    # for i in residue class 2*parity mod 4.
     edges = []
     for x in range(c.m):
-        for i in range(residue, c.weight, 4):
-            edges.append(_pos_edge(c, x, i, i + 2))
-            edges.append(_pos_edge(c, x, i + 1, i + 3))
+        for i in range(2 * parity, c.weight, 4):
+            edges.append(_pos_edge(c, x, i, i + d))
+            edges.append(_pos_edge(c, x, i + 1, i + 1 + d))
     return edges
-
-
-def _emit_pair(c, vertices, family, fam_id: str, d: int, out_classes, out_sources):
-    for parity, suffix in ((0, "a"), (1, "b")):
-        tag = f"B{fam_id}{suffix}@d={d}"
-        out_classes.append(_matching_class(family(c, d, parity), vertices, tag))
-        out_sources.append(tag)
 
 
 def matching_aurd(c: WeightedCycle, n: int) -> AurdOutput:
@@ -183,48 +176,39 @@ def matching_aurd(c: WeightedCycle, n: int) -> AurdOutput:
     classes: list[FactorClass] = []
     sources: list[str] = []
 
+    def emit(family, fam_id: str, d: int, first: int = 0) -> None:
+        # level parity `first` gets tag suffix a, the other parity b
+        for suffix, parity in (("a", first), ("b", 1 - first)):
+            tag = f"B{fam_id}{suffix}@d={d}"
+            classes.append(_matching_class(family(c, d, parity), vertices, tag))
+            sources.append(tag)
+
     if c.m % 2 == 0:
         for d in range(1, n + 1):
             if d % 2 == 1:
-                _emit_pair(c, vertices, _family_uniform, "1", d, classes, sources)
+                emit(_family_uniform, "1", d)
             else:
-                _emit_pair(c, vertices, _family_staggered, "2", d, classes, sources)
+                emit(_family_staggered, "2", d)
     elif c.weight % 4 == 2:
         for d in range(1, n + 1):
             if d % 4 == 1:
-                # plain parity split, odd levels first
-                for parity, suffix in ((1, "a"), (0, "b")):
-                    tag = f"B6{suffix}@d={d}"
-                    classes.append(
-                        _matching_class(_family_uniform(c, d, parity), vertices, tag)
-                    )
-                    sources.append(tag)
+                emit(_family_uniform, "6", d, first=1)  # odd levels first
             elif d % 4 == 3:
-                _emit_pair(c, vertices, _family_low_anchor, "3", d, classes, sources)
-                _emit_pair(c, vertices, _family_high_anchor, "4", d, classes, sources)
-                _emit_pair(c, vertices, _family_split_anchor, "5", d, classes, sources)
+                emit(_family_low_anchor, "3", d)
+                emit(_family_high_anchor, "4", d)
+                emit(_family_split_anchor, "5", d)
     else:
         if c.weight % 4 != 0:
             raise AssertionError("weight n+1 must be even for odd n")
         for d in range(1, n + 1):
             if d == 2:
-                for residue, suffix in ((0, "a"), (2, "b")):
-                    tag = f"B7{suffix}@d=2"
-                    classes.append(
-                        _matching_class(_family_mod4(c, residue), vertices, tag)
-                    )
-                    sources.append(tag)
+                emit(_family_mod4, "7", d)
             elif d % 4 == 1 and d != 1:
-                _emit_pair(c, vertices, _family_low_anchor, "8", d, classes, sources)
-                _emit_pair(c, vertices, _family_high_anchor, "9", d, classes, sources)
-                _emit_pair(c, vertices, _family_split_anchor, "10", d, classes, sources)
+                emit(_family_low_anchor, "8", d)
+                emit(_family_high_anchor, "9", d)
+                emit(_family_split_anchor, "10", d)
             elif d % 2 == 1:
-                for parity, suffix in ((1, "a"), (0, "b")):
-                    tag = f"B11{suffix}@d={d}"
-                    classes.append(
-                        _matching_class(_family_uniform(c, d, parity), vertices, tag)
-                    )
-                    sources.append(tag)
+                emit(_family_uniform, "11", d, first=1)  # odd levels first
 
     if len(classes) != 2 * n:
         raise ConstructionError(

@@ -1,28 +1,21 @@
-"""Blow-ups of base cycles and base matchings, with level-difference arithmetic.
+"""Blow-ups of base cycles and base matchings.
 
 Giving weight w to a graph replaces each base vertex x by the w vertices
 (x, 0)..(x, w-1) and each base edge {x, y} by the complete bipartite join
-between the copies.  Two derived notions drive all constructions here:
+between the copies.  Along the cycle orientation, the edge from (position
+p, level i) to (position p+1, level j) has difference (j - i) mod w; the
+difference-0 edges form the aligned subgraph, which the decompositions in
+`aurd` avoid and the filling stage covers.
 
-* the difference of a weighted-cycle edge, taken along the cycle
-  orientation: the edge from (position p, level i) to (position p+1,
-  level j) has difference (j - i) mod w.  Difference classes partition
-  the blow-up's edges into w sets of m*w each.
-
-* the aligned subgraph J: the difference-0 edges.  Constructions on
-  blow-ups deliberately avoid J; the leftover aligned edges are handled
-  by the filling stage together with the in-group complete graphs.
-
-Formulas are written against cycle POSITIONS 0..m-1 and mapped through the
-stored base ordering, so they apply to any base cycle, not just
-(0, 1, ..., m-1).
+A cycle is stored as its base ordering, so the constructions apply to any
+base cycle, not just (0, 1, ..., m-1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Edge, Vertex
+from .model import Vertex
 from .seeds import Matching, _pair
 
 
@@ -76,73 +69,3 @@ class WeightedOneFactor:
         points = sorted(p for pair in self.base_matching for p in pair)
         return [Vertex(x, i) for x in points for i in range(self.weight)]
 
-
-def cycle_edge(c: WeightedCycle, p: int, i: int, d: int) -> Edge:
-    """The edge from (position p, level i) with difference d, canonicalized."""
-    if not 0 <= p < c.m:
-        raise ValueError(f"position {p} out of range 0..{c.m - 1}")
-    if not 0 <= i < c.weight:
-        raise ValueError(f"level {i} out of range 0..{c.weight - 1}")
-    if not 0 <= d < c.weight:
-        raise ValueError(f"difference {d} out of range 0..{c.weight - 1}")
-    return Edge(
-        Vertex(c.base[p], i),
-        Vertex(c.base[(p + 1) % c.m], (i + d) % c.weight),
-    )
-
-
-def cycle_edges(c: WeightedCycle) -> set[Edge]:
-    """All m*w^2 edges of the blown-up cycle."""
-    return {
-        cycle_edge(c, p, i, d)
-        for p in range(c.m)
-        for i in range(c.weight)
-        for d in range(c.weight)
-    }
-
-
-def difference_edges(c: WeightedCycle, d: int) -> set[Edge]:
-    """All m*w edges with the given difference."""
-    return {cycle_edge(c, p, i, d) for p in range(c.m) for i in range(c.weight)}
-
-
-def edge_difference(c: WeightedCycle, e: Edge) -> int:
-    """Difference of a weighted-cycle edge, oriented along increasing position."""
-    pos = {x: p for p, x in enumerate(c.base)}
-    (a, i), (b, j) = (e.u.base, e.u.level), (e.v.base, e.v.level)
-    if a not in pos or b not in pos:
-        raise ValueError(f"{e} is not an edge of this cycle")
-    if c.base[(pos[a] + 1) % c.m] == b:
-        return (j - i) % c.weight
-    if c.base[(pos[b] + 1) % c.m] == a:
-        return (i - j) % c.weight
-    raise ValueError(f"{e} is not an edge of this cycle")
-
-
-def one_factor_edges(w: WeightedOneFactor) -> set[Edge]:
-    """All (m/2)*w^2 edges of the blown-up matching."""
-    return {
-        Edge(Vertex(x, i), Vertex(y, j))
-        for x, y in w.base_matching
-        for i in range(w.weight)
-        for j in range(w.weight)
-    }
-
-
-def j_edges(structure: WeightedCycle | WeightedOneFactor) -> set[Edge]:
-    """The aligned (difference-0) edges of a blow-up."""
-    if isinstance(structure, WeightedCycle):
-        return difference_edges(structure, 0)
-    return {
-        Edge(Vertex(x, i), Vertex(y, i))
-        for x, y in structure.base_matching
-        for i in range(structure.weight)
-    }
-
-
-def nonaligned_edges(structure: WeightedCycle | WeightedOneFactor) -> set[Edge]:
-    """Blow-up edges minus the aligned subgraph: the host every blown-up
-    decomposition in this package lives on."""
-    if isinstance(structure, WeightedCycle):
-        return cycle_edges(structure) - j_edges(structure)
-    return one_factor_edges(structure) - j_edges(structure)

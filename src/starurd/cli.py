@@ -4,7 +4,7 @@ Exit codes are stable:
 
     0  success (constructive verdict, table printed, verify passed, FOUND)
     1  verification failed / search exhausted without a witness
-    2  bad flags or unparseable input file
+    2  bad flags, unreadable or unparseable input, or unwritable output
     3  inadmissible or otherwise invalid build request
     4  admissible pair the constructions do not cover
     5  internal construction, self-verification or search failure
@@ -48,13 +48,20 @@ def _check_vn(v: int, n: int) -> str | None:
     return None
 
 
-def _write_payload(payload: str, out: str | None) -> None:
+def _write_payload(payload: str, out: str | None) -> bool:
+    """Write to out, or to stdout if out is None.  If out cannot be
+    written, say so on stderr and return False."""
     if out is None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return True
+    try:
         Path(out).write_text(payload)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_check(args) -> int:
@@ -126,7 +133,8 @@ def cmd_build(args) -> int:
         payload = serialize.dumps(decomposition)
     else:
         payload = serialize.to_text(decomposition)
-    _write_payload(payload, args.out)
+    if not _write_payload(payload, args.out):
+        return EXIT_USAGE
     if args.out is not None:
         print(
             f"wrote r={decomposition.r}, s={decomposition.s} decomposition of "
@@ -138,7 +146,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     try:
         text = Path(args.infile).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -189,8 +197,8 @@ def cmd_search(args) -> int:
     if outcome.reason:
         print(f"reason: {outcome.reason}")
     if outcome.status == FOUND:
-        payload = serialize.dumps(outcome.witness)
-        _write_payload(payload, args.out)
+        if not _write_payload(serialize.dumps(outcome.witness), args.out):
+            return EXIT_USAGE
         if args.out is not None:
             print(f"witness written to {args.out}")
     return {FOUND: EXIT_OK, NOT_FOUND_EXHAUSTED: EXIT_FAIL, BUDGET_EXCEEDED: EXIT_BUDGET}[

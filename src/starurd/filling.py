@@ -23,29 +23,9 @@ Both parities of m admit exactly m+n-1 one-factors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import seeds
-from .model import (
-    ONE_FACTOR,
-    ConstructionError,
-    Edge,
-    FactorClass,
-    K2Block,
-    Vertex,
-)
-
-
-@dataclass(frozen=True)
-class FillOutput:
-    """The m+n-1 one-factor classes plus a tag for each."""
-
-    classes: tuple[FactorClass, ...]
-    sources: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.classes) != len(self.sources):
-            raise ValueError("one source tag per class required")
+from .aurd import AurdOutput, _matching_class
+from .model import ConstructionError, Edge, FactorClass, Vertex
 
 
 def _check_args(m: int, n: int, m_parity: int) -> None:
@@ -56,26 +36,11 @@ def _check_args(m: int, n: int, m_parity: int) -> None:
         raise ValueError(f"need {want}, got m={m}")
 
 
-def _matching_class(edges, vertices, tag: str) -> FactorClass:
-    edges = sorted(edges)
-    seen: set[Vertex] = set()
-    for e in edges:
-        for w in e.endpoints():
-            if w in seen:
-                raise ConstructionError(tag, f"vertex {w} covered twice")
-            seen.add(w)
-    if seen != vertices:
-        raise ConstructionError(
-            tag, f"not spanning: {len(seen)} of {len(vertices)} vertices covered"
-        )
-    return FactorClass(ONE_FACTOR, tuple(K2Block(e) for e in edges))
-
-
 def _grid(m: int, w: int) -> set[Vertex]:
     return {Vertex(x, i) for x in range(m) for i in range(w)}
 
 
-def fill_odd(m: int, n: int) -> FillOutput:
+def fill_odd(m: int, n: int) -> AurdOutput:
     """m+n-1 one-factors of the remainder for odd m."""
     _check_args(m, n, 1)
     w = n + 1
@@ -109,10 +74,10 @@ def fill_odd(m: int, n: int) -> FillOutput:
         classes.append(_matching_class(edges, vertices, tag))
         sources.append(tag)
 
-    return FillOutput(tuple(classes), tuple(sources))
+    return AurdOutput(tuple(classes), tuple(sources))
 
 
-def fill_even(m: int, n: int) -> FillOutput:
+def fill_even(m: int, n: int) -> AurdOutput:
     """m+n-1 one-factors of the remainder for even m."""
     _check_args(m, n, 0)
     w = n + 1
@@ -138,4 +103,4 @@ def fill_even(m: int, n: int) -> FillOutput:
         classes.append(_matching_class(edges, vertices, tag))
         sources.append(tag)
 
-    return FillOutput(tuple(classes), tuple(sources))
+    return AurdOutput(tuple(classes), tuple(sources))

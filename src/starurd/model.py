@@ -175,12 +175,6 @@ class FactorClass:
             raise ValueError(f"unknown class kind {self.kind!r}")
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
-    def edges(self) -> list[Edge]:
-        out: list[Edge] = []
-        for block in self.blocks:
-            out.extend(edges_of_block(block))
-        return out
-
 
 @dataclass(frozen=True)
 class Decomposition:

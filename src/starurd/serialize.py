@@ -163,6 +163,8 @@ def loads(text: str) -> Decomposition:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("not valid JSON: nested too deeply") from exc
     return from_dict(obj)
 
 

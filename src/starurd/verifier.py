@@ -47,84 +47,8 @@ from .model import (
     Params,
     StarBlock,
     VerificationReport,
-    Vertex,
-    edges_of_block,
     vertex_from_flat,
 )
-
-
-def _audit_class(
-    index: int,
-    fc: FactorClass,
-    vertex_set: set[Vertex],
-    star_arity: int | None,
-    violations: list[tuple[str, str]],
-) -> None:
-    where = f"class {index}"
-    seen: set[Vertex] = set()
-    disjoint = True
-    for b in fc.blocks:
-        if fc.kind == ONE_FACTOR and not isinstance(b, K2Block):
-            violations.append((WRONG_KIND, f"{where}: star block in a one-factor"))
-        if fc.kind == STAR_FACTOR:
-            if not isinstance(b, StarBlock):
-                violations.append((WRONG_KIND, f"{where}: edge block in a star factor"))
-            elif star_arity is not None and len(b.leaves) != star_arity:
-                violations.append(
-                    (
-                        WRONG_KIND,
-                        f"{where}: star with {len(b.leaves)} leaves, expected {star_arity}",
-                    )
-                )
-        for v in _block_vertices(b):
-            if v in seen and disjoint:
-                violations.append((NOT_DISJOINT, f"{where}: vertex {v} in two blocks"))
-                disjoint = False
-            seen.add(v)
-    if seen != vertex_set:
-        missing = len(vertex_set - seen)
-        foreign = len(seen - vertex_set)
-        detail = f"{where}: {missing} vertices uncovered"
-        if foreign:
-            detail += f", {foreign} outside the vertex set"
-        violations.append((NOT_SPANNING, detail))
-
-
-def _block_vertices(b) -> tuple[Vertex, ...]:
-    if isinstance(b, K2Block):
-        return b.edge.endpoints()
-    if isinstance(b, StarBlock):
-        return (b.center, *b.leaves)
-    return ()
-
-
-def _audit_edge_multiset(
-    classes,
-    expected: set[Edge],
-    violations: list[tuple[str, str]],
-) -> None:
-    counts: Counter[Edge] = Counter()
-    for fc in classes:
-        for b in fc.blocks:
-            counts.update(edges_of_block(b))
-    extra = [e for e in counts if e not in expected]
-    if extra:
-        sample = min(extra)
-        violations.append(
-            (EXTRA_EDGE, f"{len(extra)} edges outside the target, e.g. {sample}")
-        )
-    dupes = [e for e, c in counts.items() if c > 1 and e in expected]
-    if dupes:
-        sample = min(dupes)
-        violations.append(
-            (DUPLICATE_EDGE, f"{len(dupes)} edges covered more than once, e.g. {sample}")
-        )
-    missing = [e for e in expected if e not in counts]
-    if missing:
-        sample = min(missing)
-        violations.append(
-            (MISSING_EDGE, f"{len(missing)} target edges uncovered, e.g. {sample}")
-        )
 
 
 def _audit_flat_class(
@@ -136,12 +60,14 @@ def _audit_flat_class(
     centers: list[int],
     violations: list[tuple[str, str]],
 ) -> None:
-    """`_audit_class` of one class of a certificate of K_v, on flat ids.
+    """Audit one class of a certificate of K_v on flat ids.
 
-    Reports the same violations in the same order, and collects the
-    class's edges on the way: pairs of the vertex set as a*v + b with
-    a < b into pairs, edges with an endpoint outside it into extra, and,
-    in a star class, the star centers in the vertex set into centers.
+    Reports, in this order, blocks of the wrong kind or arity, the first
+    vertex in two blocks, and the vertices the class fails to cover or
+    holds outside the vertex set.  Collects the class's edges on the way:
+    pairs of the vertex set as a*v + b with a < b into pairs, edges with
+    an endpoint outside it into extra, and, in a star class, the star
+    centers in the vertex set into centers.
     """
     m, n, v = params.m, params.n, params.v
     w = n + 1
@@ -212,7 +138,9 @@ def _audit_flat_edges(
     weight: int,
     violations: list[tuple[str, str]],
 ) -> None:
-    """`_audit_edge_multiset` against E(K_v), on the collected pair ids."""
+    """Audit the collected edges against E(K_v): edges outside it, pairs
+    covered more than once, pairs never covered; each with a count and
+    its least sample."""
     covered = set(pairs)
     if extra:
         violations.append(
@@ -308,26 +236,3 @@ def verify(d: Decomposition) -> VerificationReport:
 
     return VerificationReport.from_violations(violations)
 
-
-def verify_aurd(classes, host_edges: set[Edge]) -> VerificationReport:
-    """Audit factor classes against an explicit target edge set.
-
-    The vertex set is taken to be the endpoints of the target edges; each
-    class must span it with disjoint blocks of one kind, and the classes
-    together must cover every target edge exactly once.
-    """
-    violations: list[tuple[str, str]] = []
-    vertex_set = {u for e in host_edges for u in e.endpoints()}
-    classes = tuple(classes)
-
-    for index, fc in enumerate(classes):
-        where = f"class {index}"
-        arities = {len(b.leaves) for b in fc.blocks if isinstance(b, StarBlock)}
-        if len(arities) > 1:
-            violations.append((WRONG_KIND, f"{where}: stars of unequal arity"))
-        arity = arities.pop() if len(arities) == 1 else None
-        _audit_class(index, fc, vertex_set, arity, violations)
-
-    _audit_edge_multiset(classes, host_edges, violations)
-
-    return VerificationReport.from_violations(violations)

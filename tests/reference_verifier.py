@@ -1,10 +1,12 @@
-"""Reference verifier for differential tests: `starurd.verifier.verify` as it
-stood before the flat-id audit, kept verbatim.
+"""Reference verifier for tests: `starurd.verifier.verify` as it stood
+before the flat-id audit, kept verbatim, and `verify_aurd`.
 
-It enumerates all of E(K_v) as `Edge` objects and audits the certificate
-against that set, so its cost grows with the claimed v.  Tests compare its
-violations, codes and details in order, with those of the package's
-`verify`; it is not part of the package.
+`verify` enumerates all of E(K_v) as `Edge` objects and audits the
+certificate against that set, so its cost grows with the claimed v.
+Tests compare its violations, codes and details in order, with those of
+the package's `verify`.  `verify_aurd` runs the same Edge-object audit
+against an explicit target edge set, which lets tests check a single
+construction family on its host graph.  Neither is part of the package.
 """
 
 from __future__ import annotations
@@ -177,5 +179,29 @@ def verify(d: Decomposition) -> VerificationReport:
                         f"e.g. {bad[0]}",
                     )
                 )
+
+    return VerificationReport.from_violations(violations)
+
+
+def verify_aurd(classes, host_edges: set[Edge]) -> VerificationReport:
+    """Audit factor classes against an explicit target edge set.
+
+    The vertex set is taken to be the endpoints of the target edges; each
+    class must span it with disjoint blocks of one kind, and the classes
+    together must cover every target edge exactly once.
+    """
+    violations: list[tuple[str, str]] = []
+    vertex_set = {u for e in host_edges for u in e.endpoints()}
+    classes = tuple(classes)
+
+    for index, fc in enumerate(classes):
+        where = f"class {index}"
+        arities = {len(b.leaves) for b in fc.blocks if isinstance(b, StarBlock)}
+        if len(arities) > 1:
+            violations.append((WRONG_KIND, f"{where}: stars of unequal arity"))
+        arity = arities.pop() if len(arities) == 1 else None
+        _audit_class(index, fc, vertex_set, arity, violations)
+
+    _audit_edge_multiset(classes, host_edges, violations)
 
     return VerificationReport.from_violations(violations)

@@ -1,8 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starurd.admissibility import ADMISSIBLE_UNRESOLVED, INADMISSIBLE
+from starurd.admissibility import ADMISSIBLE_UNRESOLVED, INADMISSIBLE, constructive_pairs
 from starurd.assembler import (
     BuildRequest,
     PairNotConstructive,
@@ -114,3 +116,14 @@ def test_r_s_formulas_over_small_grid(n, m):
         assert d.s == (n + 1) * (t - ell)
         assert (d.r, d.s) in admissible
         assert verify(d).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 12), st.sampled_from(range(3, 16, 2)), st.data())
+def test_sweep_past_the_acceptance_grid(m, n, data):
+    # reaches the matching families B1-B11 at orders past the acceptance grid
+    v = m * (n + 1)
+    pair, ell = data.draw(st.sampled_from(constructive_pairs(v, n)))
+    d = construct(BuildRequest(v, n, ell))
+    assert verify(d).passed
+    assert (d.r, d.s) == (pair.r, pair.s)

@@ -246,6 +246,47 @@ def test_verify_missing_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\x7fELF" + bytes(range(128, 256)))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert f"cannot read {path}" in err
+    assert "Traceback" not in out + err
+
+
+def test_verify_deeply_nested_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert "parse failure" in err
+    assert "Traceback" not in out + err
+
+
+def test_build_out_in_missing_directory(capsys, tmp_path):
+    path = tmp_path / "missing" / "d.json"
+    code, out, err = run(
+        capsys, "build", "--v", "12", "--n", "3", "--ell", "0", "--out", str(path)
+    )
+    assert code == 2
+    assert f"cannot write {path}" in err
+    assert "wrote" not in out
+    assert not path.exists()
+
+
+def test_search_out_in_missing_directory(capsys, tmp_path):
+    path = tmp_path / "missing" / "w.json"
+    code, out, err = run(
+        capsys,
+        "search", "--v", "4", "--n", "3", "--r", "3", "--s", "0", "--out", str(path),
+    )
+    assert code == 2
+    assert f"cannot write {path}" in err
+    assert "witness written" not in out
+    assert not path.exists()
+
+
 def test_search_found_writes_witness(capsys, tmp_path):
     path = tmp_path / "w.json"
     code, out, _ = run(

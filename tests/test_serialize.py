@@ -34,6 +34,12 @@ def test_not_json_rejected():
         loads("{not json")
 
 
+@pytest.mark.parametrize("text", ["[" * 200000, '{"a": ' * 200000], ids=["list", "object"])
+def test_nesting_past_the_recursion_limit_rejected(text):
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        loads(text)
+
+
 def test_missing_keys_rejected():
     with pytest.raises(SchemaError):
         from_dict({"version": "1", "v": 12})
