@@ -23,7 +23,6 @@ from .model import (
     Decomposition,
     Edge,
     FactorClass,
-    K2Block,
     Params,
     StarBlock,
     VerificationReport,

@@ -7,11 +7,12 @@ r > 0 needs v even and s > 0 needs (n+1) | v.  The x of an admissible
 pair doubles as the number of star classes in which any fixed vertex is a
 center, which the verifier re-checks per vertex.
 
-The construction engine only reaches pairs with v = m(n+1), m >= 3 and
+The construction engine reaches pairs with v = m(n+1), m >= 3 and
 r >= m+n-1 (odd m) resp. r >= m+2n-1 (even m): exactly the pairs of the
-form r = 2n*ell + threshold.  Pairs outside that range get the verdict
-ADMISSIBLE_UNRESOLVED, which deliberately does not claim nonexistence;
-the search module exists to probe such cases.
+form r = 2n*ell + threshold.  For m in {1, 2} it reaches only (v-1, 0),
+the one-factorization of K_v, which has no ell.  Pairs outside that range
+get the verdict ADMISSIBLE_UNRESOLVED, which deliberately does not claim
+nonexistence; the search module exists to probe such cases.
 """
 
 from __future__ import annotations
@@ -98,6 +99,10 @@ def check_pair(v: int, n: int, r: int, s: int) -> CoverageVerdict:
         )
     m = v // (n + 1)
     if m < 3:
+        if s == 0:
+            return CoverageVerdict(
+                CONSTRUCTIVE, f"r = v-1 with m={m}: the one-factorization of K_{v}"
+            )
         return CoverageVerdict(
             ADMISSIBLE_UNRESOLVED,
             f"m={m} < 3: orders n+1 and 2(n+1) are outside the constructions' reach",
@@ -120,9 +125,11 @@ def check_pair(v: int, n: int, r: int, s: int) -> CoverageVerdict:
 
 
 def constructive_pairs(v: int, n: int) -> list[tuple[AdmissiblePair, int]]:
-    """Every pair the construction engine realizes on K_v, with its ell.
+    """Every pair the ell-knob constructions realize on K_v, with its ell.
 
     One entry per ell in 0..t of `construction_range`, in increasing ell.
+    Needs m >= 3: the one-factorization that check_pair reports for
+    m in {1, 2} has no ell and is not listed.
     """
     _require_args(v, n)
     if v % (n + 1) != 0:

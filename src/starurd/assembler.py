@@ -24,8 +24,8 @@ from . import admissibility
 from .aurd import matching_aurd, star_aurd, weighted_one_factor_aurd
 from .blowup import WeightedCycle, WeightedOneFactor
 from .filling import fill_even, fill_odd
-from .model import Decomposition, Params
-from .seeds import hamiltonian_decomposition
+from .model import ONE_FACTOR, Decomposition, Edge, FactorClass, Params, vertex_from_flat
+from .seeds import hamiltonian_decomposition, one_factorization
 
 
 class PairNotConstructive(ValueError):
@@ -38,6 +38,9 @@ class PairNotConstructive(ValueError):
 
 @dataclass(frozen=True)
 class BuildRequest:
+    """The ell-knob construction of K_v; needs m >= 3 (`construct_pair`
+    builds the one-factorization of K_v for m in {1, 2})."""
+
     v: int
     n: int
     ell: int
@@ -66,13 +69,13 @@ def construct(req: BuildRequest) -> Decomposition:
     for index, cycle in enumerate(seed.cycles):
         blown = WeightedCycle(cycle, w)
         if index < req.ell:
-            one_classes.extend(matching_aurd(blown, n).classes)
+            one_classes.extend(matching_aurd(blown).classes)
         else:
-            star_classes.extend(star_aurd(blown, n).classes)
+            star_classes.extend(star_aurd(blown).classes)
 
     if m % 2 == 0:
         blown = WeightedOneFactor(seed.leftover_matching, w)
-        one_classes.extend(weighted_one_factor_aurd(blown, n).classes)
+        one_classes.extend(weighted_one_factor_aurd(blown).classes)
         fill = fill_even(m, n)
     else:
         fill = fill_odd(m, n)
@@ -90,12 +93,28 @@ def construct(req: BuildRequest) -> Decomposition:
     return Decomposition(params, classes, expected_r, expected_s)
 
 
+def _one_factorization(params: Params) -> Decomposition:
+    """K_v as its v-1 round-robin one-factors: the (v-1, 0) pair for m < 3."""
+    w = params.weight
+    classes = [
+        FactorClass(
+            ONE_FACTOR,
+            tuple(Edge(vertex_from_flat(a, w), vertex_from_flat(b, w)) for a, b in factor),
+        )
+        for factor in one_factorization(params.v).factors
+    ]
+    return Decomposition.from_classes(params, classes)
+
+
 def construct_pair(v: int, n: int, r: int, s: int) -> Decomposition:
     """Build the decomposition realizing (r, s), if the engine covers it."""
     verdict = admissibility.check_pair(v, n, r, s)
     if verdict.status != admissibility.CONSTRUCTIVE:
         raise PairNotConstructive(verdict)
-    built = construct(BuildRequest(v, n, verdict.ell))
+    if verdict.ell is None:
+        built = _one_factorization(Params.for_order(v, n))
+    else:
+        built = construct(BuildRequest(v, n, verdict.ell))
     if (built.r, built.s) != (r, s):
         raise AssertionError(
             f"built (r,s)=({built.r},{built.s}) but requested ({r},{s})"

@@ -1,7 +1,8 @@
 """Factorizations of blown-up cycles and matchings that avoid aligned edges.
 
-Inputs are weight-(n+1) blow-ups (n odd).  Three decompositions are built,
-each covering every non-aligned edge exactly once:
+Inputs are weight-(n+1) blow-ups, n odd and >= 3; each stage reads n from
+the weight.  Three decompositions are built, each covering every
+non-aligned edge exactly once:
 
 * matching_aurd: 2n one-factors of a blown-up m-cycle.  Two one-factors
   are produced per difference d in 1..n, split by level parity.  For even
@@ -35,12 +36,13 @@ from .blowup import WeightedCycle, WeightedOneFactor
 from .model import (
     ONE_FACTOR,
     STAR_FACTOR,
+    Block,
     ConstructionError,
     Edge,
     FactorClass,
-    K2Block,
     StarBlock,
     Vertex,
+    block_vertices,
 )
 
 
@@ -56,33 +58,18 @@ class AurdOutput:
             raise ValueError("one source tag per class required")
 
 
-def _check_args(weight: int, n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
-    if weight != n + 1:
-        raise ValueError(f"structure has weight {weight}, expected n+1 = {n + 1}")
+def _check_args(weight: int) -> int:
+    """n of a weight-(n+1) blow-up, n odd and >= 3."""
+    if weight < 4 or weight % 2 == 1:
+        raise ValueError(f"weight must be even and >= 4 (n odd, n >= 3), got {weight}")
+    return weight - 1
 
 
-def _matching_class(edges: Iterable[Edge], vertices: set[Vertex], tag: str) -> FactorClass:
-    edges = sorted(edges)
-    seen: set[Vertex] = set()
-    for e in edges:
-        for w in e.endpoints():
-            if w in seen:
-                raise ConstructionError(tag, f"vertex {w} covered twice")
-            seen.add(w)
-    if seen != vertices:
-        raise ConstructionError(
-            tag, f"not spanning: {len(seen)} of {len(vertices)} vertices covered"
-        )
-    return FactorClass(ONE_FACTOR, tuple(K2Block(e) for e in edges))
-
-
-def _star_class(blocks: Iterable[StarBlock], vertices: set[Vertex], tag: str) -> FactorClass:
+def _class(kind: str, blocks: Iterable[Block], vertices: set[Vertex], tag: str) -> FactorClass:
     blocks = sorted(blocks)
     seen: set[Vertex] = set()
     for b in blocks:
-        for w in (b.center, *b.leaves):
+        for w in block_vertices(b):
             if w in seen:
                 raise ConstructionError(tag, f"vertex {w} covered twice")
             seen.add(w)
@@ -90,7 +77,7 @@ def _star_class(blocks: Iterable[StarBlock], vertices: set[Vertex], tag: str) ->
         raise ConstructionError(
             tag, f"not spanning: {len(seen)} of {len(vertices)} vertices covered"
         )
-    return FactorClass(STAR_FACTOR, tuple(blocks))
+    return FactorClass(kind, tuple(blocks))
 
 
 def _pos_edge(c: WeightedCycle, x: int, i: int, j: int) -> Edge:
@@ -169,9 +156,9 @@ def _family_mod4(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
     return edges
 
 
-def matching_aurd(c: WeightedCycle, n: int) -> AurdOutput:
+def matching_aurd(c: WeightedCycle) -> AurdOutput:
     """2n one-factors covering every non-aligned edge of the blow-up once."""
-    _check_args(c.weight, n)
+    n = _check_args(c.weight)
     vertices = set(c.vertices())
     classes: list[FactorClass] = []
     sources: list[str] = []
@@ -180,7 +167,7 @@ def matching_aurd(c: WeightedCycle, n: int) -> AurdOutput:
         # level parity `first` gets tag suffix a, the other parity b
         for suffix, parity in (("a", first), ("b", 1 - first)):
             tag = f"B{fam_id}{suffix}@d={d}"
-            classes.append(_matching_class(family(c, d, parity), vertices, tag))
+            classes.append(_class(ONE_FACTOR, family(c, d, parity), vertices, tag))
             sources.append(tag)
 
     if c.m % 2 == 0:
@@ -217,9 +204,9 @@ def matching_aurd(c: WeightedCycle, n: int) -> AurdOutput:
     return AurdOutput(tuple(classes), tuple(sources))
 
 
-def star_aurd(c: WeightedCycle, n: int) -> AurdOutput:
+def star_aurd(c: WeightedCycle) -> AurdOutput:
     """n+1 spanning star factors covering every non-aligned edge once."""
-    _check_args(c.weight, n)
+    n = _check_args(c.weight)
     vertices = set(c.vertices())
     w = c.weight
     classes: list[FactorClass] = []
@@ -233,14 +220,14 @@ def star_aurd(c: WeightedCycle, n: int) -> AurdOutput:
                 Vertex(c.base[(x + 1) % c.m], (j + t) % w) for t in range(1, n + 1)
             )
             blocks.append(StarBlock(center, leaves))
-        classes.append(_star_class(blocks, vertices, tag))
+        classes.append(_class(STAR_FACTOR, blocks, vertices, tag))
         sources.append(tag)
     return AurdOutput(tuple(classes), tuple(sources))
 
 
-def weighted_one_factor_aurd(wof: WeightedOneFactor, n: int) -> AurdOutput:
+def weighted_one_factor_aurd(wof: WeightedOneFactor) -> AurdOutput:
     """n one-factors covering every non-aligned edge of a blown-up matching."""
-    _check_args(wof.weight, n)
+    n = _check_args(wof.weight)
     vertices = set(wof.vertices())
     w = wof.weight
     classes: list[FactorClass] = []
@@ -252,6 +239,6 @@ def weighted_one_factor_aurd(wof: WeightedOneFactor, n: int) -> AurdOutput:
             for x, y in wof.base_matching
             for i in range(w)
         ]
-        classes.append(_matching_class(edges, vertices, tag))
+        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
         sources.append(tag)
     return AurdOutput(tuple(classes), tuple(sources))

@@ -5,6 +5,7 @@ Exit codes are stable:
     0  success (constructive verdict, table printed, verify passed, FOUND)
     1  verification failed / search exhausted without a witness
     2  bad flags, unreadable or unparseable input, or unwritable output
+       (including a stdout whose reader has gone)
     3  inadmissible or otherwise invalid build request
     4  admissible pair the constructions do not cover
     5  internal construction, self-verification or search failure
@@ -17,6 +18,7 @@ file is touched.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -49,17 +51,25 @@ def _check_vn(v: int, n: int) -> str | None:
 
 
 def _write_payload(payload: str, out: str | None) -> bool:
-    """Write to out, or to stdout if out is None.  If out cannot be
-    written, say so on stderr and return False."""
-    if out is None:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
-        return True
+    """Write to out, or to stdout if out is None.  If it cannot be
+    written (a missing directory, a closed pipe), say so on stderr and
+    return False."""
     try:
-        Path(out).write_text(payload)
+        if out is None:
+            sys.stdout.write(payload)
+            if not payload.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+        else:
+            Path(out).write_text(payload)
     except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
+        if out is None:
+            # the reader is gone: point fd 1 at devnull so the final flush
+            # at exit drops what is still buffered instead of failing again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"cannot write {'<stdout>' if out is None else out}: {exc}", file=sys.stderr)
         return False
     return True
 

@@ -24,8 +24,8 @@ Both parities of m admit exactly m+n-1 one-factors:
 from __future__ import annotations
 
 from . import seeds
-from .aurd import AurdOutput, _matching_class
-from .model import ConstructionError, Edge, FactorClass, Vertex
+from .aurd import AurdOutput, _class
+from .model import ONE_FACTOR, ConstructionError, Edge, FactorClass, Vertex
 
 
 def _check_args(m: int, n: int, m_parity: int) -> None:
@@ -56,7 +56,7 @@ def fill_odd(m: int, n: int) -> AurdOutput:
             a, b = (x - j) % m, (x + j) % m
             edges.extend(Edge(Vertex(a, i), Vertex(b, i)) for i in range(w))
         edges.extend(Edge(Vertex(x, a), Vertex(x, b)) for a, b in level_matching)
-        classes.append(_matching_class(edges, vertices, tag))
+        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
         sources.append(tag)
 
     # The level matching is the same in every base, so one completion to a
@@ -71,7 +71,7 @@ def fill_odd(m: int, n: int) -> AurdOutput:
             for x in range(m)
             for a, b in inner.factors[k]
         ]
-        classes.append(_matching_class(edges, vertices, tag))
+        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
         sources.append(tag)
 
     return AurdOutput(tuple(classes), tuple(sources))
@@ -91,7 +91,7 @@ def fill_even(m: int, n: int) -> AurdOutput:
         edges = [
             Edge(Vertex(x, i), Vertex(y, i)) for x, y in factor for i in range(w)
         ]
-        classes.append(_matching_class(edges, vertices, tag))
+        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
         sources.append(tag)
 
     inner_factors = seeds.one_factorization(w).factors
@@ -100,7 +100,7 @@ def fill_even(m: int, n: int) -> AurdOutput:
         edges = [
             Edge(Vertex(x, a), Vertex(x, b)) for x in range(m) for a, b in factor
         ]
-        classes.append(_matching_class(edges, vertices, tag))
+        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
         sources.append(tag)
 
     return AurdOutput(tuple(classes), tuple(sources))

@@ -6,7 +6,7 @@ vertex is addressed as a pair (base, level): base in Z_m names one of the m
 index base*(n+1) + level is used only for serialization and for orderings
 that need a single integer per vertex.
 
-Blocks are either a single edge (K2Block) or an n-star (StarBlock: one
+Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
 vertex-disjoint blocks of one kind; a Decomposition collects r one-factor
 classes and s star-factor classes that together partition E(K_v).
@@ -118,11 +118,6 @@ class Edge:
 
 
 @dataclass(frozen=True, order=True)
-class K2Block:
-    edge: Edge
-
-
-@dataclass(frozen=True, order=True)
 class StarBlock:
     """An n-star: the edges {center, leaf} for each leaf.
 
@@ -144,18 +139,18 @@ class StarBlock:
         object.__setattr__(self, "leaves", leaves)
 
 
-Block = K2Block | StarBlock
+Block = Edge | StarBlock
 
 
 def edges_of_block(block: Block) -> frozenset[Edge]:
-    if isinstance(block, K2Block):
-        return frozenset((block.edge,))
+    if isinstance(block, Edge):
+        return frozenset((block,))
     return frozenset(Edge(block.center, leaf) for leaf in block.leaves)
 
 
 def block_vertices(block: Block) -> tuple[Vertex, ...]:
-    if isinstance(block, K2Block):
-        return block.edge.endpoints()
+    if isinstance(block, Edge):
+        return block.endpoints()
     return (block.center,) + block.leaves
 
 

@@ -49,7 +49,6 @@ from .model import (
     Decomposition,
     Edge,
     FactorClass,
-    K2Block,
     Params,
     StarBlock,
     vertex_from_flat,
@@ -63,18 +62,19 @@ BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of one search run.
-
-    complete is True when the run was not cut short by a budget: either a
-    witness was found or the symmetry-reduced tree was fully exhausted.
-    """
+    """Result of one search run."""
 
     status: str
     witness: Decomposition | None
     nodes_explored: int
     elapsed: float
-    complete: bool
     reason: str | None = None
+
+    @property
+    def complete(self) -> bool:
+        """True when the run was not cut short by a budget: either a witness
+        was found or the symmetry-reduced tree was fully exhausted."""
+        return self.status != BUDGET_EXCEEDED
 
 
 class _BudgetExceeded(Exception):
@@ -98,7 +98,15 @@ def exhaustive_urd(
     max_nodes: int | None = None,
     timeout: float | None = None,
 ) -> SearchOutcome:
-    """Search K_v exhaustively for r one-factors plus s star-factor classes."""
+    """Search K_v exhaustively for r one-factors plus s star-factor classes.
+
+    max_nodes must be >= 0 and timeout (seconds) >= 0, inf included;
+    None means no limit.
+    """
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"max_nodes must be >= 0, got {max_nodes}")
+    if timeout is not None and not timeout >= 0:
+        raise ValueError(f"timeout must be >= 0 seconds, got {timeout}")
     start = time.perf_counter()
     reason = admissibility.inadmissibility_reason(v, n, r, s)
     if reason is not None:
@@ -107,7 +115,6 @@ def exhaustive_urd(
             None,
             0,
             time.perf_counter() - start,
-            complete=True,
             reason=f"necessary conditions fail: {reason}",
         )
     if v % (n + 1) != 0:
@@ -235,36 +242,31 @@ def exhaustive_urd(
                 take_edge(center, leaf)
     placed[0] = first
 
-    complete = True
     try:
         ok = len(kinds) == 1 or extend(1, 0)
     except _BudgetExceeded:
-        ok = False
-        complete = False
+        return SearchOutcome(BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
     elapsed = time.perf_counter() - start
 
     if not ok:
-        if complete:
-            return SearchOutcome(
-                NOT_FOUND_EXHAUSTED,
-                None,
-                nodes,
-                elapsed,
-                complete=True,
-                reason="symmetry-reduced search tree exhausted",
-            )
-        return SearchOutcome(BUDGET_EXCEEDED, None, nodes, elapsed, complete=False)
+        return SearchOutcome(
+            NOT_FOUND_EXHAUSTED,
+            None,
+            nodes,
+            elapsed,
+            reason="symmetry-reduced search tree exhausted",
+        )
 
     weight = n + 1
     one_classes = []
     star_classes = []
     for kind, blocks in zip(kinds, placed):
         if kind == ONE_FACTOR:
-            k2s = [
-                K2Block(Edge(vertex_from_flat(a, weight), vertex_from_flat(b, weight)))
+            edges = [
+                Edge(vertex_from_flat(a, weight), vertex_from_flat(b, weight))
                 for _, a, b in blocks
             ]
-            one_classes.append(FactorClass(ONE_FACTOR, tuple(sorted(k2s))))
+            one_classes.append(FactorClass(ONE_FACTOR, tuple(sorted(edges))))
         else:
             stars = [
                 StarBlock(
@@ -278,4 +280,4 @@ def exhaustive_urd(
     report = verify(witness)
     if not report.passed:
         raise AssertionError(f"search produced an invalid witness: {report.violations}")
-    return SearchOutcome(FOUND, witness, nodes, elapsed, complete=True)
+    return SearchOutcome(FOUND, witness, nodes, elapsed)

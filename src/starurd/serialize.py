@@ -27,7 +27,6 @@ from .model import (
     Decomposition,
     Edge,
     FactorClass,
-    K2Block,
     Params,
     StarBlock,
     Vertex,
@@ -45,13 +44,8 @@ def to_dict(d: Decomposition) -> dict:
     for fc in d.classes:
         blocks = []
         for b in fc.blocks:
-            if isinstance(b, K2Block):
-                blocks.append(
-                    [
-                        [b.edge.u.base, b.edge.u.level],
-                        [b.edge.v.base, b.edge.v.level],
-                    ]
-                )
+            if isinstance(b, Edge):
+                blocks.append([[b.u.base, b.u.level], [b.v.base, b.v.level]])
             else:
                 blocks.append(
                     {
@@ -105,7 +99,7 @@ def _block(obj, what: str, interned: dict[tuple[int, int], Vertex]):
             if len(obj) != 2:
                 raise SchemaError(f"{what}: edge block needs two vertices")
             u, w = _vertex(obj[0], what, interned), _vertex(obj[1], what, interned)
-            return K2Block(Edge(u, w))
+            return Edge(u, w)
         if isinstance(obj, dict):
             if set(obj) != {"center", "leaves"}:
                 raise SchemaError(f"{what}: star block needs center and leaves")
@@ -178,8 +172,8 @@ def to_text(d: Decomposition) -> str:
         out.append("")
         out.append(f"class {ci}: {fc.kind}")
         for b in fc.blocks:
-            if isinstance(b, K2Block):
-                u, w = b.edge.endpoints()
+            if isinstance(b, Edge):
+                u, w = b.endpoints()
                 out.append(f"  ({u.base},{u.level})-({w.base},{w.level})")
             else:
                 leaves = " ".join(f"({l.base},{l.level})" for l in b.leaves)

@@ -43,7 +43,6 @@ from .model import (
     Decomposition,
     Edge,
     FactorClass,
-    K2Block,
     Params,
     StarBlock,
     VerificationReport,
@@ -77,10 +76,10 @@ def _audit_flat_class(
     disjoint = True
     foreign = False
     for b in fc.blocks:
-        if isinstance(b, K2Block):
+        if isinstance(b, Edge):
             if stars:
                 violations.append((WRONG_KIND, f"{where}: edge block in a star factor"))
-            ends = b.edge.endpoints()
+            ends = b.endpoints()
         elif isinstance(b, StarBlock):
             if not stars:
                 violations.append((WRONG_KIND, f"{where}: star block in a one-factor"))

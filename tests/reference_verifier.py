@@ -28,7 +28,6 @@ from starurd.model import (
     Decomposition,
     Edge,
     FactorClass,
-    K2Block,
     StarBlock,
     VerificationReport,
     Vertex,
@@ -48,7 +47,7 @@ def _audit_class(
     seen: set[Vertex] = set()
     disjoint = True
     for b in fc.blocks:
-        if fc.kind == ONE_FACTOR and not isinstance(b, K2Block):
+        if fc.kind == ONE_FACTOR and not isinstance(b, Edge):
             violations.append((WRONG_KIND, f"{where}: star block in a one-factor"))
         if fc.kind == STAR_FACTOR:
             if not isinstance(b, StarBlock):
@@ -75,8 +74,8 @@ def _audit_class(
 
 
 def _block_vertices(b) -> tuple[Vertex, ...]:
-    if isinstance(b, K2Block):
-        return b.edge.endpoints()
+    if isinstance(b, Edge):
+        return b.endpoints()
     if isinstance(b, StarBlock):
         return (b.center, *b.leaves)
     return ()

@@ -23,7 +23,6 @@ from starurd.model import (
     Decomposition,
     Edge,
     FactorClass,
-    K2Block,
     MISSING_EDGE,
     NOT_DISJOINT,
     NOT_SPANNING,
@@ -146,13 +145,13 @@ def test_criterion_4_aurd_partition_oracles():
             base = tuple(range(m))
             host = raw_cycle_minus_aligned(base, w)
             cycle = WeightedCycle(base, w)
-            for out in (matching_aurd(cycle, n), star_aurd(cycle, n)):
+            for out in (matching_aurd(cycle), star_aurd(cycle)):
                 assert verify_aurd(out.classes, host).passed
                 cases += 1
         for m in (4, 6):
             pairs = hamiltonian_decomposition(m).leftover_matching
             wof = WeightedOneFactor(pairs, w)
-            out = weighted_one_factor_aurd(wof, n)
+            out = weighted_one_factor_aurd(wof)
             host = raw_matching_minus_aligned(pairs, w)
             assert verify_aurd(out.classes, host).passed
             cases += 1
@@ -171,7 +170,7 @@ def test_criterion_5_per_difference_coverage():
         for m in (3, 4, 5, 6, 7):
             base = tuple(range(m))
             cycle = WeightedCycle(base, w)
-            out = matching_aurd(cycle, n)
+            out = matching_aurd(cycle)
             by_d = {}
             for fc, tag in zip(out.classes, out.sources):
                 fam, d = parse_tag(tag)
@@ -212,9 +211,9 @@ def mutate(d, rng):
         b1, b2 = rng.sample(range(len(fc.blocks)), 2)
         blocks = list(fc.blocks)
         if fc.kind == ONE_FACTOR:
-            e1, e2 = blocks[b1].edge, blocks[b2].edge
-            blocks[b1] = K2Block(Edge(e1.u, e2.v))
-            blocks[b2] = K2Block(Edge(e2.u, e1.v))
+            e1, e2 = blocks[b1], blocks[b2]
+            blocks[b1] = Edge(e1.u, e2.v)
+            blocks[b2] = Edge(e2.u, e1.v)
         else:
             s1, s2 = blocks[b1], blocks[b2]
             l1 = rng.randrange(len(s1.leaves))
@@ -287,7 +286,7 @@ def test_criterion_8_branch_coverage_of_finite_grid():
     families = set()
     for m, n in ODD_GRID + EVEN_GRID:
         cycle = WeightedCycle(tuple(range(m)), n + 1)
-        for tag in matching_aurd(cycle, n).sources:
+        for tag in matching_aurd(cycle).sources:
             families.add(parse_tag(tag)[0])
     expected = {f"B{i}" for i in range(1, 12)}
     dprime_empty = parse_tag_families(3, 3)
@@ -309,4 +308,4 @@ def test_criterion_8_branch_coverage_of_finite_grid():
 
 def parse_tag_families(m, n):
     cycle = WeightedCycle(tuple(range(m)), n + 1)
-    return {parse_tag(tag)[0] for tag in matching_aurd(cycle, n).sources}
+    return {parse_tag(tag)[0] for tag in matching_aurd(cycle).sources}

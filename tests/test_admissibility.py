@@ -60,6 +60,14 @@ def test_check_pair_small_m_unresolved():
     assert verdict.ell is None
 
 
+@pytest.mark.parametrize("v,n", [(4, 3), (8, 3), (12, 5)])
+def test_check_pair_small_m_one_factorization(v, n):
+    verdict = check_pair(v, n, v - 1, 0)
+    assert verdict.status == CONSTRUCTIVE
+    assert verdict.ell is None
+    assert f"one-factorization of K_{v}" in verdict.reason
+
+
 def test_check_pair_inadmissible():
     verdict = check_pair(12, 3, 4, 4)
     assert verdict.status == INADMISSIBLE

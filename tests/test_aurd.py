@@ -46,13 +46,13 @@ def assert_exact_partition(classes, host):
 
 
 def is_perfect_matching(fc, vertices):
-    seen = [u for b in fc.blocks for u in b.edge.endpoints()]
+    seen = [u for b in fc.blocks for u in b.endpoints()]
     return fc.kind == ONE_FACTOR and len(seen) == len(set(seen)) and set(seen) == vertices
 
 
 def test_matching_aurd_m3_n3_shape():
     c = WeightedCycle((0, 1, 2), 4)
-    out = matching_aurd(c, 3)
+    out = matching_aurd(c)
     assert len(out.classes) == 6
     assert all(len(fc.blocks) == 6 for fc in out.classes)
     assert out.sources == (
@@ -68,7 +68,7 @@ def test_matching_aurd_m3_n3_shape():
 def test_matching_aurd_m3_n3_b7a_exact():
     # the residue-0 half of the difference-2 pair: levels 0,1 to levels 2,3
     c = WeightedCycle((0, 1, 2), 4)
-    out = matching_aurd(c, 3)
+    out = matching_aurd(c)
     b7a = out.classes[out.sources.index("B7a@d=2")]
     expected = set()
     for x in range(3):
@@ -80,7 +80,7 @@ def test_matching_aurd_m3_n3_b7a_exact():
 
 def test_matching_aurd_m4_n3_counts():
     c = WeightedCycle((0, 1, 2, 3), 4)
-    out = matching_aurd(c, 3)
+    out = matching_aurd(c)
     assert len(out.classes) == 6
     assert all(len(fc.blocks) == 8 for fc in out.classes)
     total = sum(len(class_edges(fc)) for fc in out.classes)
@@ -98,7 +98,7 @@ def test_matching_aurd_m4_n3_counts():
 def test_matching_aurd_m3_n5_families():
     # weight 6 is 2 mod 4: d=3 mixes with 2 and 4, d=1 and d=5 stay plain
     c = WeightedCycle((0, 1, 2), 6)
-    out = matching_aurd(c, 5)
+    out = matching_aurd(c)
     assert len(out.classes) == 10
     assert out.sources == (
         "B6a@d=1",
@@ -117,7 +117,7 @@ def test_matching_aurd_m3_n5_families():
 def test_matching_aurd_m3_n7_families():
     # weight 8 is 0 mod 4: d=2 special pair, d=5 mixes with 4 and 6
     c = WeightedCycle((0, 1, 2), 8)
-    out = matching_aurd(c, 7)
+    out = matching_aurd(c)
     assert len(out.classes) == 14
     assert out.sources == (
         "B11a@d=1",
@@ -142,7 +142,7 @@ def test_matching_aurd_m3_n7_families():
 def test_matching_aurd_partitions_host(m, n):
     base = tuple(range(m))
     c = WeightedCycle(base, n + 1)
-    out = matching_aurd(c, n)
+    out = matching_aurd(c)
     assert len(out.classes) == 2 * n
     vertices = set(c.vertices())
     for fc in out.classes:
@@ -153,20 +153,21 @@ def test_matching_aurd_partitions_host(m, n):
 def test_matching_aurd_on_non_canonical_cycle():
     base = (4, 0, 1, 3, 2)
     c = WeightedCycle(base, 4)
-    out = matching_aurd(c, 3)
+    out = matching_aurd(c)
     assert_exact_partition(out.classes, host_of_cycle(base, 4))
 
 
 def test_matching_aurd_rejects_bad_args():
-    with pytest.raises(ValueError):
-        matching_aurd(WeightedCycle((0, 1, 2), 4), 4)
-    with pytest.raises(ValueError):
-        matching_aurd(WeightedCycle((0, 1, 2), 4), 5)  # weight mismatch
+    # the weight is n+1 with n odd and >= 3: weight 5 means an even n,
+    # weight 2 means n = 1
+    for weight in (5, 2):
+        with pytest.raises(ValueError):
+            matching_aurd(WeightedCycle((0, 1, 2), weight))
 
 
 def test_star_aurd_m3_n3_first_class():
     c = WeightedCycle((0, 1, 2), 4)
-    out = star_aurd(c, 3)
+    out = star_aurd(c)
     assert len(out.classes) == 4
     assert out.sources == ("S@j=0", "S@j=1", "S@j=2", "S@j=3")
     s0 = out.classes[0]
@@ -183,7 +184,7 @@ def test_star_aurd_m3_n3_first_class():
 def test_star_aurd_partitions_host(m, n):
     base = tuple(range(m))
     c = WeightedCycle(base, n + 1)
-    out = star_aurd(c, n)
+    out = star_aurd(c)
     assert len(out.classes) == n + 1
     for fc in out.classes:
         assert len(fc.blocks) == m
@@ -199,7 +200,7 @@ def test_star_aurd_partitions_host(m, n):
 
 def test_star_classes_pairwise_edge_disjoint():
     c = WeightedCycle((0, 1, 2), 4)
-    out = star_aurd(c, 3)
+    out = star_aurd(c)
     e0 = set(class_edges(out.classes[0]))
     e1 = set(class_edges(out.classes[1]))
     assert e0.isdisjoint(e1)
@@ -207,7 +208,7 @@ def test_star_classes_pairwise_edge_disjoint():
 
 def test_weighted_one_factor_aurd_basic():
     w = WeightedOneFactor(((0, 1), (2, 3)), 4)
-    out = weighted_one_factor_aurd(w, 3)
+    out = weighted_one_factor_aurd(w)
     assert len(out.classes) == 3
     assert out.sources == ("Bd@d=1", "Bd@d=2", "Bd@d=3")
     d1 = set(class_edges(out.classes[0]))
@@ -224,7 +225,7 @@ def test_weighted_one_factor_aurd_basic():
 @pytest.mark.parametrize("n", [3, 5])
 def test_weighted_one_factor_aurd_partition(pairs, n):
     w = WeightedOneFactor(pairs, n + 1)
-    out = weighted_one_factor_aurd(w, n)
+    out = weighted_one_factor_aurd(w)
     assert len(out.classes) == n
     total = sum(len(class_edges(fc)) for fc in out.classes)
     assert total == n * len(pairs) * (n + 1)
@@ -238,6 +239,6 @@ def test_no_aligned_edges_in_any_output():
         for p in range(5)
         for i in range(4)
     }
-    for out in (matching_aurd(c, 3), star_aurd(c, 3)):
+    for out in (matching_aurd(c), star_aurd(c)):
         for fc in out.classes:
             assert aligned.isdisjoint(class_edges(fc))

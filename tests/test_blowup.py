@@ -53,7 +53,7 @@ def test_j_edges_cycle():
     }
     assert len(aligned) == 12
     host = raw_cycle_edges(c.base, 4)
-    for out in (matching_aurd(c, 3), star_aurd(c, 3)):
+    for out in (matching_aurd(c), star_aurd(c)):
         assert host - set(covered(out.classes)) == aligned
 
 
@@ -69,7 +69,7 @@ def test_j_edges_weighted_one_factor():
         for i in range(4)
         for j in range(4)
     }
-    assert host - set(covered(weighted_one_factor_aurd(w, 3).classes)) == aligned
+    assert host - set(covered(weighted_one_factor_aurd(w).classes)) == aligned
 
 
 def test_j_edges_weight_two():
@@ -93,7 +93,7 @@ def test_difference_classes_partition(m, w):
     assert seen == every
     # both cycle routes cover every difference but 0, each edge once
     aligned = {_pos_edge(c, x, i, i) for x in range(m) for i in range(w)}
-    for out in (matching_aurd(c, w - 1), star_aurd(c, w - 1)):
+    for out in (matching_aurd(c), star_aurd(c)):
         edges = covered(out.classes)
         assert len(edges) == len(set(edges))
         assert set(edges) == every - aligned
@@ -114,7 +114,7 @@ def test_edge_difference_round_trip(base):
 
 def test_weighted_one_factor_edges_and_host():
     w = WeightedOneFactor(((0, 1), (2, 3)), 4)
-    edges = covered(weighted_one_factor_aurd(w, 3).classes)
+    edges = covered(weighted_one_factor_aurd(w).classes)
     # the host: 2 * 16 blow-up edges less the 8 aligned ones, each once
     assert len(edges) == len(set(edges)) == 2 * 16 - 8
 

@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
+import starurd
 from starurd.cli import main
 from starurd.serialize import loads
 
@@ -196,7 +203,7 @@ def test_build_aurd_weight_assertion_exits_five(capsys, monkeypatch, tmp_path):
     import starurd.aurd as aurd
     from starurd.blowup import WeightedCycle
 
-    monkeypatch.setattr(aurd, "_check_args", lambda weight, n: None)
+    monkeypatch.setattr(aurd, "_check_args", lambda weight: weight - 1)
     monkeypatch.setattr(assembler, "WeightedCycle", lambda c, w: WeightedCycle(c, w + 1))
     err = _build_exits_five(capsys, tmp_path, "--ell", "1")
     assert "weight n+1 must be even for odd n" in err
@@ -321,6 +328,59 @@ def test_search_budget_exceeded_exits_six(capsys):
     )
     assert code == 6
     assert "BUDGET_EXCEEDED" in out
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--timeout", "-1"), ("--timeout", "nan"), ("--max-nodes", "-5")]
+)
+def test_search_bad_budget_is_usage_error(capsys, flag, value):
+    # an open instance, so a budget that were accepted would be spent
+    code, out, err = run(
+        capsys, "search", "--v", "8", "--n", "3", "--r", "1", "--s", "4", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err
+
+
+def test_search_infinite_timeout_is_no_limit(capsys):
+    code, out, _ = run(
+        capsys, "search", "--v", "8", "--n", "3", "--r", "1", "--s", "4", "--timeout", "inf"
+    )
+    assert code == 0
+    assert "status: FOUND" in out
+
+
+def test_build_to_closed_stdout_exits_two():
+    # the reader of the pipe is gone before anything is written
+    env = dict(os.environ, PYTHONPATH=str(Path(starurd.__file__).parents[1]))
+    argv = [sys.executable, "-m", "starurd.cli", "build", "--v", "64", "--n", "3", "--ell", "0"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 2
+    assert "cannot write <stdout>" in err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("v,n", [(4, 3), (8, 3), (12, 5)])
+def test_small_m_one_factorization_is_built(capsys, tmp_path, v, n):
+    # m = v/(n+1) <= 2: (v-1, 0) is the one-factorization of K_v
+    pair = ("--r", str(v - 1), "--s", "0")
+    code, out, _ = run(capsys, "check", "--v", str(v), "--n", str(n), *pair)
+    assert code == 0
+    assert out.startswith("CONSTRUCTIVE: ") and "one-factorization of K_" in out
+    path = tmp_path / "d.json"
+    code, _, _ = run(
+        capsys,
+        "build", "--v", str(v), "--n", str(n), *pair, "--out", str(path),
+    )
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--in", str(path))
+    assert code == 0
+    assert f"r={v - 1}, s=0" in out
 
 
 def test_search_without_grid_is_usage_error(capsys):

@@ -4,7 +4,6 @@ from starurd.model import (
     Decomposition,
     Edge,
     FactorClass,
-    K2Block,
     ONE_FACTOR,
     Params,
     STAR_FACTOR,
@@ -37,8 +36,9 @@ def test_vertex_flat_roundtrip():
 
 
 def test_edges_of_k2_block():
-    b = K2Block(Edge(Vertex(0, 0), Vertex(1, 1)))
-    assert edges_of_block(b) == {Edge(Vertex(0, 0), Vertex(1, 1))}
+    # a K_2 block is the edge itself
+    b = Edge(Vertex(0, 0), Vertex(1, 1))
+    assert edges_of_block(b) == {b}
 
 
 def test_edges_of_star_block():
@@ -74,7 +74,7 @@ def test_block_vertices():
         Vertex(1, 2),
         Vertex(1, 3),
     }
-    k2 = K2Block(Edge(Vertex(0, 0), Vertex(1, 1)))
+    k2 = Edge(Vertex(0, 0), Vertex(1, 1))
     assert set(block_vertices(k2)) == {Vertex(0, 0), Vertex(1, 1)}
 
 

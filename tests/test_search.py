@@ -72,9 +72,7 @@ def test_witness_iff_found():
 def test_first_class_is_canonical_matching():
     out = exhaustive_urd(12, 3, 5, 4, timeout=60)
     first = next(fc for fc in out.witness.classes if fc.kind == ONE_FACTOR)
-    flat_pairs = sorted(
-        (b.edge.u.flat(4), b.edge.v.flat(4)) for b in first.blocks
-    )
+    flat_pairs = sorted((b.u.flat(4), b.v.flat(4)) for b in first.blocks)
     assert flat_pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
 
 

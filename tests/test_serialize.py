@@ -155,6 +155,6 @@ def test_reader_shares_one_vertex_per_pair():
         assert vertices[0] == fresh and hash(vertices[0]) == hash(fresh)
         assert not vertices[0] < fresh and not fresh < vertices[0]
     # each read has its own vertices: nothing is kept between reads
-    again = loads(text).classes[0].blocks[0].edge.u
-    assert again == parsed.classes[0].blocks[0].edge.u
-    assert again is not parsed.classes[0].blocks[0].edge.u
+    again = loads(text).classes[0].blocks[0].u
+    assert again == parsed.classes[0].blocks[0].u
+    assert again is not parsed.classes[0].blocks[0].u

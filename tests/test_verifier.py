@@ -116,7 +116,7 @@ def test_center_uniformity_checked():
 def test_verify_aurd_passes_on_real_output():
     base = (0, 1, 2, 3)
     c = WeightedCycle(base, 4)
-    out = matching_aurd(c, 3)
+    out = matching_aurd(c)
     report = verify_aurd(out.classes, cycle_host(base, 4))
     assert report.passed
 
@@ -124,7 +124,7 @@ def test_verify_aurd_passes_on_real_output():
 def test_verify_aurd_detects_swapped_leaf_level():
     base = (0, 1, 2)
     c = WeightedCycle(base, 4)
-    out = star_aurd(c, 3)
+    out = star_aurd(c)
     classes = list(out.classes)
     fc = classes[0]
     blocks = list(fc.blocks)
@@ -149,7 +149,7 @@ def test_verify_aurd_empty_classes():
 def test_verify_aurd_mixed_arity_flagged():
     base = (0, 1, 2)
     c = WeightedCycle(base, 4)
-    out = star_aurd(c, 3)
+    out = star_aurd(c)
     blocks = list(out.classes[0].blocks)
     blocks[0] = StarBlock(blocks[0].center, blocks[0].leaves[:2])
     classes = [FactorClass(STAR_FACTOR, tuple(blocks))] + list(out.classes[1:])

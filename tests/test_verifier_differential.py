@@ -29,7 +29,6 @@ from starurd.model import (
     Decomposition,
     Edge,
     FactorClass,
-    K2Block,
     Params,
     StarBlock,
     Vertex,
@@ -85,12 +84,12 @@ def _endpoint_move(d, rng):
         i, j = rng.sample(_ones(classes), 2)
         bi = rng.randrange(len(classes[i].blocks))
         bj = rng.randrange(len(classes[j].blocks))
-        (a, b) = classes[i].blocks[bi].edge.endpoints()
-        (x, y) = classes[j].blocks[bj].edge.endpoints()
+        (a, b) = classes[i].blocks[bi].endpoints()
+        (x, y) = classes[j].blocks[bj].endpoints()
         if len({a, b, x, y}) == 4:
             break
-    _replace_block(classes, i, bi, K2Block(Edge(a, y)))
-    _replace_block(classes, j, bj, K2Block(Edge(x, b)))
+    _replace_block(classes, i, bi, Edge(a, y))
+    _replace_block(classes, j, bj, Edge(x, b))
     return with_classes(d, classes)
 
 
@@ -144,9 +143,9 @@ def _foreign_vertex(d, rng):
     classes = list(d.classes)
     ci = rng.choice(_ones(classes))
     bi = rng.randrange(len(classes[ci].blocks))
-    ends = list(classes[ci].blocks[bi].edge.endpoints())
+    ends = list(classes[ci].blocks[bi].endpoints())
     ends[rng.randrange(2)] = Vertex(d.params.m, rng.randrange(d.params.n + 1))
-    _replace_block(classes, ci, bi, K2Block(Edge(*ends)))
+    _replace_block(classes, ci, bi, Edge(*ends))
     return with_classes(d, classes)
 
 
@@ -197,8 +196,8 @@ def test_foreign_vertices_do_not_alias():
     for foreign in foreigners:
         for bi in (0, 3):
             classes = list(d.classes)
-            u = classes[ci].blocks[bi].edge.u
-            _replace_block(classes, ci, bi, K2Block(Edge(u, foreign)))
+            u = classes[ci].blocks[bi].u
+            _replace_block(classes, ci, bi, Edge(u, foreign))
             assert not assert_same(with_classes(d, classes)).passed
             classes = list(d.classes)
             star = classes[si].blocks[bi]
@@ -211,8 +210,8 @@ def test_foreign_vertices_do_not_alias():
     # the same foreign vertex twice in one class, and a foreign edge twice
     classes = list(d.classes)
     fc = classes[ci]
-    a, c = fc.blocks[0].edge.u, fc.blocks[1].edge.u
-    twice = (K2Block(Edge(a, Vertex(0, n + 1))), K2Block(Edge(c, Vertex(0, n + 1))))
+    a, c = fc.blocks[0].u, fc.blocks[1].u
+    twice = (Edge(a, Vertex(0, n + 1)), Edge(c, Vertex(0, n + 1)))
     classes[ci] = FactorClass(ONE_FACTOR, twice + fc.blocks[2:])
     classes.append(FactorClass(ONE_FACTOR, twice))
     assert not assert_same(with_classes(d, classes)).passed
@@ -248,7 +247,7 @@ def test_empty_extra_and_relabelled_classes_agree():
     for fc in classes:
         if fc.kind == ONE_FACTOR:
             blocks = [
-                K2Block(Edge(relabel[b.edge.u], relabel[b.edge.v])) for b in fc.blocks
+                Edge(relabel[b.u], relabel[b.v]) for b in fc.blocks
             ]
         else:
             blocks = [
