@@ -15,6 +15,33 @@ non-aligned edge exactly once:
   differences, so d=2 is handled first by a special pair (B7) that splits
   levels by residue mod 4.
 
+  Each family is a slot list, the map from the paper to the code.  A slot
+  (x, k, e) at level i is the edge from (position x, level i+k) to
+  (position x+1, level i+k+e), positions mod m and levels mod n+1.  Class
+  a takes the even levels i and class b the odd ones, except that B6 and
+  B11 take the odd levels first and B7 splits i by residue 0 / 2 mod 4.
+
+    family     shape         slots (x, k, e) and why
+    B1 B6 B11  uniform       (x, 0, d), every x: one odd difference, one
+                             level parity, every position.
+    B2         staggered     (x, 0, d) and (x+1, 1, d), even x: positions
+                             paired (x, x+1); the second slot runs one
+                             level higher so both parities get matched.
+    B3 B8      low_anchor    (0, 0, d); (x, 0, d-1) and (x+1, 1, d-1), odd
+                             x: slot 0 carries d; the slots from odd
+                             positions carry d-1 in staggered pairs.
+    B4 B9      high_anchor   (1, 0, d); (x, 0, d+1) and (x+1, 1, d+1), even
+                             x >= 2: slot 1 carries d; the slots from even
+                             positions x != 0 carry d+1 in staggered pairs,
+                             the last pair wrapping to position 0.
+    B5 B10     split_anchor  (0, 0, d-1), (1, 1, d+1); (x, 0, d), x >= 2:
+                             slot 0 takes d-1, slot 1 takes d+1 one level
+                             up, all others take d.  With B3/B4 (B8/B9),
+                             each of d-1, d, d+1 meets every slot once.
+    B7         mod4          (x, 0, 2) and (x, 1, 2), every x: d = 2 only;
+                             levels i and i+1 for i in one residue class
+                             mod 4.
+
 * star_aurd: n+1 spanning star factors S_j of a blown-up m-cycle; class j
   puts a center at level j of every position and its n leaves on the
   other levels of the next position.
@@ -80,6 +107,18 @@ def _class(kind: str, blocks: Iterable[Block], vertices: set[Vertex], tag: str) 
     return FactorClass(kind, tuple(blocks))
 
 
+def _output(
+    kind: str, vertices: set[Vertex], tagged: Iterable[tuple[str, Iterable[Block]]]
+) -> AurdOutput:
+    """Check each (tag, blocks) pair as a class of the given kind, in order."""
+    classes: list[FactorClass] = []
+    sources: list[str] = []
+    for tag, blocks in tagged:
+        classes.append(_class(kind, blocks, vertices, tag))
+        sources.append(tag)
+    return AurdOutput(tuple(classes), tuple(sources))
+
+
 def _pos_edge(c: WeightedCycle, x: int, i: int, j: int) -> Edge:
     """Edge from (position x, level i) to (position x+1, level j), wrapped."""
     return Edge(
@@ -88,157 +127,93 @@ def _pos_edge(c: WeightedCycle, x: int, i: int, j: int) -> Edge:
     )
 
 
-def _levels(c: WeightedCycle, parity: int) -> range:
-    return range(parity, c.weight, 2)
+def _blown(pairs: Iterable[tuple[int, int]], w: int, d: int = 0) -> list[Edge]:
+    """The edges (x, i)-(y, i+d) of every pair (x, y) and level i."""
+    return [Edge(Vertex(x, i), Vertex(y, (i + d) % w)) for x, y in pairs for i in range(w)]
 
 
-# Family bodies.  Each returns the edge list for one level parity; the
-# caller instantiates both parities as a pair of classes tagged a and b.
+def _staggered(first: int, m: int, e: int) -> list[tuple[int, int, int]]:
+    return [(x + k, k, e) for x in range(first, m, 2) for k in (0, 1)]
 
 
-def _family_uniform(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
-    # B1 / B6 / B11: one difference, one level parity, every position.
-    return [_pos_edge(c, x, i, i + d) for x in range(c.m) for i in _levels(c, parity)]
+# Slot lists (x, k, e) of each shape for an m-cycle and difference d; the
+# table in the module docstring gives the families of each shape and why.
+_SLOTS = {
+    "uniform": lambda m, d: [(x, 0, d) for x in range(m)],
+    "staggered": lambda m, d: _staggered(0, m, d),
+    "low_anchor": lambda m, d: [(0, 0, d)] + _staggered(1, m, d - 1),
+    "high_anchor": lambda m, d: [(1, 0, d)] + _staggered(2, m, d + 1),
+    "split_anchor": lambda m, d: [(0, 0, d - 1), (1, 1, d + 1)] + [(x, 0, d) for x in range(2, m)],
+    "mod4": lambda m, d: [(x, k, d) for x in range(m) for k in (0, 1)],
+}
 
 
-def _family_staggered(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
-    # B2 (even m): positions paired (x, x+1) for even x; the second slot
-    # runs one level higher so both parities get matched.
-    edges = []
-    for x in range(0, c.m, 2):
-        for i in _levels(c, parity):
-            edges.append(_pos_edge(c, x, i, i + d))
-            edges.append(_pos_edge(c, x + 1, i + 1, i + d + 1))
-    return edges
-
-
-def _family_low_anchor(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
-    # B3 / B8 (odd m): slot 0 carries difference d; slots from odd
-    # positions carry difference d-1 in staggered pairs.
-    edges = [_pos_edge(c, 0, i, i + d) for i in _levels(c, parity)]
-    for x in range(1, c.m, 2):
-        for i in _levels(c, parity):
-            edges.append(_pos_edge(c, x, i, i + (d - 1)))
-            edges.append(_pos_edge(c, x + 1, i + 1, i + 1 + (d - 1)))
-    return edges
-
-
-def _family_high_anchor(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
-    # B4 / B9 (odd m): slot 1 carries difference d; slots from even
-    # positions x != 0 carry difference d+1 in staggered pairs.
-    edges = [_pos_edge(c, 1, i, i + d) for i in _levels(c, parity)]
-    for x in range(2, c.m, 2):
-        for i in _levels(c, parity):
-            edges.append(_pos_edge(c, x, i, i + (d + 1)))
-            edges.append(_pos_edge(c, x + 1, i + 1, i + 1 + (d + 1)))
-    return edges
-
-
-def _family_split_anchor(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
-    # B5 / B10 (odd m): slot 0 takes d-1, slot 1 takes d+1 one level up,
-    # all remaining slots take d.
-    edges = [_pos_edge(c, 0, i, i + (d - 1)) for i in _levels(c, parity)]
-    edges += [_pos_edge(c, 1, i + 1, i + 1 + (d + 1)) for i in _levels(c, parity)]
-    for x in range(2, c.m):
-        for i in _levels(c, parity):
-            edges.append(_pos_edge(c, x, i, i + d))
-    return edges
-
-
-def _family_mod4(c: WeightedCycle, d: int, parity: int) -> list[Edge]:
-    # B7 (odd m, weight 0 mod 4): difference d = 2 only, levels i and i+1
-    # for i in residue class 2*parity mod 4.
-    edges = []
-    for x in range(c.m):
-        for i in range(2 * parity, c.weight, 4):
-            edges.append(_pos_edge(c, x, i, i + d))
-            edges.append(_pos_edge(c, x, i + 1, i + 1 + d))
-    return edges
+def _family(c: WeightedCycle, fam: str, shape: str, d: int, first: int):
+    """Classes a and b of family B<fam> at difference d, one per level
+    parity; class a takes parity `first` (B7: residue 2*first mod 4)."""
+    step = 4 if shape == "mod4" else 2
+    for suffix, parity in (("a", first), ("b", 1 - first)):
+        yield f"B{fam}{suffix}@d={d}", [
+            _pos_edge(c, x, i + k, i + k + e)
+            for x, k, e in _SLOTS[shape](c.m, d)
+            for i in range(parity * step // 2, c.weight, step)
+        ]
 
 
 def matching_aurd(c: WeightedCycle) -> AurdOutput:
     """2n one-factors covering every non-aligned edge of the blow-up once."""
     n = _check_args(c.weight)
-    vertices = set(c.vertices())
-    classes: list[FactorClass] = []
-    sources: list[str] = []
-
-    def emit(family, fam_id: str, d: int, first: int = 0) -> None:
-        # level parity `first` gets tag suffix a, the other parity b
-        for suffix, parity in (("a", first), ("b", 1 - first)):
-            tag = f"B{fam_id}{suffix}@d={d}"
-            classes.append(_class(ONE_FACTOR, family(c, d, parity), vertices, tag))
-            sources.append(tag)
-
+    plan = []  # (family id, slot shape, d, level parity of class a)
     if c.m % 2 == 0:
         for d in range(1, n + 1):
-            if d % 2 == 1:
-                emit(_family_uniform, "1", d)
-            else:
-                emit(_family_staggered, "2", d)
+            plan.append(("1", "uniform", d, 0) if d % 2 else ("2", "staggered", d, 0))
     elif c.weight % 4 == 2:
         for d in range(1, n + 1):
             if d % 4 == 1:
-                emit(_family_uniform, "6", d, first=1)  # odd levels first
+                plan.append(("6", "uniform", d, 1))  # odd levels first
             elif d % 4 == 3:
-                emit(_family_low_anchor, "3", d)
-                emit(_family_high_anchor, "4", d)
-                emit(_family_split_anchor, "5", d)
+                plan += [("3", "low_anchor", d, 0), ("4", "high_anchor", d, 0)]
+                plan.append(("5", "split_anchor", d, 0))
     else:
         if c.weight % 4 != 0:
             raise AssertionError("weight n+1 must be even for odd n")
         for d in range(1, n + 1):
             if d == 2:
-                emit(_family_mod4, "7", d)
+                plan.append(("7", "mod4", d, 0))
             elif d % 4 == 1 and d != 1:
-                emit(_family_low_anchor, "8", d)
-                emit(_family_high_anchor, "9", d)
-                emit(_family_split_anchor, "10", d)
+                plan += [("8", "low_anchor", d, 0), ("9", "high_anchor", d, 0)]
+                plan.append(("10", "split_anchor", d, 0))
             elif d % 2 == 1:
-                emit(_family_uniform, "11", d, first=1)  # odd levels first
+                plan.append(("11", "uniform", d, 1))  # odd levels first
 
-    if len(classes) != 2 * n:
+    tagged = (pair for family in plan for pair in _family(c, *family))
+    out = _output(ONE_FACTOR, set(c.vertices()), tagged)
+    if len(out.classes) != 2 * n:
         raise ConstructionError(
-            "matching_aurd", f"built {len(classes)} classes, expected {2 * n}"
+            "matching_aurd", f"built {len(out.classes)} classes, expected {2 * n}"
         )
-    return AurdOutput(tuple(classes), tuple(sources))
+    return out
 
 
 def star_aurd(c: WeightedCycle) -> AurdOutput:
     """n+1 spanning star factors covering every non-aligned edge once."""
     n = _check_args(c.weight)
-    vertices = set(c.vertices())
     w = c.weight
-    classes: list[FactorClass] = []
-    sources: list[str] = []
-    for j in range(w):
-        tag = f"S@j={j}"
-        blocks = []
-        for x in range(c.m):
-            center = Vertex(c.base[x], j)
-            leaves = tuple(
-                Vertex(c.base[(x + 1) % c.m], (j + t) % w) for t in range(1, n + 1)
+    return _output(STAR_FACTOR, set(c.vertices()), (
+        (f"S@j={j}", [
+            StarBlock(
+                Vertex(c.base[x], j),
+                tuple(Vertex(c.base[(x + 1) % c.m], (j + t) % w) for t in range(1, n + 1)),
             )
-            blocks.append(StarBlock(center, leaves))
-        classes.append(_class(STAR_FACTOR, blocks, vertices, tag))
-        sources.append(tag)
-    return AurdOutput(tuple(classes), tuple(sources))
+            for x in range(c.m)
+        ])
+        for j in range(w)
+    ))
 
 
 def weighted_one_factor_aurd(wof: WeightedOneFactor) -> AurdOutput:
     """n one-factors covering every non-aligned edge of a blown-up matching."""
     n = _check_args(wof.weight)
-    vertices = set(wof.vertices())
-    w = wof.weight
-    classes: list[FactorClass] = []
-    sources: list[str] = []
-    for d in range(1, n + 1):
-        tag = f"Bd@d={d}"
-        edges = [
-            Edge(Vertex(x, i), Vertex(y, (i + d) % w))
-            for x, y in wof.base_matching
-            for i in range(w)
-        ]
-        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
-        sources.append(tag)
-    return AurdOutput(tuple(classes), tuple(sources))
+    return _output(ONE_FACTOR, set(wof.vertices()), (
+        (f"Bd@d={d}", _blown(wof.base_matching, wof.weight, d)) for d in range(1, n + 1)
+    ))

@@ -4,15 +4,17 @@ Exit codes are stable:
 
     0  success (constructive verdict, table printed, verify passed, FOUND)
     1  verification failed / search exhausted without a witness
-    2  bad flags, unreadable or unparseable input, or unwritable output
-       (including a stdout whose reader has gone)
+    2  bad flags, unreadable or unparseable input (including an integer
+       literal too long to parse), or unwritable output (including a
+       closed or full stdout, on any command and whatever the verdict)
     3  inadmissible or otherwise invalid build request
     4  admissible pair the constructions do not cover
     5  internal construction, self-verification or search failure
     6  search budget exceeded
 
-No command writes partial output: payloads are rendered fully before any
-file is touched.
+No command writes partial output: a payload is rendered fully before its
+file is touched, and each command's stdout text is rendered fully and
+written once, through the same writer as the files.
 """
 
 from __future__ import annotations
@@ -74,6 +76,12 @@ def _write_payload(payload: str, out: str | None) -> bool:
     return True
 
 
+def _print(lines: list[str], code: int) -> int:
+    """Write a command's stdout text in one go; return code, or
+    EXIT_USAGE if stdout cannot be written."""
+    return code if _write_payload("\n".join(lines), None) else EXIT_USAGE
+
+
 def cmd_check(args) -> int:
     problem = _check_vn(args.v, args.n)
     if problem:
@@ -83,26 +91,25 @@ def cmd_check(args) -> int:
 
     if args.r is None:
         pairs = admissibility.admissible_pairs(args.v, args.n)
-        print(f"admissible (r, s) pairs for v={args.v}, n={args.n}:")
+        lines = [f"admissible (r, s) pairs for v={args.v}, n={args.n}:"]
         if not pairs:
-            print("  (none)")
+            lines.append("  (none)")
         for pair in pairs:
             verdict = admissibility.check_pair(args.v, args.n, pair.r, pair.s)
             ell = f" ell={verdict.ell}" if verdict.ell is not None else ""
-            print(
+            lines.append(
                 f"  x={pair.x} r={pair.r} s={pair.s}  {verdict.status}{ell}"
                 f"  ({verdict.reason})"
             )
-        return EXIT_OK
+        return _print(lines, EXIT_OK)
 
     verdict = admissibility.check_pair(args.v, args.n, args.r, args.s)
     ell = f" ell={verdict.ell}" if verdict.ell is not None else ""
-    print(f"{verdict.status}{ell}: {verdict.reason}")
-    return {
+    return _print([f"{verdict.status}{ell}: {verdict.reason}"], {
         admissibility.CONSTRUCTIVE: EXIT_OK,
         admissibility.INADMISSIBLE: EXIT_INVALID,
         admissibility.ADMISSIBLE_UNRESOLVED: EXIT_UNRESOLVED,
-    }[verdict.status]
+    }[verdict.status])
 
 
 def cmd_build(args) -> int:
@@ -146,10 +153,10 @@ def cmd_build(args) -> int:
     if not _write_payload(payload, args.out):
         return EXIT_USAGE
     if args.out is not None:
-        print(
+        return _print([
             f"wrote r={decomposition.r}, s={decomposition.s} decomposition of "
             f"K_{decomposition.params.v} to {args.out}"
-        )
+        ], EXIT_OK)
     return EXIT_OK
 
 
@@ -167,15 +174,13 @@ def cmd_verify(args) -> int:
 
     report = verify(decomposition)
     if report.passed:
-        print(
+        return _print([
             f"PASS: valid decomposition of K_{decomposition.params.v} with "
             f"r={decomposition.r}, s={decomposition.s}"
-        )
-        return EXIT_OK
-    for code, detail in report.violations:
-        print(f"{code}: {detail}")
-    print(f"FAIL: {len(report.violations)} violation(s)")
-    return EXIT_FAIL
+        ], EXIT_OK)
+    lines = [f"{code}: {detail}" for code, detail in report.violations]
+    lines.append(f"FAIL: {len(report.violations)} violation(s)")
+    return _print(lines, EXIT_FAIL)
 
 
 def cmd_search(args) -> int:
@@ -201,19 +206,25 @@ def cmd_search(args) -> int:
         print(f"internal search failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    print(f"status: {outcome.status}")
-    print(f"nodes explored: {outcome.nodes_explored}")
-    print(f"elapsed: {outcome.elapsed:.3f}s")
+    lines = [
+        f"status: {outcome.status}",
+        f"nodes explored: {outcome.nodes_explored}",
+        f"elapsed: {outcome.elapsed:.3f}s",
+    ]
     if outcome.reason:
-        print(f"reason: {outcome.reason}")
-    if outcome.status == FOUND:
-        if not _write_payload(serialize.dumps(outcome.witness), args.out):
-            return EXIT_USAGE
-        if args.out is not None:
-            print(f"witness written to {args.out}")
-    return {FOUND: EXIT_OK, NOT_FOUND_EXHAUSTED: EXIT_FAIL, BUDGET_EXCEEDED: EXIT_BUDGET}[
+        lines.append(f"reason: {outcome.reason}")
+    code = {FOUND: EXIT_OK, NOT_FOUND_EXHAUSTED: EXIT_FAIL, BUDGET_EXCEEDED: EXIT_BUDGET}[
         outcome.status
     ]
+    if outcome.status == FOUND:
+        witness = serialize.dumps(outcome.witness)
+        if args.out is None:
+            lines.append(witness)
+        elif _write_payload(witness, args.out):
+            lines.append(f"witness written to {args.out}")
+        else:
+            code = EXIT_USAGE
+    return _print(lines, code)
 
 
 def build_parser() -> argparse.ArgumentParser:

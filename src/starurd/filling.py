@@ -23,9 +23,11 @@ Both parities of m admit exactly m+n-1 one-factors:
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import seeds
-from .aurd import AurdOutput, _class
-from .model import ONE_FACTOR, ConstructionError, Edge, FactorClass, Vertex
+from .aurd import AurdOutput, _blown, _output
+from .model import ONE_FACTOR, ConstructionError, Edge, Vertex
 
 
 def _check_args(m: int, n: int, m_parity: int) -> None:
@@ -40,67 +42,39 @@ def _grid(m: int, w: int) -> set[Vertex]:
     return {Vertex(x, i) for x in range(m) for i in range(w)}
 
 
+def _pooled(bases, factor) -> list[Edge]:
+    """The edges (x, a)-(x, b) of every base x and level pair (a, b)."""
+    return [Edge(Vertex(x, a), Vertex(x, b)) for x in bases for a, b in factor]
+
+
 def fill_odd(m: int, n: int) -> AurdOutput:
     """m+n-1 one-factors of the remainder for odd m."""
     _check_args(m, n, 1)
     w = n + 1
-    vertices = _grid(m, w)
-    classes: list[FactorClass] = []
-    sources: list[str] = []
-
     level_matching = tuple((i, i + 1) for i in range(0, n, 2))
-    for x in range(m):
-        tag = f"AxBx@x={x}"
-        edges = []
-        for j in range(1, (m - 1) // 2 + 1):
-            a, b = (x - j) % m, (x + j) % m
-            edges.extend(Edge(Vertex(a, i), Vertex(b, i)) for i in range(w))
-        edges.extend(Edge(Vertex(x, a), Vertex(x, b)) for a, b in level_matching)
-        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
-        sources.append(tag)
-
     # The level matching is the same in every base, so one completion to a
     # one-factorization of K_{n+1} serves all of them.
     inner = seeds.one_factorization_containing(level_matching)
     if inner.factors[0] != level_matching:
         raise ConstructionError("AxBx", "completion lost the prescribed level matching")
-    for k in range(1, n):
-        tag = f"Bxk@k={k}"
-        edges = [
-            Edge(Vertex(x, a), Vertex(x, b))
+    half = range(1, (m - 1) // 2 + 1)
+    return _output(ONE_FACTOR, _grid(m, w), chain(
+        (
+            (f"AxBx@x={x}", _blown([((x - j) % m, (x + j) % m) for j in half], w)
+             + _pooled((x,), level_matching))
             for x in range(m)
-            for a, b in inner.factors[k]
-        ]
-        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
-        sources.append(tag)
-
-    return AurdOutput(tuple(classes), tuple(sources))
+        ),
+        ((f"Bxk@k={k}", _pooled(range(m), inner.factors[k])) for k in range(1, n)),
+    ))
 
 
 def fill_even(m: int, n: int) -> AurdOutput:
     """m+n-1 one-factors of the remainder for even m."""
     _check_args(m, n, 0)
     w = n + 1
-    vertices = _grid(m, w)
-    classes: list[FactorClass] = []
-    sources: list[str] = []
-
     base_factors = seeds.one_factorization(m).factors
-    for k, factor in enumerate(base_factors, start=1):
-        tag = f"Ak@k={k}"
-        edges = [
-            Edge(Vertex(x, i), Vertex(y, i)) for x, y in factor for i in range(w)
-        ]
-        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
-        sources.append(tag)
-
     inner_factors = seeds.one_factorization(w).factors
-    for k, factor in enumerate(inner_factors, start=1):
-        tag = f"Bk@k={k}"
-        edges = [
-            Edge(Vertex(x, a), Vertex(x, b)) for x in range(m) for a, b in factor
-        ]
-        classes.append(_class(ONE_FACTOR, edges, vertices, tag))
-        sources.append(tag)
-
-    return AurdOutput(tuple(classes), tuple(sources))
+    return _output(ONE_FACTOR, _grid(m, w), chain(
+        ((f"Ak@k={k}", _blown(f, w)) for k, f in enumerate(base_factors, start=1)),
+        ((f"Bk@k={k}", _pooled(range(m), f)) for k, f in enumerate(inner_factors, start=1)),
+    ))

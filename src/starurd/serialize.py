@@ -155,7 +155,7 @@ def dumps(d: Decomposition) -> str:
 def loads(text: str) -> Decomposition:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("not valid JSON: nested too deeply") from exc

@@ -242,3 +242,27 @@ def test_no_aligned_edges_in_any_output():
     for out in (matching_aurd(c), star_aurd(c)):
         for fc in out.classes:
             assert aligned.isdisjoint(class_edges(fc))
+
+
+def test_doubly_covered_vertex_raises_with_family_tag(monkeypatch):
+    # the aligned rule (j := i) makes each position's edges meet the next's
+    import starurd.aurd as aurd
+    from starurd.model import ConstructionError
+
+    def aligned(c, x, i, j):
+        return Edge(Vertex(c.base[x % c.m], i % c.weight), Vertex(c.base[(x + 1) % c.m], i % c.weight))
+
+    monkeypatch.setattr(aurd, "_pos_edge", aligned)
+    with pytest.raises(ConstructionError, match="covered twice") as info:
+        matching_aurd(WeightedCycle((0, 1, 2), 4))
+    assert info.value.family == "B11a@d=1"
+
+
+def test_class_that_does_not_span_raises():
+    from starurd.aurd import _class
+    from starurd.model import ConstructionError
+
+    vertices = {Vertex(0, 0), Vertex(0, 1), Vertex(1, 0), Vertex(1, 1)}
+    with pytest.raises(ConstructionError, match="not spanning: 2 of 4") as info:
+        _class(ONE_FACTOR, [Edge(Vertex(0, 0), Vertex(1, 1))], vertices, "T@k=0")
+    assert info.value.family == "T@k=0"

@@ -271,6 +271,15 @@ def test_verify_deeply_nested_file(capsys, tmp_path):
     assert "Traceback" not in out + err
 
 
+def test_verify_integer_literal_too_long(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"version": "1", "v": 1' + "0" * 5000 + ', "n": 3, "m": 3, "r": 5, '
+                    '"s": 4, "classes": []}')
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert "parse failure" in err
+
+
 def test_build_out_in_missing_directory(capsys, tmp_path):
     path = tmp_path / "missing" / "d.json"
     code, out, err = run(
@@ -351,18 +360,57 @@ def test_search_infinite_timeout_is_no_limit(capsys):
     assert "status: FOUND" in out
 
 
-def test_build_to_closed_stdout_exits_two():
-    # the reader of the pipe is gone before anything is written
+BUILD_64 = ["build", "--v", "64", "--n", "3", "--ell", "0"]
+SEARCH_8 = ["search", "--v", "8", "--n", "3", "--r", "1", "--s", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv,stdout",
+    [
+        pytest.param(BUILD_64, "closed", id="build"),
+        pytest.param(BUILD_64 + ["--out", "d.json"], "closed", id="build-out"),
+        pytest.param(["check", "--v", "12", "--n", "3"], "closed", id="check"),
+        pytest.param(["check", "--v", "12", "--n", "3", "--r", "5", "--s", "4"], "closed",
+                     id="check-pair"),
+        pytest.param(["verify", "--in", "valid.json"], "closed", id="verify"),
+        pytest.param(SEARCH_8 + ["--out", "w.json"], "closed", id="search-out"),
+        pytest.param(["check", "--v", "12", "--n", "3"], "/dev/full", id="check-full"),
+    ],
+)
+def test_build_to_closed_stdout_exits_two(tmp_path, argv, stdout):
+    # the reader of the pipe is gone before anything is written, or the
+    # device is full; whatever the verdict, the command exits 2
+    from starurd import serialize
+    from starurd.assembler import BuildRequest, construct
+    from starurd.verifier import verify
+
+    valid = serialize.dumps(construct(BuildRequest(12, 3, 0)))
+    (tmp_path / "valid.json").write_text(valid)
     env = dict(os.environ, PYTHONPATH=str(Path(starurd.__file__).parents[1]))
-    argv = [sys.executable, "-m", "starurd.cli", "build", "--v", "64", "--n", "3", "--ell", "0"]
-    with subprocess.Popen(
-        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True
-    ) as proc:
-        proc.stdout.close()
-        err = proc.stderr.read()
+    argv = [sys.executable, "-m", "starurd.cli", *argv]
+    if stdout == "closed":
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+            cwd=tmp_path,
+        ) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+    else:
+        if not os.path.exists(stdout):
+            pytest.skip(f"no {stdout} on this platform")
+        with open(stdout, "w") as full:
+            proc = subprocess.run(
+                argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True, cwd=tmp_path
+            )
+        err = proc.stderr
     assert proc.returncode == 2
     assert "cannot write <stdout>" in err
     assert "Traceback" not in err and "Exception ignored" not in err
+    if "d.json" in argv:  # the file was written in full before stdout failed
+        built = construct(BuildRequest(64, 3, 0))
+        assert (tmp_path / "d.json").read_text() == serialize.dumps(built)
+    if "w.json" in argv:
+        assert verify(loads((tmp_path / "w.json").read_text())).passed
 
 
 @pytest.mark.parametrize("v,n", [(4, 3), (8, 3), (12, 5)])

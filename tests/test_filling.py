@@ -151,3 +151,20 @@ def test_parity_validation():
         fill_odd(3, 4)
     with pytest.raises(ValueError):
         fill_even(4, 2)
+
+
+def test_completion_that_drops_the_level_matching_raises(monkeypatch):
+    import starurd.filling as filling
+    from starurd import seeds
+    from starurd.model import ConstructionError
+
+    real = seeds.one_factorization_containing
+
+    def dropped(prescribed):
+        full = real(prescribed)
+        return seeds.OneFactorization(full.k, full.factors[1:])
+
+    monkeypatch.setattr(seeds, "one_factorization_containing", dropped)
+    with pytest.raises(ConstructionError, match="completion lost") as info:
+        filling.fill_odd(3, 3)
+    assert info.value.family == "AxBx"

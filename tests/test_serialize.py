@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -38,6 +39,17 @@ def test_not_json_rejected():
 def test_nesting_past_the_recursion_limit_rejected(text):
     with pytest.raises(SchemaError, match="nested too deeply"):
         loads(text)
+
+
+TOO_LONG = '{"version": "1", "v": 1' + "0" * 5000 + ', "n": 3, "m": 3, "r": 5, "s": 4, "classes": []}'
+
+
+def test_integer_literal_too_long_rejected():
+    # json.loads refuses an int literal past the digit limit with a plain
+    # ValueError; where there is no limit, the claimed v fits no grid
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with pytest.raises(SchemaError, match="not valid JSON" if 0 < limit < 5001 else None):
+        loads(TOO_LONG)
 
 
 def test_missing_keys_rejected():
