@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .model import _require_odd_n
+
 CONSTRUCTIVE = "CONSTRUCTIVE"
 ADMISSIBLE_UNRESOLVED = "ADMISSIBLE_UNRESOLVED"
 INADMISSIBLE = "INADMISSIBLE"
@@ -41,8 +43,7 @@ class CoverageVerdict:
 
 
 def _require_args(v: int, n: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+    _require_odd_n(n)
     if v < 1:
         raise ValueError(f"v must be positive, got {v}")
 

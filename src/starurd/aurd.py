@@ -92,14 +92,28 @@ def _check_args(weight: int) -> int:
     return weight - 1
 
 
-def _class(kind: str, blocks: Iterable[Block], vertices: set[Vertex], tag: str) -> FactorClass:
-    blocks = sorted(blocks)
-    seen: set[Vertex] = set()
+def _key(b: Block) -> tuple:
+    """b's place in the dataclass order of blocks, as a tuple of ints."""
+    if isinstance(b, Edge):
+        u, v = b.u, b.v
+        return (u.base, u.level, v.base, v.level)
+    c = b.center
+    return (c.base, c.level, tuple((leaf.base, leaf.level) for leaf in b.leaves))
+
+
+def _class(
+    kind: str, blocks: Iterable[Block], vertices: set[tuple[int, int]], tag: str
+) -> FactorClass:
+    """The class of the blocks, sorted, if they cover each of the (base,
+    level) vertices exactly once."""
+    blocks = sorted(blocks, key=_key)
+    seen: set[tuple[int, int]] = set()
     for b in blocks:
         for w in block_vertices(b):
-            if w in seen:
+            key = (w.base, w.level)
+            if key in seen:
                 raise ConstructionError(tag, f"vertex {w} covered twice")
-            seen.add(w)
+            seen.add(key)
     if seen != vertices:
         raise ConstructionError(
             tag, f"not spanning: {len(seen)} of {len(vertices)} vertices covered"
@@ -108,13 +122,14 @@ def _class(kind: str, blocks: Iterable[Block], vertices: set[Vertex], tag: str) 
 
 
 def _output(
-    kind: str, vertices: set[Vertex], tagged: Iterable[tuple[str, Iterable[Block]]]
+    kind: str, vertices: Iterable[Vertex], tagged: Iterable[tuple[str, Iterable[Block]]]
 ) -> AurdOutput:
     """Check each (tag, blocks) pair as a class of the given kind, in order."""
+    keys = {(w.base, w.level) for w in vertices}
     classes: list[FactorClass] = []
     sources: list[str] = []
     for tag, blocks in tagged:
-        classes.append(_class(kind, blocks, vertices, tag))
+        classes.append(_class(kind, blocks, keys, tag))
         sources.append(tag)
     return AurdOutput(tuple(classes), tuple(sources))
 
@@ -187,7 +202,7 @@ def matching_aurd(c: WeightedCycle) -> AurdOutput:
                 plan.append(("11", "uniform", d, 1))  # odd levels first
 
     tagged = (pair for family in plan for pair in _family(c, *family))
-    out = _output(ONE_FACTOR, set(c.vertices()), tagged)
+    out = _output(ONE_FACTOR, c.vertices(), tagged)
     if len(out.classes) != 2 * n:
         raise ConstructionError(
             "matching_aurd", f"built {len(out.classes)} classes, expected {2 * n}"
@@ -199,7 +214,7 @@ def star_aurd(c: WeightedCycle) -> AurdOutput:
     """n+1 spanning star factors covering every non-aligned edge once."""
     n = _check_args(c.weight)
     w = c.weight
-    return _output(STAR_FACTOR, set(c.vertices()), (
+    return _output(STAR_FACTOR, c.vertices(), (
         (f"S@j={j}", [
             StarBlock(
                 Vertex(c.base[x], j),
@@ -214,6 +229,6 @@ def star_aurd(c: WeightedCycle) -> AurdOutput:
 def weighted_one_factor_aurd(wof: WeightedOneFactor) -> AurdOutput:
     """n one-factors covering every non-aligned edge of a blown-up matching."""
     n = _check_args(wof.weight)
-    return _output(ONE_FACTOR, set(wof.vertices()), (
+    return _output(ONE_FACTOR, wof.vertices(), (
         (f"Bd@d={d}", _blown(wof.base_matching, wof.weight, d)) for d in range(1, n + 1)
     ))

@@ -13,8 +13,8 @@ Exit codes are stable:
     6  search budget exceeded
 
 No command writes partial output: a payload is rendered fully before its
-file is touched, and each command's stdout text is rendered fully and
-written once, through the same writer as the files.
+file is touched, and each command's stdout text, help included, is
+rendered fully and written once, through the same writer as the files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import admissibility, serialize
 from .assembler import BuildRequest, PairNotConstructive, construct, construct_pair
-from .model import ConstructionError
+from .model import ConstructionError, _require_odd_n
 from .search import BUDGET_EXCEEDED, FOUND, NOT_FOUND_EXHAUSTED, exhaustive_urd
 from .verifier import verify
 
@@ -45,8 +45,10 @@ def _usage_error(message: str) -> int:
 
 
 def _check_vn(v: int, n: int) -> str | None:
-    if n < 3 or n % 2 == 0:
-        return f"--n must be odd and >= 3, got {n}"
+    try:
+        _require_odd_n(n, "--n")
+    except ValueError as exc:
+        return str(exc)
     if v < 1:
         return f"--v must be positive, got {v}"
     return None
@@ -227,8 +229,19 @@ def cmd_search(args) -> int:
     return _print(lines, code)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help text goes through _write_payload, so a
+    closed or full stdout exits 2 there too (argparse ignores the error)."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            super().print_help(file)
+        elif not _write_payload(self.format_help(), None):
+            self.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="starurd",
         description=(
             "Build, check and verify decompositions of K_v into perfect "

@@ -27,19 +27,18 @@ from itertools import chain
 
 from . import seeds
 from .aurd import AurdOutput, _blown, _output
-from .model import ONE_FACTOR, ConstructionError, Edge, Vertex
+from .model import ONE_FACTOR, ConstructionError, Edge, Vertex, _require_odd_n
 
 
 def _check_args(m: int, n: int, m_parity: int) -> None:
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"n must be odd and >= 3, got {n}")
+    _require_odd_n(n)
     if m < 3 or m % 2 != m_parity:
         want = "odd m >= 3" if m_parity == 1 else "even m >= 4"
         raise ValueError(f"need {want}, got m={m}")
 
 
-def _grid(m: int, w: int) -> set[Vertex]:
-    return {Vertex(x, i) for x in range(m) for i in range(w)}
+def _grid(m: int, w: int) -> list[Vertex]:
+    return [Vertex(x, i) for x in range(m) for i in range(w)]
 
 
 def _pooled(bases, factor) -> list[Edge]:

@@ -51,6 +51,12 @@ class ConstructionError(RuntimeError):
         self.family = family
 
 
+def _require_odd_n(n: int, name: str = "n") -> None:
+    """Raise ValueError unless the star size n is odd and >= 3."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"{name} must be odd and >= 3, got {n}")
+
+
 @dataclass(frozen=True, order=True)
 class Params:
     """Order data: v = m*(n+1) with n odd, n >= 3."""
@@ -60,8 +66,7 @@ class Params:
     m: int
 
     def __post_init__(self):
-        if self.n < 3 or self.n % 2 == 0:
-            raise ValueError(f"n must be odd and >= 3, got {self.n}")
+        _require_odd_n(self.n)
         if self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
         if self.v != self.m * (self.n + 1):
@@ -69,8 +74,7 @@ class Params:
 
     @classmethod
     def for_order(cls, v: int, n: int) -> "Params":
-        if n < 3 or n % 2 == 0:
-            raise ValueError(f"n must be odd and >= 3, got {n}")
+        _require_odd_n(n)
         if v < 1 or v % (n + 1) != 0:
             raise ValueError(f"v={v} is not a multiple of n+1={n + 1}")
         return cls(v, n, v // (n + 1))
@@ -106,12 +110,13 @@ class Edge:
     v: Vertex
 
     def __post_init__(self):
-        if self.u == self.v:
-            raise ValueError(f"loop edge at {self.u}")
-        if self.v < self.u:
-            lo, hi = self.v, self.u
-            object.__setattr__(self, "u", lo)
-            object.__setattr__(self, "v", hi)
+        # the Vertex order, on (base, level) tuples
+        u, v = self.u, self.v
+        if (v.base, v.level) <= (u.base, u.level):
+            if (v.base, v.level) == (u.base, u.level):
+                raise ValueError(f"loop edge at {u}")
+            object.__setattr__(self, "u", v)
+            object.__setattr__(self, "v", u)
 
     def endpoints(self) -> tuple[Vertex, Vertex]:
         return (self.u, self.v)
@@ -129,14 +134,16 @@ class StarBlock:
     leaves: tuple[Vertex, ...]
 
     def __post_init__(self):
-        leaves = tuple(sorted(self.leaves))
-        if not leaves:
+        # the Vertex order and equality, on (base, level) tuples
+        keyed = sorted(((leaf.base, leaf.level), leaf) for leaf in self.leaves)
+        if not keyed:
             raise ValueError("star needs at least one leaf")
-        if len(set(leaves)) != len(leaves):
+        keys = {key for key, _ in keyed}
+        if len(keys) != len(keyed):
             raise ValueError(f"duplicate leaves in star at {self.center}")
-        if self.center in leaves:
+        if (self.center.base, self.center.level) in keys:
             raise ValueError(f"star center {self.center} repeated as leaf")
-        object.__setattr__(self, "leaves", leaves)
+        object.__setattr__(self, "leaves", tuple(leaf for _, leaf in keyed))
 
 
 Block = Edge | StarBlock

@@ -16,6 +16,11 @@ JSON schema (version "1"):
 Vertices are [base, level] pairs of nonnegative integers.  Malformed input
 raises SchemaError; semantically wrong but well-formed certificates parse
 fine and are left for the verifier to flag.
+
+dumps writes the text of json.dumps(to_dict(d), indent=1) without building
+the dict: each vertex is rendered once per indent depth it appears at, and
+the block, class and top-level texts are joined from those strings.
+to_dict is the dict form of the same schema.
 """
 
 from __future__ import annotations
@@ -148,8 +153,58 @@ def from_dict(obj) -> Decomposition:
     return Decomposition(params, tuple(classes), r, s)
 
 
+def _join(brackets: str, items: list[str], depth: int) -> str:
+    """A JSON list or object of rendered items whose brackets sit at depth,
+    laid out as json.dumps(..., indent=1) lays it out."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
+
+
+class _Rendered(dict):
+    """(base, level) -> the text of that vertex at one depth, made once."""
+
+    def __init__(self, depth: int):
+        super().__init__()
+        self.depth = depth
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        text = self[key] = _join("[]", [str(key[0]), str(key[1])], self.depth)
+        return text
+
+
 def dumps(d: Decomposition) -> str:
-    return json.dumps(to_dict(d), indent=1)
+    """The text of json.dumps(to_dict(d), indent=1)."""
+    at5, at6 = _Rendered(5), _Rendered(6)  # endpoints and centers; leaves
+    classes = []
+    for fc in d.classes:
+        blocks = []
+        for b in fc.blocks:
+            if isinstance(b, Edge):
+                u, w = b.u, b.v
+                # _join("[]", [endpoint texts], 4), written out: the hot path
+                blocks.append(f"[\n     {at5[u.base, u.level]},\n     {at5[w.base, w.level]}\n    ]")
+            else:
+                c = b.center
+                leaves = [at6[leaf.base, leaf.level] for leaf in b.leaves]
+                blocks.append(_join("{}", [
+                    f'"center": {at5[c.base, c.level]}', f'"leaves": {_join("[]", leaves, 5)}'
+                ], 4))
+        classes.append(_join("{}", [
+            f'"kind": {json.dumps(fc.kind)}', f'"blocks": {_join("[]", blocks, 3)}'
+        ], 2))
+    header = {"version": SCHEMA_VERSION, "v": d.params.v, "n": d.params.n,
+              "m": d.params.m, "r": d.r, "s": d.s}
+    empty = _join("{}", [f'"{key}": {json.dumps(value)}' for key, value in header.items()]
+                  + ['"classes": []'], 0)
+    if not classes:
+        return empty
+    # Put the class texts into the "[]" that empty ends with, in one join, so
+    # the file text is copied once and not once per nesting level.
+    classes[0] = empty[:-3] + "\n  " + classes[0]
+    classes[-1] += "\n ]\n}"
+    return ",\n  ".join(classes)
 
 
 def loads(text: str) -> Decomposition:

@@ -1,10 +1,12 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starurd.aurd import matching_aurd, star_aurd, weighted_one_factor_aurd
 from starurd.blowup import WeightedCycle, WeightedOneFactor
-from starurd.model import Edge, ONE_FACTOR, STAR_FACTOR, Vertex, edges_of_block
+from starurd.model import Edge, ONE_FACTOR, STAR_FACTOR, StarBlock, Vertex, edges_of_block
 
 
 def host_of_cycle(base, w):
@@ -262,7 +264,54 @@ def test_class_that_does_not_span_raises():
     from starurd.aurd import _class
     from starurd.model import ConstructionError
 
-    vertices = {Vertex(0, 0), Vertex(0, 1), Vertex(1, 0), Vertex(1, 1)}
+    vertices = {(0, 0), (0, 1), (1, 0), (1, 1)}
     with pytest.raises(ConstructionError, match="not spanning: 2 of 4") as info:
         _class(ONE_FACTOR, [Edge(Vertex(0, 0), Vertex(1, 1))], vertices, "T@k=0")
     assert info.value.family == "T@k=0"
+
+
+def _spanning(rnd, shape, m, w):
+    """Random blocks of one shape covering the m x w grid once, shuffled."""
+    grid = [Vertex(x, i) for x in range(m) for i in range(w)]
+    rnd.shuffle(grid)
+    if shape == "edge":
+        blocks = [Edge(grid[k], grid[k + 1]) for k in range(0, len(grid), 2)]
+    else:
+        blocks, k = [], 0
+        while k < len(grid):
+            size = min(rnd.randint(2, 5), len(grid) - k)
+            if len(grid) - k - size == 1:
+                size += 1
+            blocks.append(StarBlock(grid[k], tuple(grid[k + 1:k + size])))
+            k += size
+    rnd.shuffle(blocks)
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["edge", "star"]),
+       st.integers(1, 6), st.sampled_from([2, 4, 6]))
+def test_class_orders_blocks_as_the_dataclass_order(rnd, shape, m, w):
+    # _class sorts on integer keys; the order must be that of sorted(blocks),
+    # and a doubly covered vertex must be the one the dataclass order finds
+    from starurd.aurd import _class
+    from starurd.model import ConstructionError, block_vertices
+
+    kind = ONE_FACTOR if shape == "edge" else STAR_FACTOR
+    keys = {(x, i) for x in range(m) for i in range(w)}
+    blocks = _spanning(rnd, shape, m, w)
+    assert _class(kind, blocks, keys, "T").blocks == tuple(sorted(blocks))
+
+    extra = rnd.sample(sorted(keys), 2 if shape == "edge" else min(len(keys), 4))
+    extra = [Vertex(*key) for key in extra]
+    blocks.insert(rnd.randrange(len(blocks) + 1),
+                  Edge(*extra) if shape == "edge" else StarBlock(extra[0], tuple(extra[1:])))
+    seen, expected = set(), None
+    for b in sorted(blocks):
+        for v in block_vertices(b):
+            if v in seen and expected is None:
+                expected = f"[T] vertex {v} covered twice"
+            seen.add(v)
+    with pytest.raises(ConstructionError) as info:
+        _class(kind, blocks, keys, "T")
+    assert str(info.value) == expected

@@ -375,6 +375,8 @@ SEARCH_8 = ["search", "--v", "8", "--n", "3", "--r", "1", "--s", "4"]
         pytest.param(["verify", "--in", "valid.json"], "closed", id="verify"),
         pytest.param(SEARCH_8 + ["--out", "w.json"], "closed", id="search-out"),
         pytest.param(["check", "--v", "12", "--n", "3"], "/dev/full", id="check-full"),
+        pytest.param(["--help"], "closed", id="help"),
+        pytest.param(["check", "--help"], "/dev/full", id="help-full"),
     ],
 )
 def test_build_to_closed_stdout_exits_two(tmp_path, argv, stdout):

@@ -110,3 +110,23 @@ def test_decomposition_from_classes_counts():
     star = FactorClass(STAR_FACTOR, ())
     d = Decomposition.from_classes(p, [one, star, star])
     assert (d.r, d.s) == (1, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, -3])
+def test_every_caller_keeps_its_odd_n_message(n):
+    # one model helper checks "n odd and >= 3" for five callers; each keeps
+    # its exception type and message
+    from starurd import admissibility, filling
+    from starurd.cli import _check_vn
+
+    want = f"n must be odd and >= 3, got {n}"
+    for call in (
+        lambda: admissibility.admissible_pairs(12, n),
+        lambda: Params(3 * (n + 1), n, 3),
+        lambda: Params.for_order(12, n),
+        lambda: filling.fill_odd(3, n),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == want
+    assert _check_vn(12, n) == f"--{want}"

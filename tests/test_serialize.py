@@ -2,6 +2,8 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starurd.assembler import BuildRequest, construct
 from starurd.model import Vertex, block_vertices
@@ -170,3 +172,56 @@ def test_reader_shares_one_vertex_per_pair():
     again = loads(text).classes[0].blocks[0].u
     assert again == parsed.classes[0].blocks[0].u
     assert again is not parsed.classes[0].blocks[0].u
+
+
+# Writer differential: dumps renders the indent=1 text itself, so it is
+# checked against json.dumps of the dict form on certificates that no
+# construction makes (the golden digests pin the construction outputs).
+COORDINATES = st.one_of(st.integers(0, 6), st.integers(0, 2**80))
+VERTICES = st.lists(COORDINATES, min_size=2, max_size=2)
+
+
+@st.composite
+def certificates(draw):
+    n = draw(st.sampled_from([3, 5, 7, 2**61 - 1]))
+    m = draw(st.integers(1, 10**12))
+    edge = st.lists(VERTICES, min_size=2, max_size=2, unique_by=tuple)
+    star = st.lists(VERTICES, min_size=2, max_size=min(n, 6) + 1, unique_by=tuple).map(
+        lambda vs: {"center": vs[0], "leaves": vs[1:]}
+    )
+    block = st.one_of(edge, star)  # both shapes in one class: mixed kinds
+    klass = st.fixed_dictionaries(
+        {"kind": st.sampled_from(["one_factor", "star_factor"]),
+         "blocks": st.lists(block, max_size=5)}
+    )
+    return {
+        "version": "1", "v": m * (n + 1), "n": n, "m": m,
+        "r": draw(st.integers(-5, 2**70)), "s": draw(st.integers(-5, 2**70)),
+        "classes": draw(st.lists(klass, max_size=4)),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(certificates())
+def test_dumps_is_json_dumps_of_the_dict(cert):
+    d = loads(json.dumps(cert))
+    assert dumps(d) == json.dumps(to_dict(d), indent=1)
+
+
+@pytest.mark.parametrize("classes", [[], [{"kind": "one_factor", "blocks": []}]],
+                         ids=["no-classes", "no-blocks"])
+def test_dumps_renders_empty_lists_as_json_does(classes):
+    d = loads(json.dumps(
+        {"version": "1", "v": 12, "n": 3, "m": 3, "r": 0, "s": 0, "classes": classes}
+    ))
+    text = dumps(d)
+    assert text == json.dumps(to_dict(d), indent=1)
+    assert ": []" in text
+
+
+def test_dumps_of_a_search_witness_is_json_dumps_of_the_dict():
+    from starurd.search import FOUND, exhaustive_urd
+
+    outcome = exhaustive_urd(8, 3, 1, 4)
+    assert outcome.status == FOUND
+    assert dumps(outcome.witness) == json.dumps(to_dict(outcome.witness), indent=1)
