@@ -49,9 +49,13 @@ non-aligned edge exactly once:
 * weighted_one_factor_aurd: n one-factors B_d of a blown-up perfect
   matching; class d pairs level i with level i+d across every base pair.
 
-Every class is checked to be a perfect matching (or a spanning disjoint
-star set) the moment it is built; a failure raises ConstructionError with
-the family tag rather than being repaired.
+Slots, stars and blown-up matchings give flat vertex ids base*(n+1)+level:
+an edge is a pair of ids, a star its center id and sorted leaf ids.  Every
+class is sorted and checked on those ids to be a perfect matching (or a
+spanning disjoint star set) the moment it is built; a failure raises
+ConstructionError with the family tag rather than being repaired.  Only a
+checked class is made into Edge or StarBlock blocks, from one Vertex per
+flat id of the stage.
 """
 
 from __future__ import annotations
@@ -63,13 +67,12 @@ from .blowup import WeightedCycle, WeightedOneFactor
 from .model import (
     ONE_FACTOR,
     STAR_FACTOR,
-    Block,
     ConstructionError,
     Edge,
     FactorClass,
     StarBlock,
     Vertex,
-    block_vertices,
+    vertex_from_flat,
 )
 
 
@@ -92,59 +95,66 @@ def _check_args(weight: int) -> int:
     return weight - 1
 
 
-def _key(b: Block) -> tuple:
-    """b's place in the dataclass order of blocks, as a tuple of ints."""
-    if isinstance(b, Edge):
-        u, v = b.u, b.v
-        return (u.base, u.level, v.base, v.level)
-    c = b.center
-    return (c.base, c.level, tuple((leaf.base, leaf.level) for leaf in b.leaves))
-
-
 def _class(
-    kind: str, blocks: Iterable[Block], vertices: set[tuple[int, int]], tag: str
+    kind: str, blocks: list, vertex: dict[int, Vertex], w: int, tag: str
 ) -> FactorClass:
-    """The class of the blocks, sorted, if they cover each of the (base,
-    level) vertices exactly once."""
-    blocks = sorted(blocks, key=_key)
-    seen: set[tuple[int, int]] = set()
-    for b in blocks:
-        for w in block_vertices(b):
-            key = (w.base, w.level)
-            if key in seen:
-                raise ConstructionError(tag, f"vertex {w} covered twice")
-            seen.add(key)
-    if seen != vertices:
+    """The class of the flat blocks, sorted, if they cover each flat id of
+    vertex exactly once.
+
+    Edges are pairs of flat ids in either order; stars are (center, leaves)
+    with the leaves sorted.  Flat ids order vertices as the Vertex order
+    does, so the sorted blocks are in the order of sorted(blocks) on the
+    Edge and StarBlock objects, which are made only once the class checks.
+    """
+    if kind == ONE_FACTOR:
+        blocks = sorted(p if p[0] < p[1] else (p[1], p[0]) for p in blocks)
+        covered = [u for pair in blocks for u in pair]
+    else:
+        blocks = sorted(blocks)
+        covered = [u for center, leaves in blocks for u in (center, *leaves)]
+    seen = set(covered)
+    if len(seen) != len(covered):  # name the first repeat, in block order
+        first: set[int] = set()
+        for u in covered:
+            if u in first:
+                raise ConstructionError(tag, f"vertex {vertex_from_flat(u, w)} covered twice")
+            first.add(u)
+    if seen != vertex.keys():
         raise ConstructionError(
-            tag, f"not spanning: {len(seen)} of {len(vertices)} vertices covered"
+            tag, f"not spanning: {len(seen)} of {len(vertex)} vertices covered"
         )
-    return FactorClass(kind, tuple(blocks))
+    if kind == ONE_FACTOR:
+        return FactorClass(kind, tuple(Edge(vertex[a], vertex[b]) for a, b in blocks))
+    return FactorClass(kind, tuple(
+        StarBlock(vertex[center], tuple(vertex[u] for u in leaves)) for center, leaves in blocks
+    ))
 
 
 def _output(
-    kind: str, vertices: Iterable[Vertex], tagged: Iterable[tuple[str, Iterable[Block]]]
+    kind: str, bases: Iterable[int], w: int, tagged: Iterable[tuple[str, list]]
 ) -> AurdOutput:
-    """Check each (tag, blocks) pair as a class of the given kind, in order."""
-    keys = {(w.base, w.level) for w in vertices}
+    """Check each (tag, flat blocks) pair as a class of the given kind that
+    spans the w levels of the bases, in order."""
+    vertex = {x * w + i: Vertex(x, i) for x in bases for i in range(w)}
     classes: list[FactorClass] = []
     sources: list[str] = []
     for tag, blocks in tagged:
-        classes.append(_class(kind, blocks, keys, tag))
+        classes.append(_class(kind, blocks, vertex, w, tag))
         sources.append(tag)
     return AurdOutput(tuple(classes), tuple(sources))
 
 
-def _pos_edge(c: WeightedCycle, x: int, i: int, j: int) -> Edge:
-    """Edge from (position x, level i) to (position x+1, level j), wrapped."""
-    return Edge(
-        Vertex(c.base[x % c.m], i % c.weight),
-        Vertex(c.base[(x + 1) % c.m], j % c.weight),
-    )
+def _pos_pairs(c: WeightedCycle, x: int, k: int, e: int, levels: range) -> list[tuple[int, int]]:
+    """Flat ids of the edges from (position x, level i+k) to (position x+1,
+    level i+k+e) for each i in levels, wrapped."""
+    w = c.weight
+    here, after = c.base[x % c.m] * w, c.base[(x + 1) % c.m] * w
+    return [(here + (i + k) % w, after + (i + k + e) % w) for i in levels]
 
 
-def _blown(pairs: Iterable[tuple[int, int]], w: int, d: int = 0) -> list[Edge]:
-    """The edges (x, i)-(y, i+d) of every pair (x, y) and level i."""
-    return [Edge(Vertex(x, i), Vertex(y, (i + d) % w)) for x, y in pairs for i in range(w)]
+def _blown(pairs: Iterable[tuple[int, int]], w: int, d: int = 0) -> list[tuple[int, int]]:
+    """Flat ids of the edges (x, i)-(y, i+d) of every pair (x, y) and level i."""
+    return [(x * w + i, y * w + (i + d) % w) for x, y in pairs for i in range(w)]
 
 
 def _staggered(first: int, m: int, e: int) -> list[tuple[int, int, int]]:
@@ -168,10 +178,9 @@ def _family(c: WeightedCycle, fam: str, shape: str, d: int, first: int):
     parity; class a takes parity `first` (B7: residue 2*first mod 4)."""
     step = 4 if shape == "mod4" else 2
     for suffix, parity in (("a", first), ("b", 1 - first)):
+        levels = range(parity * step // 2, c.weight, step)
         yield f"B{fam}{suffix}@d={d}", [
-            _pos_edge(c, x, i + k, i + k + e)
-            for x, k, e in _SLOTS[shape](c.m, d)
-            for i in range(parity * step // 2, c.weight, step)
+            pair for x, k, e in _SLOTS[shape](c.m, d) for pair in _pos_pairs(c, x, k, e, levels)
         ]
 
 
@@ -202,7 +211,7 @@ def matching_aurd(c: WeightedCycle) -> AurdOutput:
                 plan.append(("11", "uniform", d, 1))  # odd levels first
 
     tagged = (pair for family in plan for pair in _family(c, *family))
-    out = _output(ONE_FACTOR, c.vertices(), tagged)
+    out = _output(ONE_FACTOR, c.base, c.weight, tagged)
     if len(out.classes) != 2 * n:
         raise ConstructionError(
             "matching_aurd", f"built {len(out.classes)} classes, expected {2 * n}"
@@ -212,15 +221,14 @@ def matching_aurd(c: WeightedCycle) -> AurdOutput:
 
 def star_aurd(c: WeightedCycle) -> AurdOutput:
     """n+1 spanning star factors covering every non-aligned edge once."""
-    n = _check_args(c.weight)
-    w = c.weight
-    return _output(STAR_FACTOR, c.vertices(), (
+    w = _check_args(c.weight) + 1
+    starts = [x * w for x in c.base]
+    # the leaves of the star at level j are the levels j+1..j+n, that is
+    # every level but j, of the next position
+    return _output(STAR_FACTOR, c.base, w, (
         (f"S@j={j}", [
-            StarBlock(
-                Vertex(c.base[x], j),
-                tuple(Vertex(c.base[(x + 1) % c.m], (j + t) % w) for t in range(1, n + 1)),
-            )
-            for x in range(c.m)
+            (here + j, tuple(after + i for i in range(w) if i != j))
+            for here, after in zip(starts, starts[1:] + starts[:1])
         ])
         for j in range(w)
     ))
@@ -229,6 +237,7 @@ def star_aurd(c: WeightedCycle) -> AurdOutput:
 def weighted_one_factor_aurd(wof: WeightedOneFactor) -> AurdOutput:
     """n one-factors covering every non-aligned edge of a blown-up matching."""
     n = _check_args(wof.weight)
-    return _output(ONE_FACTOR, wof.vertices(), (
+    points = [p for pair in wof.base_matching for p in pair]
+    return _output(ONE_FACTOR, points, wof.weight, (
         (f"Bd@d={d}", _blown(wof.base_matching, wof.weight, d)) for d in range(1, n + 1)
     ))

@@ -19,6 +19,9 @@ Both parities of m admit exactly m+n-1 one-factors:
 * even m: blow up each factor of a one-factorization of K_m level by
   level (m-1 factors), then pool the k-th factor of a one-factorization
   of K_{n+1} across all bases (n factors).
+
+Vertex (x, i) is built as its flat id x*(n+1) + i, and every factor is
+checked and made into Edge blocks by `aurd._output`, as the AURD stages are.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import chain
 
 from . import seeds
 from .aurd import AurdOutput, _blown, _output
-from .model import ONE_FACTOR, ConstructionError, Edge, Vertex, _require_odd_n
+from .model import ONE_FACTOR, ConstructionError, _require_odd_n
 
 
 def _check_args(m: int, n: int, m_parity: int) -> None:
@@ -37,13 +40,9 @@ def _check_args(m: int, n: int, m_parity: int) -> None:
         raise ValueError(f"need {want}, got m={m}")
 
 
-def _grid(m: int, w: int) -> list[Vertex]:
-    return [Vertex(x, i) for x in range(m) for i in range(w)]
-
-
-def _pooled(bases, factor) -> list[Edge]:
-    """The edges (x, a)-(x, b) of every base x and level pair (a, b)."""
-    return [Edge(Vertex(x, a), Vertex(x, b)) for x in bases for a, b in factor]
+def _pooled(bases, factor, w: int) -> list[tuple[int, int]]:
+    """Flat ids of the edges (x, a)-(x, b) of every base x and level pair (a, b)."""
+    return [(x * w + a, x * w + b) for x in bases for a, b in factor]
 
 
 def fill_odd(m: int, n: int) -> AurdOutput:
@@ -57,13 +56,13 @@ def fill_odd(m: int, n: int) -> AurdOutput:
     if inner.factors[0] != level_matching:
         raise ConstructionError("AxBx", "completion lost the prescribed level matching")
     half = range(1, (m - 1) // 2 + 1)
-    return _output(ONE_FACTOR, _grid(m, w), chain(
+    return _output(ONE_FACTOR, range(m), w, chain(
         (
             (f"AxBx@x={x}", _blown([((x - j) % m, (x + j) % m) for j in half], w)
-             + _pooled((x,), level_matching))
+             + _pooled((x,), level_matching, w))
             for x in range(m)
         ),
-        ((f"Bxk@k={k}", _pooled(range(m), inner.factors[k])) for k in range(1, n)),
+        ((f"Bxk@k={k}", _pooled(range(m), inner.factors[k], w)) for k in range(1, n)),
     ))
 
 
@@ -73,7 +72,7 @@ def fill_even(m: int, n: int) -> AurdOutput:
     w = n + 1
     base_factors = seeds.one_factorization(m).factors
     inner_factors = seeds.one_factorization(w).factors
-    return _output(ONE_FACTOR, _grid(m, w), chain(
+    return _output(ONE_FACTOR, range(m), w, chain(
         ((f"Ak@k={k}", _blown(f, w)) for k, f in enumerate(base_factors, start=1)),
-        ((f"Bk@k={k}", _pooled(range(m), f)) for k, f in enumerate(inner_factors, start=1)),
+        ((f"Bk@k={k}", _pooled(range(m), f, w)) for k, f in enumerate(inner_factors, start=1)),
     ))

@@ -3,8 +3,11 @@
 Every object lives on the complete graph K_v with v = m*(n+1), n odd.  A
 vertex is addressed as a pair (base, level): base in Z_m names one of the m
 "groups" and level in Z_{n+1} names the copy inside the group.  The flat
-index base*(n+1) + level is used only for serialization and for orderings
-that need a single integer per vertex.
+index base*(n+1) + level orders vertices as Vertex does.  It is the working
+form of the construction (aurd, filling) and of the verifier's audit: the
+construction makes and checks each class on flat ids, and only then builds
+its Vertex, Edge and StarBlock objects, one Vertex per flat id.
+`vertex_from_flat` turns a flat id back into a Vertex.
 
 Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
@@ -16,7 +19,8 @@ factors forces (n+1)*r + 2*n*s = (n+1)*(v-1).  It is checked exactly,
 never with a tolerance.
 
 All types are immutable after construction and safe to share between
-threads.
+threads.  Vertex, Edge and StarBlock use __slots__: a certificate holds
+many of them.
 """
 
 from __future__ import annotations
@@ -84,25 +88,17 @@ class Params:
         return self.n + 1
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Vertex:
     base: int
     level: int
-
-    def flat(self, weight: int) -> int:
-        return self.base * weight + self.level
 
 
 def vertex_from_flat(index: int, weight: int) -> Vertex:
     return Vertex(index // weight, index % weight)
 
 
-def all_vertices(params: Params) -> list[Vertex]:
-    """All v vertices of K_v in flat (lexicographic) order."""
-    return [Vertex(b, i) for b in range(params.m) for i in range(params.weight)]
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Edge:
     """Unordered pair of distinct vertices, stored in canonical sorted order."""
 
@@ -122,7 +118,7 @@ class Edge:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class StarBlock:
     """An n-star: the edges {center, leaf} for each leaf.
 
@@ -147,18 +143,6 @@ class StarBlock:
 
 
 Block = Edge | StarBlock
-
-
-def edges_of_block(block: Block) -> frozenset[Edge]:
-    if isinstance(block, Edge):
-        return frozenset((block,))
-    return frozenset(Edge(block.center, leaf) for leaf in block.leaves)
-
-
-def block_vertices(block: Block) -> tuple[Vertex, ...]:
-    if isinstance(block, Edge):
-        return block.endpoints()
-    return (block.center,) + block.leaves
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ certificate against that set, so its cost grows with the claimed v.
 Tests compare its violations, codes and details in order, with those of
 the package's `verify`.  `verify_aurd` runs the same Edge-object audit
 against an explicit target edge set, which lets tests check a single
-construction family on its host graph.  Neither is part of the package.
+construction family on its host graph.  Neither is part of the package,
+and nor are the Vertex-object helpers below, which tests also use to
+enumerate vertices and edges independently of the flat-id construction.
 """
 
 from __future__ import annotations
@@ -28,12 +30,30 @@ from starurd.model import (
     Decomposition,
     Edge,
     FactorClass,
+    Params,
     StarBlock,
     VerificationReport,
     Vertex,
-    all_vertices,
-    edges_of_block,
 )
+
+
+def all_vertices(params: Params) -> list[Vertex]:
+    """All v vertices of K_v in flat (lexicographic) order."""
+    return [Vertex(b, i) for b in range(params.m) for i in range(params.weight)]
+
+
+def edges_of_block(block) -> frozenset[Edge]:
+    if isinstance(block, Edge):
+        return frozenset((block,))
+    return frozenset(Edge(block.center, leaf) for leaf in block.leaves)
+
+
+def block_vertices(b) -> tuple[Vertex, ...]:
+    if isinstance(b, Edge):
+        return b.endpoints()
+    if isinstance(b, StarBlock):
+        return (b.center, *b.leaves)
+    return ()
 
 
 def _audit_class(
@@ -59,7 +79,7 @@ def _audit_class(
                         f"{where}: star with {len(b.leaves)} leaves, expected {star_arity}",
                     )
                 )
-        for v in _block_vertices(b):
+        for v in block_vertices(b):
             if v in seen and disjoint:
                 violations.append((NOT_DISJOINT, f"{where}: vertex {v} in two blocks"))
                 disjoint = False
@@ -71,14 +91,6 @@ def _audit_class(
         if foreign:
             detail += f", {foreign} outside the vertex set"
         violations.append((NOT_SPANNING, detail))
-
-
-def _block_vertices(b) -> tuple[Vertex, ...]:
-    if isinstance(b, Edge):
-        return b.endpoints()
-    if isinstance(b, StarBlock):
-        return (b.center, *b.leaves)
-    return ()
 
 
 def _audit_edge_multiset(

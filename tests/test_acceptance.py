@@ -11,7 +11,7 @@ import random
 import time
 from collections import Counter
 
-from reference_verifier import verify_aurd
+from reference_verifier import edges_of_block, verify_aurd
 
 from starurd.admissibility import admissible_pairs, constructive_pairs
 from starurd.assembler import BuildRequest, construct
@@ -31,7 +31,6 @@ from starurd.model import (
     StarBlock,
     Vertex,
     WRONG_KIND,
-    edges_of_block,
 )
 from starurd.search import FOUND, exhaustive_urd
 from starurd.seeds import hamiltonian_decomposition

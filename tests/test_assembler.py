@@ -11,7 +11,8 @@ from starurd.assembler import (
     construct,
     construct_pair,
 )
-from starurd.model import Edge, ONE_FACTOR, STAR_FACTOR, all_vertices, edges_of_block
+from reference_verifier import all_vertices, edges_of_block
+from starurd.model import Edge, ONE_FACTOR, STAR_FACTOR
 from starurd.verifier import verify
 
 

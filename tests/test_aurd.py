@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_verifier import block_vertices, edges_of_block
 from starurd.aurd import matching_aurd, star_aurd, weighted_one_factor_aurd
 from starurd.blowup import WeightedCycle, WeightedOneFactor
-from starurd.model import Edge, ONE_FACTOR, STAR_FACTOR, StarBlock, Vertex, edges_of_block
+from starurd.model import Edge, ONE_FACTOR, STAR_FACTOR, StarBlock, Vertex, vertex_from_flat
 
 
 def host_of_cycle(base, w):
@@ -247,14 +248,16 @@ def test_no_aligned_edges_in_any_output():
 
 
 def test_doubly_covered_vertex_raises_with_family_tag(monkeypatch):
-    # the aligned rule (j := i) makes each position's edges meet the next's
+    # the aligned rule (e := 0) makes each position's edges meet the next's
     import starurd.aurd as aurd
     from starurd.model import ConstructionError
 
-    def aligned(c, x, i, j):
-        return Edge(Vertex(c.base[x % c.m], i % c.weight), Vertex(c.base[(x + 1) % c.m], i % c.weight))
+    rule = aurd._pos_pairs
 
-    monkeypatch.setattr(aurd, "_pos_edge", aligned)
+    def aligned(c, x, k, e, levels):
+        return rule(c, x, k, 0, levels)
+
+    monkeypatch.setattr(aurd, "_pos_pairs", aligned)
     with pytest.raises(ConstructionError, match="covered twice") as info:
         matching_aurd(WeightedCycle((0, 1, 2), 4))
     assert info.value.family == "B11a@d=1"
@@ -264,9 +267,10 @@ def test_class_that_does_not_span_raises():
     from starurd.aurd import _class
     from starurd.model import ConstructionError
 
-    vertices = {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # (0, 0), (0, 1), (1, 0), (1, 1) at weight 4; the edge (0, 0)-(1, 1)
+    vertex = {u: vertex_from_flat(u, 4) for u in (0, 1, 4, 5)}
     with pytest.raises(ConstructionError, match="not spanning: 2 of 4") as info:
-        _class(ONE_FACTOR, [Edge(Vertex(0, 0), Vertex(1, 1))], vertices, "T@k=0")
+        _class(ONE_FACTOR, [(0, 5)], vertex, 4, "T@k=0")
     assert info.value.family == "T@k=0"
 
 
@@ -288,22 +292,33 @@ def _spanning(rnd, shape, m, w):
     return blocks
 
 
+def _flat(rnd, block, w):
+    """The flat form of a block that aurd._class takes: an edge as its two
+    ids in either order, a star as its center id and sorted leaf ids."""
+    if isinstance(block, Edge):
+        pair = (block.u.base * w + block.u.level, block.v.base * w + block.v.level)
+        return pair if rnd.random() < 0.5 else pair[::-1]
+    return (block.center.base * w + block.center.level,
+            tuple(leaf.base * w + leaf.level for leaf in block.leaves))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from(["edge", "star"]),
        st.integers(1, 6), st.sampled_from([2, 4, 6]))
 def test_class_orders_blocks_as_the_dataclass_order(rnd, shape, m, w):
-    # _class sorts on integer keys; the order must be that of sorted(blocks),
-    # and a doubly covered vertex must be the one the dataclass order finds
+    # _class sorts flat ids; the order must be that of sorted(blocks), and a
+    # doubly covered vertex must be the one the dataclass order finds
     from starurd.aurd import _class
-    from starurd.model import ConstructionError, block_vertices
+    from starurd.model import ConstructionError
 
     kind = ONE_FACTOR if shape == "edge" else STAR_FACTOR
-    keys = {(x, i) for x in range(m) for i in range(w)}
+    vertex = {x * w + i: Vertex(x, i) for x in range(m) for i in range(w)}
     blocks = _spanning(rnd, shape, m, w)
-    assert _class(kind, blocks, keys, "T").blocks == tuple(sorted(blocks))
+    built = _class(kind, [_flat(rnd, b, w) for b in blocks], vertex, w, "T").blocks
+    assert built == tuple(sorted(blocks))
 
-    extra = rnd.sample(sorted(keys), 2 if shape == "edge" else min(len(keys), 4))
-    extra = [Vertex(*key) for key in extra]
+    extra = rnd.sample(sorted(vertex), 2 if shape == "edge" else min(len(vertex), 4))
+    extra = [vertex[u] for u in extra]
     blocks.insert(rnd.randrange(len(blocks) + 1),
                   Edge(*extra) if shape == "edge" else StarBlock(extra[0], tuple(extra[1:])))
     seen, expected = set(), None
@@ -313,5 +328,14 @@ def test_class_orders_blocks_as_the_dataclass_order(rnd, shape, m, w):
                 expected = f"[T] vertex {v} covered twice"
             seen.add(v)
     with pytest.raises(ConstructionError) as info:
-        _class(kind, blocks, keys, "T")
+        _class(kind, [_flat(rnd, b, w) for b in blocks], vertex, w, "T")
     assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("build", [matching_aurd, star_aurd])
+def test_stage_makes_one_vertex_per_id(build):
+    # every block of a stage shares the stage's one Vertex object per vertex
+    c = WeightedCycle((0, 2, 4, 1, 3), 6)
+    out = build(c)
+    made = {id(u) for fc in out.classes for b in fc.blocks for u in block_vertices(b)}
+    assert len(made) == 5 * 6

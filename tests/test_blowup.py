@@ -1,16 +1,25 @@
 """Blow-ups, and the cycle-edge rule that the AURD families are written in.
 
-`aurd._pos_edge(c, x, i, j)` is the edge from (position x, level i) to
-(position x+1, level j) of a blown-up cycle, with positions and levels
-taken modulo m and the weight.  The blow-up's edge set is enumerated here
-from raw loops over the base ordering, not from the package.
+`aurd._pos_pairs(c, x, k, e, levels)` gives, for each level i, the flat
+ids base*weight+level of the edge from (position x, level i+k) to
+(position x+1, level i+k+e) of a blown-up cycle, with positions and levels
+taken modulo m and the weight.  `pos_edge` below reads one such edge back
+as an Edge.  The blow-up's edge set is enumerated here from raw loops over
+the base ordering, not from the package.
 """
 
 import pytest
 
-from starurd.aurd import _pos_edge, matching_aurd, star_aurd, weighted_one_factor_aurd
+from reference_verifier import edges_of_block
+from starurd.aurd import _pos_pairs, matching_aurd, star_aurd, weighted_one_factor_aurd
 from starurd.blowup import WeightedCycle, WeightedOneFactor
-from starurd.model import Edge, Vertex, edges_of_block
+from starurd.model import Edge, Vertex, vertex_from_flat
+
+
+def pos_edge(c, x, i, j):
+    """The edge from (position x, level i) to (position x+1, level j)."""
+    [(a, b)] = _pos_pairs(c, x, i, j - i, range(1))
+    return Edge(vertex_from_flat(a, c.weight), vertex_from_flat(b, c.weight))
 
 
 def raw_cycle_edges(base, w):
@@ -29,18 +38,24 @@ def covered(classes):
 
 def test_cycle_edge_basic():
     c = WeightedCycle((0, 1, 2), 4)
-    assert _pos_edge(c, 0, 0, 1) == Edge(Vertex(0, 0), Vertex(1, 1))
+    assert pos_edge(c, 0, 0, 1) == Edge(Vertex(0, 0), Vertex(1, 1))
 
 
 def test_cycle_edge_arbitrary_base_order_with_wrap():
     c = WeightedCycle((0, 2, 4, 1, 3), 4)
     # level wraps: 3 + 2 = 5 = 1 mod 4
-    assert _pos_edge(c, 1, 3, 5) == Edge(Vertex(2, 3), Vertex(4, 1))
+    assert pos_edge(c, 1, 3, 5) == Edge(Vertex(2, 3), Vertex(4, 1))
 
 
 def test_cycle_edge_position_wrap():
     c = WeightedCycle((0, 1, 2), 4)
-    assert _pos_edge(c, 2, 1, 2) == Edge(Vertex(2, 1), Vertex(0, 2))
+    assert pos_edge(c, 2, 1, 2) == Edge(Vertex(2, 1), Vertex(0, 2))
+
+
+def test_pos_pairs_are_flat_ids_over_the_levels():
+    # position 4 (base 3) to position 0 (base 0), levels i+1 and i+3, i odd
+    c = WeightedCycle((0, 2, 4, 1, 3), 4)
+    assert _pos_pairs(c, 4, 1, 2, range(1, 4, 2)) == [(3 * 4 + 2, 0 * 4 + 0), (3 * 4 + 0, 0 * 4 + 2)]
 
 
 def test_j_edges_cycle():
@@ -75,7 +90,7 @@ def test_j_edges_weighted_one_factor():
 def test_j_edges_weight_two():
     # the least weight a blow-up accepts
     c = WeightedCycle((0, 1, 2), 2)
-    assert len({_pos_edge(c, x, i, i) for x in range(3) for i in range(2)}) == 6
+    assert len({pos_edge(c, x, i, i) for x in range(3) for i in range(2)}) == 6
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
@@ -86,13 +101,13 @@ def test_difference_classes_partition(m, w):
     assert len(every) == m * w * w
     seen = set()
     for d in range(w):
-        part = {_pos_edge(c, x, i, i + d) for x in range(m) for i in range(w)}
+        part = {pos_edge(c, x, i, i + d) for x in range(m) for i in range(w)}
         assert len(part) == m * w
         assert seen.isdisjoint(part)
         seen |= part
     assert seen == every
     # both cycle routes cover every difference but 0, each edge once
-    aligned = {_pos_edge(c, x, i, i) for x in range(m) for i in range(w)}
+    aligned = {pos_edge(c, x, i, i) for x in range(m) for i in range(w)}
     for out in (matching_aurd(c), star_aurd(c)):
         edges = covered(out.classes)
         assert len(edges) == len(set(edges))
@@ -106,7 +121,7 @@ def test_edge_difference_round_trip(base):
         here, after = base[p], base[(p + 1) % c.m]
         for i in range(4):
             for d in range(4):
-                level = {u.base: u.level for u in _pos_edge(c, p, i, i + d).endpoints()}
+                level = {u.base: u.level for u in pos_edge(c, p, i, i + d).endpoints()}
                 assert set(level) == {here, after}
                 assert level[here] == i
                 assert (level[after] - level[here]) % 4 == d

@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 from starurd.filling import fill_even, fill_odd
-from starurd.model import Edge, ONE_FACTOR, Vertex, edges_of_block
+from reference_verifier import edges_of_block
+from starurd.model import Edge, ONE_FACTOR, Vertex
 
 
 def remainder_edges(m, n):

@@ -1,5 +1,6 @@
 import pytest
 
+from starurd.admissibility import CONSTRUCTIVE, admissible_pairs, check_pair
 from starurd.model import ONE_FACTOR
 from starurd.search import (
     BUDGET_EXCEEDED,
@@ -72,7 +73,7 @@ def test_witness_iff_found():
 def test_first_class_is_canonical_matching():
     out = exhaustive_urd(12, 3, 5, 4, timeout=60)
     first = next(fc for fc in out.witness.classes if fc.kind == ONE_FACTOR)
-    flat_pairs = sorted((b.u.flat(4), b.v.flat(4)) for b in first.blocks)
+    flat_pairs = sorted((4 * b.u.base + b.u.level, 4 * b.v.base + b.v.level) for b in first.blocks)
     assert flat_pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
 
 
@@ -97,3 +98,18 @@ def test_all_star_requests_fail_arithmetic():
     assert out.status == NOT_FOUND_EXHAUSTED and out.nodes_explored == 0
     out = exhaustive_urd(12, 3, 0, 4, max_nodes=10)
     assert out.status == NOT_FOUND_EXHAUSTED and out.nodes_explored == 0
+
+
+@pytest.mark.parametrize("v,n", [(8, 3), (12, 3), (16, 3), (20, 3), (12, 5), (18, 5), (16, 7)])
+def test_search_never_exhausts_a_pair_the_package_realizes(v, n):
+    # a node budget may stop the search, but an exhausted verdict on a pair
+    # that check_pair builds would be a false nonexistence claim
+    pairs = [(p.r, p.s) for p in admissible_pairs(v, n)
+             if check_pair(v, n, p.r, p.s).status == CONSTRUCTIVE]
+    assert pairs
+    for r, s in pairs:
+        out = exhaustive_urd(v, n, r, s, max_nodes=20000)
+        assert out.status in (FOUND, BUDGET_EXCEEDED), (r, s, out.status)
+        if out.status == FOUND:
+            assert (out.witness.r, out.witness.s) == (r, s)
+            assert verify(out.witness).passed

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_verifier import block_vertices
 from starurd.assembler import BuildRequest, construct
-from starurd.model import Vertex, block_vertices
+from starurd.model import Vertex
 from starurd.serialize import SchemaError, dumps, from_dict, loads, to_dict, to_text
 
 
