@@ -57,16 +57,9 @@ def construction_range(m: int, n: int) -> tuple[int, int]:
 def admissible_pairs(v: int, n: int) -> list[AdmissiblePair]:
     """All (r, s) pairs passing the necessary conditions, in increasing x."""
     _require_args(v, n)
-    out = []
-    for x in range(0, (v - 1) // (2 * n) + 1):
-        r = v - 1 - 2 * n * x
-        s = (n + 1) * x
-        if r > 0 and v % 2 == 1:
-            continue
-        if s > 0 and v % (n + 1) != 0:
-            continue
-        out.append(AdmissiblePair(r, s, x))
-    return out
+    xs = range((v - 1) // (2 * n) + 1)
+    pairs = (AdmissiblePair(v - 1 - 2 * n * x, (n + 1) * x, x) for x in xs)
+    return [p for p in pairs if inadmissibility_reason(v, n, p.r, p.s) is None]
 
 
 def inadmissibility_reason(v: int, n: int, r: int, s: int) -> str | None:

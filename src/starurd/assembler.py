@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import admissibility
-from .aurd import matching_aurd, star_aurd, weighted_one_factor_aurd
+from .aurd import _output, matching_aurd, star_aurd, weighted_one_factor_aurd
 from .blowup import WeightedCycle, WeightedOneFactor
 from .filling import fill_even, fill_odd
-from .model import ONE_FACTOR, Decomposition, Edge, FactorClass, Params, vertex_from_flat
+from .model import ONE_FACTOR, Decomposition, Params
 from .seeds import hamiltonian_decomposition, one_factorization
 
 
@@ -94,16 +94,12 @@ def construct(req: BuildRequest) -> Decomposition:
 
 
 def _one_factorization(params: Params) -> Decomposition:
-    """K_v as its v-1 round-robin one-factors: the (v-1, 0) pair for m < 3."""
-    w = params.weight
-    classes = [
-        FactorClass(
-            ONE_FACTOR,
-            tuple(Edge(vertex_from_flat(a, w), vertex_from_flat(b, w)) for a, b in factor),
-        )
-        for factor in one_factorization(params.v).factors
-    ]
-    return Decomposition.from_classes(params, classes)
+    """K_v as its v-1 round-robin one-factors, made by `aurd._output` from
+    the flat ids 0..v-1: the (v-1, 0) pair for m < 3."""
+    factors = one_factorization(params.v).factors
+    out = _output(ONE_FACTOR, range(params.m), params.weight,
+                  ((f"F@j={j}", factor) for j, factor in enumerate(factors)))
+    return Decomposition.from_classes(params, out.classes)
 
 
 def construct_pair(v: int, n: int, r: int, s: int) -> Decomposition:

@@ -50,12 +50,14 @@ non-aligned edge exactly once:
   matching; class d pairs level i with level i+d across every base pair.
 
 Slots, stars and blown-up matchings give flat vertex ids base*(n+1)+level:
-an edge is a pair of ids, a star its center id and sorted leaf ids.  Every
-class is sorted and checked on those ids to be a perfect matching (or a
-spanning disjoint star set) the moment it is built; a failure raises
-ConstructionError with the family tag rather than being repaired.  Only a
-checked class is made into Edge or StarBlock blocks, from one Vertex per
-flat id of the stage.
+an edge is a pair of ids, a star its center id and sorted leaf ids.
+`_output` is the one emitter that turns flat blocks into classes, for these
+stages, the filling, the one-factorization of K_v for m <= 2 and the search
+witness.  It sorts each class and checks it on those ids to be a perfect
+matching (or a spanning disjoint star set) the moment it is built; a
+failure raises ConstructionError with the family tag rather than being
+repaired.  Only a checked class is made into Edge or StarBlock blocks, from
+one Vertex per flat id of the stage.
 """
 
 from __future__ import annotations

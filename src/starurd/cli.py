@@ -204,7 +204,7 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
+    except (AssertionError, ConstructionError) as exc:
         print(f"internal search failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -4,8 +4,8 @@ Every object lives on the complete graph K_v with v = m*(n+1), n odd.  A
 vertex is addressed as a pair (base, level): base in Z_m names one of the m
 "groups" and level in Z_{n+1} names the copy inside the group.  The flat
 index base*(n+1) + level orders vertices as Vertex does.  It is the working
-form of the construction (aurd, filling) and of the verifier's audit: the
-construction makes and checks each class on flat ids, and only then builds
+form of the construction, the search and the verifier's audit:
+`aurd._output` makes and checks each class on flat ids, and only then builds
 its Vertex, Edge and StarBlock objects, one Vertex per flat id.
 `vertex_from_flat` turns a flat id back into a Vertex.
 

@@ -15,7 +15,10 @@ binding constraints (center quotas, leaf arity); one-factor classes are
 the flexible filler, and building them first was measured to defer every
 conflict into an enormous star subtree (tens of millions of nodes for
 v=12) while stars-early resolves the same instances in hundreds.  The
-witness is reported with its one-factor classes first regardless.
+witness is reported with its one-factor classes first regardless.  Blocks
+are placed as flat vertex ids; `aurd._output`, the emitter of the
+construction classes, packages the witness, and the independent verifier
+re-checks it before it is returned.
 
 Two sound prunes keep exhaustion honest and fast; neither can discard a
 solution:
@@ -43,16 +46,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import admissibility
-from .model import (
-    ONE_FACTOR,
-    STAR_FACTOR,
-    Decomposition,
-    Edge,
-    FactorClass,
-    Params,
-    StarBlock,
-    vertex_from_flat,
-)
+from .aurd import _output
+from .model import ONE_FACTOR, STAR_FACTOR, Decomposition, Params
 from .verifier import verify
 
 FOUND = "FOUND"
@@ -162,7 +157,7 @@ def exhaustive_urd(
             take_edge(center, leaf)
             mask |= 1 << leaf
         centers_used[center] += 1
-        placed[ci].append(("star", center, leaves))
+        placed[ci].append((center, leaves))
         if extend(ci, covered | mask):
             return True
         placed[ci].pop()
@@ -183,7 +178,7 @@ def exhaustive_urd(
         if kinds[ci] == ONE_FACTOR:
             for w in _bits(avail):
                 take_edge(u, w)
-                placed[ci].append(("k2", u, w))
+                placed[ci].append((u, w))
                 if extend(ci, covered | low | (1 << w)):
                     return True
                 placed[ci].pop()
@@ -229,14 +224,12 @@ def exhaustive_urd(
         return False
 
     if kinds[0] == ONE_FACTOR:
-        first: list[tuple] = [("k2", u, u + 1) for u in range(0, v, 2)]
-        for _, a, b in first:
+        first: list[tuple] = [(u, u + 1) for u in range(0, v, 2)]
+        for a, b in first:
             take_edge(a, b)
     else:
-        first = [
-            ("star", c, tuple(range(c + 1, c + n + 1))) for c in range(0, v, n + 1)
-        ]
-        for _, center, leaves in first:
+        first = [(c, tuple(range(c + 1, c + n + 1))) for c in range(0, v, n + 1)]
+        for center, leaves in first:
             centers_used[center] += 1
             for leaf in leaves:
                 take_edge(center, leaf)
@@ -257,26 +250,12 @@ def exhaustive_urd(
             reason="symmetry-reduced search tree exhausted",
         )
 
-    weight = n + 1
-    one_classes = []
-    star_classes = []
-    for kind, blocks in zip(kinds, placed):
-        if kind == ONE_FACTOR:
-            edges = [
-                Edge(vertex_from_flat(a, weight), vertex_from_flat(b, weight))
-                for _, a, b in blocks
-            ]
-            one_classes.append(FactorClass(ONE_FACTOR, tuple(sorted(edges))))
-        else:
-            stars = [
-                StarBlock(
-                    vertex_from_flat(center, weight),
-                    tuple(vertex_from_flat(leaf, weight) for leaf in leaves),
-                )
-                for _, center, leaves in blocks
-            ]
-            star_classes.append(FactorClass(STAR_FACTOR, tuple(sorted(stars))))
-    witness = Decomposition.from_classes(params, one_classes + star_classes)
+    def classes(kind: str) -> tuple:
+        tagged = ((f"search@class={ci}", blocks)
+                  for ci, blocks in enumerate(placed) if kinds[ci] == kind)
+        return _output(kind, range(params.m), n + 1, tagged).classes
+
+    witness = Decomposition.from_classes(params, classes(ONE_FACTOR) + classes(STAR_FACTOR))
     report = verify(witness)
     if not report.passed:
         raise AssertionError(f"search produced an invalid witness: {report.violations}")

@@ -2,14 +2,12 @@
 
 Two deterministic schemes, both built around a fixed hub vertex:
 
-* Hamiltonian decomposition of K_m.  For odd m = 2t+1 the non-hub vertices
-  are Z_{2t}; the zig-zag path k, k+1, k-1, k+2, k-2, ..., k+t closed
-  through the hub gives one Hamiltonian cycle, and the rotations
-  k = 0..t-1 partition E(K_m).  For even m = 2t the non-hub vertices are
-  Z_{2t-1}; the zig-zag k, k+1, k-1, ..., k+(t-1), k-(t-1) closed through
-  the hub gives a Hamiltonian cycle for k = 0..t-2, and the edges those
-  t-1 cycles miss form the perfect matching {hub, t-1} together with the
-  pairs symmetric about t-1.
+* Hamiltonian decomposition of K_m.  The non-hub vertices are Z_{m-1};
+  the zig-zag k, k+1, k-1, k+2, k-2, ... through all m-1 of them, closed
+  through the hub, is a Hamiltonian cycle.  For odd m = 2t+1 the rotations
+  k = 0..t-1 partition E(K_m).  For even m = 2t the rotations k = 0..t-2
+  miss the perfect matching {hub, t-1} together with the pairs symmetric
+  about t-1.
 
 * Round-robin one-factorization of K_k (k even): vertex 0 is fixed and
   1..k-1 rotate, giving the k-1 factors F_j = {0, 1+j} plus the pairs
@@ -57,34 +55,20 @@ def hamiltonian_decomposition(m: int) -> HamDecomposition:
     (m-2)/2 Hamiltonian cycles plus a perfect matching (m even)."""
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
-    hub = m - 1
+    hub = top = m - 1  # the other vertices rotate mod m-1
+    # point j of rotation k is k + ceil(j/2), or k - ceil(j/2) for even j
+    cycles = tuple(
+        (hub, *((k + (j + 1) // 2 * (1 if j % 2 else -1)) % top for j in range(top)))
+        for k in range(top // 2)
+    )
     if m % 2 == 1:
-        t = (m - 1) // 2
-        top = m - 1  # modulus of the rotating part
-        cycles = []
-        for k in range(t):
-            seq = [k % top]
-            for i in range(1, t):
-                seq.append((k + i) % top)
-                seq.append((k - i) % top)
-            seq.append((k + t) % top)
-            cycles.append((hub, *seq))
-        return HamDecomposition(m, tuple(cycles), None)
-
+        return HamDecomposition(m, cycles, None)
     t = m // 2
-    top = m - 1
-    cycles = []
-    for k in range(t - 1):
-        seq = [k % top]
-        for i in range(1, t):
-            seq.append((k + i) % top)
-            seq.append((k - i) % top)
-        cycles.append((hub, *seq))
     center = t - 1
     matching = [(hub, center)]
     for j in range(1, t):
         matching.append(_pair((center - j) % top, (center + j) % top))
-    return HamDecomposition(m, tuple(cycles), _canon_matching(matching))
+    return HamDecomposition(m, cycles, _canon_matching(matching))
 
 
 def one_factorization(k: int) -> OneFactorization:

@@ -226,6 +226,25 @@ def test_search_invalid_witness_exits_five(capsys, monkeypatch, tmp_path):
     assert not path.exists()
 
 
+
+def test_search_witness_construction_error_exits_five(capsys, monkeypatch, tmp_path):
+    import starurd.search as search
+    from starurd.model import ConstructionError
+
+    def broken(kind, bases, w, tagged):
+        raise ConstructionError("search@class=1", "vertex (0, 0) covered twice")
+
+    monkeypatch.setattr(search, "_output", broken)
+    path = tmp_path / "never.json"
+    code, out, err = run(
+        capsys,
+        "search", "--v", "4", "--n", "3", "--r", "3", "--s", "0", "--out", str(path),
+    )
+    assert code == 5
+    assert "internal search failure: [search@class=1] vertex (0, 0) covered twice" in err
+    assert "Traceback" not in out + err
+    assert not path.exists()
+
 def test_verify_detects_missing_edge(capsys, tmp_path):
     path = tmp_path / "d.json"
     run(capsys, "build", "--v", "12", "--n", "3", "--ell", "0", "--out", str(path))
