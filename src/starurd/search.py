@@ -3,8 +3,9 @@
 An independent existence oracle: given (v, n, r, s), build the classes
 depth-first, always extending the current class at its lexicographically
 least uncovered vertex.  Edge availability is tracked as per-vertex
-bitmasks.  The first class is fixed to a canonical form (a canonical
-perfect matching when r > 0, else a canonical star factor), which is
+bitmasks.  The first class is always the canonical perfect matching
+{0,1}, {2,3}, ...: v = m(n+1) is even, so every admissible r = v-1-2nx is
+odd and at least 1, and there is always a one-factor to fix.  Fixing it is
 sound symmetry reduction: any solution can be relabeled to start with it.
 No deeper isomorph rejection is attempted, so NOT_FOUND_EXHAUSTED is a
 genuine nonexistence certificate for the instance.
@@ -29,9 +30,9 @@ solution:
   tracked, and branches where a vertex overshoots its quota or can no
   longer meet it are cut.
 
-* within a class, every uncovered vertex must still be joinable to some
-  other uncovered vertex; a vertex isolated inside the remaining
-  uncovered set kills the branch immediately.
+* within a star class (one-factor classes skip it), every uncovered
+  vertex must still be joinable to some other uncovered vertex; a vertex
+  isolated inside the remaining uncovered set kills the branch at once.
 
 Pairs failing the arithmetic necessary conditions are rejected without
 search.  The vertex model addresses K_v as an m x (n+1) grid, so v must
@@ -120,14 +121,8 @@ def exhaustive_urd(
 
     full = (1 << v) - 1
     adj = [full ^ (1 << u) for u in range(v)]
-    if r > 0:
-        kinds = [ONE_FACTOR] + [STAR_FACTOR] * s + [ONE_FACTOR] * (r - 1)
-    else:
-        kinds = [STAR_FACTOR] * s
-    # stars_left[ci] = star classes at index >= ci (current one included)
-    stars_left = [0] * (len(kinds) + 1)
-    for ci in range(len(kinds) - 1, -1, -1):
-        stars_left[ci] = stars_left[ci + 1] + (kinds[ci] == STAR_FACTOR)
+    # r >= 1 (module docstring), and r + s >= 2 since s = 0 means r = v-1 >= 3.
+    kinds = [ONE_FACTOR] + [STAR_FACTOR] * s + [ONE_FACTOR] * (r - 1)
     placed: list[list[tuple]] = [[] for _ in kinds]
     quota = s // (n + 1)  # forced per-vertex center count
     centers_used = [0] * v
@@ -185,8 +180,8 @@ def exhaustive_urd(
                 give_edge(u, w)
             return False
 
-        # Star class.  left = star classes still open, current included.
-        left = stars_left[ci]
+        # Star class.  left = star classes (1..s) still open, current included.
+        left = s + 1 - ci
         uncovered = ~covered & full
         must = 0
         leaf_ok = 0
@@ -223,20 +218,12 @@ def exhaustive_urd(
                         return True
         return False
 
-    if kinds[0] == ONE_FACTOR:
-        first: list[tuple] = [(u, u + 1) for u in range(0, v, 2)]
-        for a, b in first:
-            take_edge(a, b)
-    else:
-        first = [(c, tuple(range(c + 1, c + n + 1))) for c in range(0, v, n + 1)]
-        for center, leaves in first:
-            centers_used[center] += 1
-            for leaf in leaves:
-                take_edge(center, leaf)
-    placed[0] = first
+    placed[0] = [(u, u + 1) for u in range(0, v, 2)]
+    for a, b in placed[0]:
+        take_edge(a, b)
 
     try:
-        ok = len(kinds) == 1 or extend(1, 0)
+        ok = extend(1, 0)
     except _BudgetExceeded:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
     elapsed = time.perf_counter() - start

@@ -72,11 +72,10 @@ def hamiltonian_decomposition(m: int) -> HamDecomposition:
 
 
 def one_factorization(k: int) -> OneFactorization:
-    """Round-robin one-factorization of K_k for even k >= 2."""
+    """Round-robin one-factorization of K_k for even k >= 2 (for k = 2 the
+    loop gives the single factor ((0, 1),))."""
     if k < 2 or k % 2 == 1:
         raise ValueError(f"need even k >= 2, got {k}")
-    if k == 2:
-        return OneFactorization(2, (((0, 1),),))
     top = k - 1
     factors = []
     for j in range(k - 1):
@@ -91,13 +90,10 @@ def _check_matching(prescribed) -> tuple[Matching, int]:
     pairs = _canon_matching(prescribed)
     points = [p for pair in pairs for p in pair]
     k = 2 * len(pairs)
-    if len(set(points)) != len(points):
+    if len(set(points)) != len(points):  # a loop pair (a, a) included
         raise ValueError("prescribed pairs are not disjoint")
     if sorted(points) != list(range(k)):
         raise ValueError(f"prescribed matching must cover the points 0..{k - 1}")
-    for a, b in pairs:
-        if a == b:
-            raise ValueError(f"loop pair ({a},{b})")
     return pairs, k
 
 

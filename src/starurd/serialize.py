@@ -99,24 +99,25 @@ def _vertex(obj, what: str, interned: dict[tuple[int, int], Vertex]) -> Vertex:
 
 
 def _block(obj, what: str, interned: dict[tuple[int, int], Vertex]):
-    try:
-        if isinstance(obj, (list, tuple)):
-            if len(obj) != 2:
-                raise SchemaError(f"{what}: edge block needs two vertices")
-            u, w = _vertex(obj[0], what, interned), _vertex(obj[1], what, interned)
-            return Edge(u, w)
-        if isinstance(obj, dict):
-            if set(obj) != {"center", "leaves"}:
-                raise SchemaError(f"{what}: star block needs center and leaves")
-            if not isinstance(obj["leaves"], list) or not obj["leaves"]:
-                raise SchemaError(f"{what}: leaves must be a nonempty list")
-            return StarBlock(
-                _vertex(obj["center"], what, interned),
-                tuple(_vertex(leaf, what, interned) for leaf in obj["leaves"]),
-            )
+    if isinstance(obj, (list, tuple)):
+        if len(obj) != 2:
+            raise SchemaError(f"{what}: edge block needs two vertices")
+        make, args = Edge, (_vertex(obj[0], what, interned), _vertex(obj[1], what, interned))
+    elif isinstance(obj, dict):
+        if set(obj) != {"center", "leaves"}:
+            raise SchemaError(f"{what}: star block needs center and leaves")
+        if not isinstance(obj["leaves"], list) or not obj["leaves"]:
+            raise SchemaError(f"{what}: leaves must be a nonempty list")
+        make, args = StarBlock, (
+            _vertex(obj["center"], what, interned),
+            tuple(_vertex(leaf, what, interned) for leaf in obj["leaves"]),
+        )
+    else:
+        raise SchemaError(f"{what}: unrecognized block shape {obj!r}")
+    try:  # the block's own checks: loop edge, duplicate leaves, center as leaf
+        return make(*args)
     except ValueError as exc:
         raise SchemaError(f"{what}: {exc}") from exc
-    raise SchemaError(f"{what}: unrecognized block shape {obj!r}")
 
 
 def from_dict(obj) -> Decomposition:

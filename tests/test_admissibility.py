@@ -7,6 +7,7 @@ from starurd.admissibility import (
     AdmissiblePair,
     admissible_pairs,
     check_pair,
+    construction_range,
     constructive_pairs,
     inadmissibility_reason,
 )
@@ -66,6 +67,17 @@ def test_check_pair_small_m_one_factorization(v, n):
     assert verdict.status == CONSTRUCTIVE
     assert verdict.ell is None
     assert f"one-factorization of K_{v}" in verdict.reason
+
+
+def test_check_pair_order_without_grid_unresolved():
+    verdict = check_pair(10, 3, 9, 0)
+    assert verdict.status == ADMISSIBLE_UNRESOLVED and verdict.ell is None
+    assert verdict.reason == "v=10 is not a multiple of n+1=4; constructions need v = m(n+1)"
+
+
+def test_nonpositive_order_rejected():
+    with pytest.raises(ValueError, match="v must be positive, got 0"):
+        admissible_pairs(0, 3)
 
 
 def test_check_pair_inadmissible():
@@ -136,3 +148,31 @@ def test_constructive_subset_of_admissible(n):
 def test_inadmissibility_reason_passes_good_pair():
     assert inadmissibility_reason(12, 3, 5, 4) is None
     assert inadmissibility_reason(12, 3, 4, 4) is not None
+
+
+@pytest.mark.parametrize("r,s,reason", [
+    (-1, 4, "negative class count (r=-1, s=4)"),
+    (4, 2, "s=2 is not a multiple of n+1=4"),
+])
+def test_inadmissibility_reason_names_the_failed_condition(r, s, reason):
+    assert inadmissibility_reason(8, 3, r, s) == reason
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_admissible_pairs_are_constructive_exactly_above_threshold(n):
+    # the converse of test_constructive_subset_of_admissible: on v = m(n+1)
+    # every admissible r is odd, and from m = 3 on every admissible pair
+    # with r >= threshold is built, with the ell that constructive_pairs lists
+    for m in range(1, 13):
+        v = m * (n + 1)
+        pairs = admissible_pairs(v, n)
+        assert all(pair.r >= 1 and pair.r % 2 == 1 for pair in pairs)
+        if m < 3:
+            continue
+        _, threshold = construction_range(m, n)
+        constructive = constructive_pairs(v, n)
+        for pair in pairs:
+            verdict = check_pair(v, n, pair.r, pair.s)
+            assert (verdict.status == CONSTRUCTIVE) == (pair.r >= threshold)
+            if verdict.status == CONSTRUCTIVE:
+                assert (pair, verdict.ell) in constructive

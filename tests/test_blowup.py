@@ -139,6 +139,16 @@ def test_weighted_one_factor_rejects_overlap():
         WeightedOneFactor(((0, 1), (1, 2)), 4)
 
 
+@pytest.mark.parametrize("matching,weight,message", [
+    ((), 4, "base matching is empty"),
+    (((0, 1),), 1, "weight must be >= 2, got 1"),
+])
+def test_weighted_one_factor_rejects_empty_or_light(matching, weight, message):
+    with pytest.raises(ValueError) as info:
+        WeightedOneFactor(matching, weight)
+    assert str(info.value) == message
+
+
 def test_cycle_validation():
     with pytest.raises(ValueError):
         WeightedCycle((0, 1), 4)

@@ -55,6 +55,19 @@ def test_check_even_n_is_usage_error(capsys):
     assert "odd" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--v", "0", "--n", "3"], "--v must be positive, got 0"),
+    (["build", "--v", "12", "--n", "4", "--ell", "0"], "--n must be odd and >= 3, got 4"),
+    (["search", "--v", "8", "--n", "4", "--r", "1", "--s", "4"], "--n must be odd and >= 3, got 4"),
+    (["search", "--v", "8", "--n", "3", "--r", "-1", "--s", "4"], "--r and --s must be nonnegative"),
+], ids=["check-v0", "build-even-n", "search-even-n", "search-negative-r"])
+def test_bad_arguments_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_r_without_s_is_usage_error(capsys):
     code, _, _ = run(capsys, "check", "--v", "12", "--n", "3", "--r", "5")
     assert code == 2
@@ -265,6 +278,16 @@ def test_verify_malformed_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--in", str(path))
     assert code == 2
     assert "parse failure" in err
+
+
+def test_verify_schema_error_names_its_location_once(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"version": "1", "v": 4, "n": 3, "m": 1, "r": 3, "s": 0,
+                                "classes": [{"kind": "one_factor", "blocks": [[[0, 0]]]}]}))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "parse failure: class 0 block 0: edge block needs two vertices\n"
 
 
 def test_verify_missing_file(capsys, tmp_path):

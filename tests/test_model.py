@@ -91,6 +91,16 @@ def test_params_validation():
         Params(12, 3, 4)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda: Params(0, 3, 0), "m must be positive, got 0"),
+    (lambda: StarBlock(Vertex(0, 0), ()), "star needs at least one leaf"),
+], ids=["params-m0", "star-no-leaves"])
+def test_constructor_rejections_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
 def test_all_vertices_order():
     p = Params.for_order(8, 3)
     vs = all_vertices(p)

@@ -63,6 +63,13 @@ def test_budget_exceeded_reported():
     assert out.nodes_explored >= 20000
 
 
+def test_zero_timeout_stops_at_the_first_deadline_check():
+    # the clock is read every 256 nodes, so an expired deadline is seen there
+    out = exhaustive_urd(8, 3, 1, 4, timeout=0)
+    assert out.status == BUDGET_EXCEEDED
+    assert out.nodes_explored == 256
+
+
 def test_witness_iff_found():
     found = exhaustive_urd(4, 3, 3, 0)
     assert (found.witness is not None) == (found.status == FOUND)

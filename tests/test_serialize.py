@@ -226,3 +226,45 @@ def test_dumps_of_a_search_witness_is_json_dumps_of_the_dict():
     outcome = exhaustive_urd(8, 3, 1, 4)
     assert outcome.status == FOUND
     assert dumps(outcome.witness) == json.dumps(to_dict(outcome.witness), indent=1)
+
+
+HEADER = {"version": "1", "v": 4, "n": 3, "m": 1, "r": 3, "s": 0}
+
+
+def one_class(kind, *blocks):
+    return dict(HEADER, classes=[{"kind": kind, "blocks": list(blocks)}])
+
+
+@pytest.mark.parametrize("obj,message", [
+    pytest.param(one_class("one_factor", [[0, 0]]),
+                 "class 0 block 0: edge block needs two vertices", id="one-vertex-edge"),
+    pytest.param(one_class("one_factor", [[0, "x"], [0, 1]]),
+                 "class 0 block 0 must be an integer, got 'x'", id="non-int-coordinate"),
+    pytest.param(one_class("one_factor", [[0, -1], [0, 1]]),
+                 "class 0 block 0 has negative coordinates: [0, -1]", id="negative-coordinate"),
+    pytest.param(one_class("one_factor", [[0, 1], [0, 1]]),
+                 "class 0 block 0: loop edge at Vertex(base=0, level=1)", id="loop-edge"),
+    pytest.param(one_class("star_factor", {"center": [0, 0]}),
+                 "class 0 block 0: star block needs center and leaves", id="star-without-leaves"),
+    pytest.param(one_class("star_factor", {"center": [0, 0], "leaves": []}),
+                 "class 0 block 0: leaves must be a nonempty list", id="empty-leaves"),
+    pytest.param(one_class("star_factor", {"center": [0, 0], "leaves": [0, 1]}),
+                 "class 0 block 0 must be a [base, level] pair, got 0", id="leaves-not-pairs"),
+    pytest.param(one_class("star_factor", {"center": [0, 0], "leaves": "0,1"}),
+                 "class 0 block 0: leaves must be a nonempty list", id="leaves-not-list"),
+    pytest.param(one_class("star_factor", {"center": [0, 0], "leaves": [[0, 1], [0, 1]]}),
+                 "class 0 block 0: duplicate leaves in star at Vertex(base=0, level=0)",
+                 id="duplicate-leaves"),
+    pytest.param(one_class("one_factor", 5),
+                 "class 0 block 0: unrecognized block shape 5", id="unrecognized-block"),
+    pytest.param([HEADER], "top level must be an object", id="top-level-list"),
+    pytest.param(dict(HEADER, classes={}), "classes must be a list", id="classes-not-list"),
+    pytest.param(dict(HEADER, classes=[{"kind": "one_factor"}]),
+                 "class 0: need exactly kind and blocks", id="class-without-blocks"),
+    pytest.param(dict(HEADER, classes=[{"kind": "one_factor", "blocks": {}}]),
+                 "class 0: blocks must be a list", id="blocks-not-list"),
+])
+def test_schema_error_names_its_location_once(obj, message):
+    with pytest.raises(SchemaError) as info:
+        from_dict(obj)
+    assert str(info.value) == message

@@ -1,3 +1,5 @@
+import pytest
+
 from reference_verifier import verify_aurd
 
 from starurd.assembler import BuildRequest, construct
@@ -84,6 +86,22 @@ def test_wrong_star_arity_detected():
     classes[si] = FactorClass(STAR_FACTOR, tuple(blocks))
     report = verify(with_classes(d, classes))
     assert not report.passed
+    assert {WRONG_KIND, NOT_SPANNING, MISSING_EDGE} <= report.codes()
+
+
+@pytest.mark.parametrize("kind,detail", [
+    (ONE_FACTOR, "star block in a one-factor"),
+    (STAR_FACTOR, "edge block in a star factor"),
+])
+def test_object_that_is_no_block_is_reported_not_raised(kind, detail):
+    # the reference verifier raises on such a class, so the codes are
+    # checked here rather than agreement with it
+    d = construct(BuildRequest(12, 3, 0))
+    classes = list(d.classes)
+    ci = next(i for i, fc in enumerate(classes) if fc.kind == kind)
+    classes[ci] = FactorClass(kind, classes[ci].blocks[1:] + ("not a block",))
+    report = verify(with_classes(d, classes))
+    assert (WRONG_KIND, f"class {ci}: {detail}") in report.violations
     assert {WRONG_KIND, NOT_SPANNING, MISSING_EDGE} <= report.codes()
 
 

@@ -308,6 +308,15 @@ def test_hostile_claim_details_match_reference():
     assert_same(loads(text))
 
 
+def test_forged_params_get_only_the_param_mismatch():
+    # Params refuses m=4 for v=12, n=3; a forged one is reported, not audited
+    params = Params(12, 3, 3)
+    object.__setattr__(params, "m", 4)
+    d = built(12, 3, 0)
+    report = assert_same(Decomposition(params, d.classes, d.r, d.s))
+    assert report.violations == ((PARAM_MISMATCH, "invalid parameters v=12, n=3, m=4"),)
+
+
 def test_hostile_claim_of_millions_of_vertices_is_cheap():
     v = 16 * 10**6
     claim = {"version": "1", "v": v, "n": 15, "m": v // 16, "r": v - 1, "s": 0}
