@@ -28,7 +28,7 @@ from . import admissibility, serialize
 from .assembler import BuildRequest, PairNotConstructive, construct, construct_pair
 from .model import ConstructionError, _require_odd_n
 from .search import BUDGET_EXCEEDED, FOUND, NOT_FOUND_EXHAUSTED, exhaustive_urd
-from .verifier import verify
+from .verifier import verify, verify_flat
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -65,7 +65,7 @@ def _write_payload(payload: str, out: str | None) -> bool:
                 sys.stdout.write("\n")
             sys.stdout.flush()
         else:
-            Path(out).write_text(payload)
+            Path(out).write_text(payload, encoding="utf-8")
     except OSError as exc:
         if out is None:
             # the reader is gone: point fd 1 at devnull so the final flush
@@ -164,21 +164,20 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        text = Path(args.infile).read_text()
+        text = Path(args.infile).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        decomposition = serialize.loads(text)
+        params, r, s, classes = serialize.loads_flat(text)
     except serialize.SchemaError as exc:
         print(f"parse failure: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = verify(decomposition)
+    report = verify_flat(params, r, s, classes)
     if report.passed:
         return _print([
-            f"PASS: valid decomposition of K_{decomposition.params.v} with "
-            f"r={decomposition.r}, s={decomposition.s}"
+            f"PASS: valid decomposition of K_{params.v} with r={r}, s={s}"
         ], EXIT_OK)
     lines = [f"{code}: {detail}" for code, detail in report.violations]
     lines.append(f"FAIL: {len(report.violations)} violation(s)")

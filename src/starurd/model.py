@@ -4,10 +4,11 @@ Every object lives on the complete graph K_v with v = m*(n+1), n odd.  A
 vertex is addressed as a pair (base, level): base in Z_m names one of the m
 "groups" and level in Z_{n+1} names the copy inside the group.  The flat
 index base*(n+1) + level orders vertices as Vertex does.  It is the working
-form of the construction, the search and the verifier's audit:
-`aurd._output` makes and checks each class on flat ids, and only then builds
-its Vertex, Edge and StarBlock objects, one Vertex per flat id.
-`vertex_from_flat` turns a flat id back into a Vertex.
+form of the construction, the search, the JSON reader and the verifier's
+audit: `aurd._output` makes and checks each class on flat ids, and only
+then builds its Vertex, Edge and StarBlock objects, one Vertex per flat id;
+the reader gives each class as a FlatClass, which the verifier audits as it
+stands.  `vertex_from_flat` turns a flat id back into a Vertex.
 
 Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
@@ -94,7 +95,11 @@ class Vertex:
     level: int
 
 
-def vertex_from_flat(index: int, weight: int) -> Vertex:
+def vertex_from_flat(index: int | tuple[int, int], weight: int) -> Vertex:
+    """The Vertex a flat id names; a (base, level) pair, the id FlatClass
+    gives a vertex outside Z_m x Z_weight, names its own Vertex."""
+    if type(index) is tuple:
+        return Vertex(*index)
     return Vertex(index // weight, index % weight)
 
 
@@ -160,6 +165,35 @@ class FactorClass:
         if self.kind not in KINDS:
             raise ValueError(f"unknown class kind {self.kind!r}")
         object.__setattr__(self, "blocks", tuple(self.blocks))
+
+
+@dataclass(frozen=True, slots=True)
+class FlatClass:
+    """One resolution class on flat ids: the form the verifier audits.
+
+    ids holds the vertex ids of every block, block after block: block i
+    is ids[bounds[i]:bounds[i + 1]], and stars[i] is 1 if it is a star, 0
+    if an edge.  Each block's ids are in the canonical order of Edge and
+    StarBlock: an edge's endpoints, or a star's center and then its
+    leaves, each in (base, level) order.  The id of a vertex of
+    Z_m x Z_{n+1} is base*(n+1)+level; any other vertex keeps its
+    (base, level) pair as its id, so that (0, n+1) cannot alias (1, 0),
+    and foreign says whether ids holds one.  One tuple per class, not one
+    object per block, keeps it smaller than the Edge and StarBlock objects
+    it stands for.  Like FactorClass, it is not checked for disjointness
+    or spanning.
+    """
+
+    kind: str
+    ids: tuple
+    bounds: tuple[int, ...]
+    stars: bytes
+    foreign: bool
+
+    def blocks(self):
+        """Each block's ids, as a tuple, in block order."""
+        ids, bounds = self.ids, self.bounds
+        return (ids[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,18 @@ Vertices are [base, level] pairs of nonnegative integers.  Malformed input
 raises SchemaError; semantically wrong but well-formed certificates parse
 fine and are left for the verifier to flag.
 
+There is one reader, flat_from_dict.  It checks the object, header first,
+and gives each class as a model.FlatClass of flat vertex ids, making no
+Vertex; every SchemaError comes from it, in one order: a block's shape,
+then each vertex's shape, the types and then the signs of its
+coordinates, then a loop edge, duplicate leaves or a center that is also
+a leaf.  It puts each block in the canonical order of Edge and StarBlock
+(endpoints, and a star's leaves after its center, in (base, level)
+order), which the verifier's samples rely on: NOT_DISJOINT names the
+first shared vertex in that order.  `starurd verify` audits its output
+as it stands (loads_flat); from_dict and loads build the Decomposition
+from it, with one Vertex per vertex of the certificate.
+
 dumps writes the text of json.dumps(to_dict(d), indent=1) without building
 the dict: each vertex is rendered once per indent depth it appears at, and
 the block, class and top-level texts are joined from those strings.
@@ -32,9 +44,11 @@ from .model import (
     Decomposition,
     Edge,
     FactorClass,
+    FlatClass,
     Params,
     StarBlock,
     Vertex,
+    vertex_from_flat,
 )
 
 SCHEMA_VERSION = "1"
@@ -76,51 +90,121 @@ def _int(obj, what: str) -> int:
     return obj
 
 
-def _vertex(obj, what: str, interned: dict[tuple[int, int], Vertex]) -> Vertex:
-    """The Vertex a [base, level] pair names.
+def _key(k, w: int) -> tuple[int, int]:
+    """The (base, level) pair an id names: the Vertex order on ids."""
+    return divmod(k, w) if type(k) is int else k
 
-    A well-formed pair of nonnegative ints is looked up in interned, so one
-    certificate holds one Vertex per pair; anything else goes through the
-    full validation and raises SchemaError where it fails.
-    """
+
+def _in_range_id(obj, m: int, w: int) -> int | None:
+    """The flat id of a well-formed [base, level] pair inside Z_m x Z_w,
+    None for anything else."""
     if type(obj) is list and len(obj) == 2:
         base, level = obj
-        if type(base) is int and type(level) is int and base >= 0 and level >= 0:
-            vertex = interned.get((base, level))
-            if vertex is None:
-                vertex = interned[base, level] = Vertex(base, level)
-            return vertex
+        if type(base) is int and type(level) is int and 0 <= base < m and 0 <= level < w:
+            return base * w + level
+    return None
+
+
+def _simple_class(blocks: list, m: int, w: int) -> tuple[list, list, bytearray, bool] | None:
+    """The ids, bounds, stars and foreign of a FlatClass, for a class whose
+    blocks are all made of well-formed pairs inside Z_m x Z_w and pass the
+    block checks; None for any other class, which _checked_class reads
+    instead.  This is the reader's hot path: it makes no message and no
+    Vertex, and checks an edge's endpoints inline."""
+    ids, bounds, stars = [], [0], bytearray()
+    for obj in blocks:
+        if type(obj) is list and len(obj) == 2:
+            p, q = obj
+            if type(p) is list and type(q) is list and len(p) == 2 and len(q) == 2:
+                (pb, pl), (qb, ql) = p, q
+                if (type(pb) is int and type(pl) is int and type(qb) is int and type(ql) is int
+                        and 0 <= pb < m and 0 <= pl < w and 0 <= qb < m and 0 <= ql < w):
+                    a, b = pb * w + pl, qb * w + ql
+                    if a != b:
+                        ids += (a, b) if a < b else (b, a)
+                        bounds.append(len(ids))
+                        stars.append(0)
+                        continue
+        elif type(obj) is dict and len(obj) == 2 and "center" in obj and "leaves" in obj:
+            center, leaves = _in_range_id(obj["center"], m, w), obj["leaves"]
+            if center is not None and type(leaves) is list and leaves:
+                leaf_ids = [_in_range_id(leaf, m, w) for leaf in leaves]
+                distinct = set(leaf_ids)
+                if None not in distinct and len(distinct) == len(leaf_ids) and center not in distinct:
+                    leaf_ids.sort()
+                    ids.append(center)
+                    ids += leaf_ids
+                    bounds.append(len(ids))
+                    stars.append(1)
+                    continue
+        return None
+    return ids, bounds, stars, False
+
+
+def _vertex_id(obj, what: str, m: int, w: int):
+    """The id of the vertex a [base, level] pair names (see FlatClass),
+    or a SchemaError: on its shape, then each coordinate's type, then
+    their signs."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise SchemaError(f"{what} must be a [base, level] pair, got {obj!r}")
     base, level = (_int(x, what) for x in obj)
     if base < 0 or level < 0:
         raise SchemaError(f"{what} has negative coordinates: {obj!r}")
-    return Vertex(base, level)
+    return base * w + level if base < m and level < w else (base, level)
 
 
-def _block(obj, what: str, interned: dict[tuple[int, int], Vertex]):
+def _checked_block(obj, what: str, m: int, w: int) -> tuple[tuple, int]:
+    """The ids of one block in canonical order and 1 if it is a star,
+    for any block, or the SchemaError that names its first fault: the
+    block's shape, each vertex's own checks in turn, then a loop edge,
+    duplicate leaves or a center that is also a leaf, with the messages
+    of Edge and StarBlock."""
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
             raise SchemaError(f"{what}: edge block needs two vertices")
-        make, args = Edge, (_vertex(obj[0], what, interned), _vertex(obj[1], what, interned))
-    elif isinstance(obj, dict):
+        a, b = _vertex_id(obj[0], what, m, w), _vertex_id(obj[1], what, m, w)
+        if a == b:
+            raise SchemaError(f"{what}: loop edge at {vertex_from_flat(a, w)}")
+        return ((a, b) if _key(a, w) < _key(b, w) else (b, a)), 0
+    if isinstance(obj, dict):
         if set(obj) != {"center", "leaves"}:
             raise SchemaError(f"{what}: star block needs center and leaves")
         if not isinstance(obj["leaves"], list) or not obj["leaves"]:
             raise SchemaError(f"{what}: leaves must be a nonempty list")
-        make, args = StarBlock, (
-            _vertex(obj["center"], what, interned),
-            tuple(_vertex(leaf, what, interned) for leaf in obj["leaves"]),
-        )
-    else:
-        raise SchemaError(f"{what}: unrecognized block shape {obj!r}")
-    try:  # the block's own checks: loop edge, duplicate leaves, center as leaf
-        return make(*args)
-    except ValueError as exc:
-        raise SchemaError(f"{what}: {exc}") from exc
+        center = _vertex_id(obj["center"], what, m, w)
+        leaves = [_vertex_id(leaf, what, m, w) for leaf in obj["leaves"]]
+        distinct = set(leaves)
+        if len(distinct) != len(leaves):
+            raise SchemaError(f"{what}: duplicate leaves in star at {vertex_from_flat(center, w)}")
+        if center in distinct:
+            raise SchemaError(f"{what}: star center {vertex_from_flat(center, w)} repeated as leaf")
+        leaves.sort(key=lambda k: _key(k, w))
+        return (center, *leaves), 1
+    raise SchemaError(f"{what}: unrecognized block shape {obj!r}")
 
 
-def from_dict(obj) -> Decomposition:
+def _checked_class(blocks: list, where: str, m: int, w: int) -> tuple[list, list, bytearray, bool]:
+    """What _simple_class gives, for any class, read block by block: or
+    the SchemaError of its first faulty block."""
+    ids, bounds, stars = [], [0], bytearray()
+    foreign = False
+    for bi, obj in enumerate(blocks):
+        block, star = _checked_block(obj, f"{where} block {bi}", m, w)
+        foreign = foreign or tuple in map(type, block)
+        ids += block
+        bounds.append(len(ids))
+        stars.append(star)
+    return ids, bounds, stars, foreign
+
+
+def flat_from_dict(obj) -> tuple[Params, int, int, list[FlatClass]]:
+    """Check a certificate's JSON object against the schema and return its
+    flat form: the header Params, the claimed r and s, and each class as a
+    FlatClass.
+
+    Every SchemaError comes from here.  The header is checked in full
+    before any class, so each block is read knowing m and n.
+    """
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
     missing = {"version", "v", "n", "m", "r", "s", "classes"} - set(obj)
@@ -136,8 +220,8 @@ def from_dict(obj) -> Decomposition:
         raise SchemaError(str(exc)) from exc
     if not isinstance(obj["classes"], list):
         raise SchemaError("classes must be a list")
+    w = params.weight
     classes = []
-    interned: dict[tuple[int, int], Vertex] = {}
     for ci, cobj in enumerate(obj["classes"]):
         where = f"class {ci}"
         if not isinstance(cobj, dict) or set(cobj) != {"kind", "blocks"}:
@@ -146,11 +230,38 @@ def from_dict(obj) -> Decomposition:
             raise SchemaError(f"{where}: unknown kind {cobj['kind']!r}")
         if not isinstance(cobj["blocks"], list):
             raise SchemaError(f"{where}: blocks must be a list")
-        blocks = tuple(
-            _block(bobj, f"{where} block {bi}", interned)
-            for bi, bobj in enumerate(cobj["blocks"])
+        blocks = cobj["blocks"]
+        ids, bounds, stars, foreign = (
+            _simple_class(blocks, m, w) or _checked_class(blocks, where, m, w)
         )
-        classes.append(FactorClass(cobj["kind"], blocks))
+        classes.append(FlatClass(cobj["kind"], tuple(ids), tuple(bounds), bytes(stars), foreign))
+    return params, r, s, classes
+
+
+class _Vertices(dict):
+    """id -> its Vertex, made once per certificate read."""
+
+    def __init__(self, weight: int):
+        super().__init__()
+        self.weight = weight
+
+    def __missing__(self, k) -> Vertex:
+        vertex = self[k] = vertex_from_flat(k, self.weight)
+        return vertex
+
+
+def from_dict(obj) -> Decomposition:
+    params, r, s, flat = flat_from_dict(obj)
+    vertices = _Vertices(params.weight)
+    classes = []
+    for fc in flat:
+        blocks = []
+        for ids, star in zip(fc.blocks(), fc.stars):
+            if star:
+                blocks.append(StarBlock(vertices[ids[0]], tuple(vertices[k] for k in ids[1:])))
+            else:
+                blocks.append(Edge(vertices[ids[0]], vertices[ids[1]]))
+        classes.append(FactorClass(fc.kind, tuple(blocks)))
     return Decomposition(params, tuple(classes), r, s)
 
 
@@ -208,14 +319,22 @@ def dumps(d: Decomposition) -> str:
     return ",\n  ".join(classes)
 
 
-def loads(text: str) -> Decomposition:
+def _json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("not valid JSON: nested too deeply") from exc
-    return from_dict(obj)
+
+
+def loads(text: str) -> Decomposition:
+    return from_dict(_json(text))
+
+
+def loads_flat(text: str) -> tuple[Params, int, int, list[FlatClass]]:
+    """flat_from_dict of a certificate's text: what `starurd verify` audits."""
+    return flat_from_dict(_json(text))
 
 
 def to_text(d: Decomposition) -> str:

@@ -5,7 +5,16 @@ certificate makes is re-derived from the blocks themselves.  All failures
 are reported as (code, detail) violations; nothing raises on hostile
 input.
 
-`verify` audits a certificate of K_v on flat vertex ids base*(n+1)+level.
+One audit core checks a certificate of K_v on flat vertex ids
+base*(n+1)+level, one model.FlatClass at a time.  It has two entries:
+`verify_flat` audits the classes of `serialize.loads_flat` as they stand
+(this is `starurd verify`), and `verify` flattens each class of a
+Decomposition just before its turn (the build's self-check and the
+library API), so that only one flat class is held at a time.  The ids of
+each block come in the canonical order of Edge and StarBlock, and the
+samples follow it: NOT_DISJOINT names the first vertex of a block, in
+that order, that an earlier block of its class holds.
+
 Each class must span the vertex set with disjoint blocks, checked with a
 per-class seen-set; together the classes must cover every pair of
 vertices exactly once, checked on integer pair ids.  E(K_v) is never
@@ -43,6 +52,7 @@ from .model import (
     Decomposition,
     Edge,
     FactorClass,
+    FlatClass,
     Params,
     StarBlock,
     VerificationReport,
@@ -50,9 +60,36 @@ from .model import (
 )
 
 
+def _flatten(fc: FactorClass, m: int, w: int) -> FlatClass:
+    """fc as a FlatClass.  A block that is neither an Edge nor a StarBlock
+    becomes a block of the other shape than the class kind with no
+    vertices: the audit reports it as of the wrong kind and nothing else."""
+    ids, bounds, stars = [], [0], bytearray()
+    foreign = False
+    for b in fc.blocks:
+        if isinstance(b, Edge):
+            ends, star = (b.u, b.v), 0
+        elif isinstance(b, StarBlock):
+            ends, star = (b.center, *b.leaves), 1
+        else:
+            ends, star = (), int(fc.kind == ONE_FACTOR)
+        block = [u.base * w + u.level for u in ends if 0 <= u.base < m and 0 <= u.level < w]
+        if len(block) != len(ends):
+            foreign = True
+            block = [
+                u.base * w + u.level if 0 <= u.base < m and 0 <= u.level < w
+                else (u.base, u.level)
+                for u in ends
+            ]
+        ids += block
+        bounds.append(len(ids))
+        stars.append(star)
+    return FlatClass(fc.kind, tuple(ids), tuple(bounds), bytes(stars), foreign)
+
+
 def _audit_flat_class(
     index: int,
-    fc: FactorClass,
+    fc: FlatClass,
     params: Params,
     pairs: list[int],
     extra: set[Edge],
@@ -68,55 +105,54 @@ def _audit_flat_class(
     an endpoint outside it into extra, and, in a star class, the star
     centers in the vertex set into centers.
     """
-    m, n, v = params.m, params.n, params.v
+    n, v = params.n, params.v
     w = n + 1
     where = f"class {index}"
+    ids, bounds = fc.ids, fc.bounds
     stars = fc.kind == STAR_FACTOR
-    seen: set = set()  # flat ids, and (base, level) of vertices outside
-    disjoint = True
-    foreign = False
-    for b in fc.blocks:
-        if isinstance(b, Edge):
-            if stars:
-                violations.append((WRONG_KIND, f"{where}: edge block in a star factor"))
-            ends = b.endpoints()
-        elif isinstance(b, StarBlock):
-            if not stars:
-                violations.append((WRONG_KIND, f"{where}: star block in a one-factor"))
-            elif len(b.leaves) != n:
+    seen = set(ids)  # flat ids, and (base, level) of vertices outside
+    if stars:
+        shapes_ok = 0 not in fc.stars and all(
+            b - a == w for a, b in zip(bounds, bounds[1:])
+        )
+    else:
+        shapes_ok = 1 not in fc.stars
+    if not shapes_ok or len(seen) != len(ids):
+        # some block has a fault: find each, in block order
+        walked: set = set()
+        disjoint = True
+        for block, star in zip(fc.blocks(), fc.stars):
+            if star != stars:
+                kind = "edge block in a star factor" if stars else "star block in a one-factor"
+                violations.append((WRONG_KIND, f"{where}: {kind}"))
+            elif star and len(block) != w:
                 violations.append(
-                    (WRONG_KIND, f"{where}: star with {len(b.leaves)} leaves, expected {n}")
+                    (WRONG_KIND, f"{where}: star with {len(block) - 1} leaves, expected {n}")
                 )
-            ends = (b.center, *b.leaves)
-        else:
-            kind = "edge block in a star factor" if stars else "star block in a one-factor"
-            violations.append((WRONG_KIND, f"{where}: {kind}"))
-            continue
-        ids = [
-            u.base * w + u.level
-            if 0 <= u.base < m and 0 <= u.level < w
-            else (u.base, u.level)
-            for u in ends
-        ]
-        if disjoint and not seen.isdisjoint(ids):
-            u = next(u for u, k in zip(ends, ids) if k in seen)
-            violations.append((NOT_DISJOINT, f"{where}: vertex {u} in two blocks"))
-            disjoint = False
-        seen.update(ids)
-        c = ids[0]
-        if tuple in map(type, ids):
-            foreign = True
-            for u, k in zip(ends[1:], ids[1:]):
-                if type(c) is tuple or type(k) is tuple:
-                    extra.add(Edge(ends[0], u))
-                else:
-                    pairs.append(c * v + k if c < k else k * v + c)
-        else:
-            for k in ids[1:]:
-                pairs.append(c * v + k if c < k else k * v + c)
-        if stars and isinstance(b, StarBlock) and type(c) is int:
-            centers.append(c)
-    outside = sum(type(k) is tuple for k in seen) if foreign else 0
+            if disjoint and not walked.isdisjoint(block):
+                u = vertex_from_flat(next(k for k in block if k in walked), w)
+                violations.append((NOT_DISJOINT, f"{where}: vertex {u} in two blocks"))
+                disjoint = False
+            walked.update(block)
+    if shapes_ok and not stars and not fc.foreign:
+        # every block is an edge: ids pair up
+        pairs += [a * v + b if a < b else b * v + a for a, b in zip(ids[::2], ids[1::2])]
+    else:
+        for block in fc.blocks():
+            if not block:
+                continue
+            c = block[0]
+            if fc.foreign and tuple in map(type, block):
+                for k in block[1:]:
+                    if type(c) is tuple or type(k) is tuple:
+                        extra.add(Edge(vertex_from_flat(c, w), vertex_from_flat(k, w)))
+                    else:
+                        pairs.append(c * v + k if c < k else k * v + c)
+            else:
+                pairs += [c * v + k if c < k else k * v + c for k in block[1:]]
+    if stars:
+        centers += [ids[a] for a, star in zip(bounds, fc.stars) if star and type(ids[a]) is int]
+    outside = sum(type(k) is tuple for k in seen) if fc.foreign else 0
     covered = len(seen) - outside
     if covered != v or outside:
         detail = f"{where}: {v - covered} vertices uncovered"
@@ -168,46 +204,57 @@ def _audit_flat_edges(
 
 
 def verify(d: Decomposition) -> VerificationReport:
-    """Audit a claimed decomposition of K_v."""
-    violations: list[tuple[str, str]] = []
+    """Audit a claimed decomposition of K_v, one class at a time on flat ids."""
     p = d.params
+    return _audit(p, d.r, d.s, d.classes, lambda fc: _flatten(fc, p.m, p.n + 1))
+
+
+def verify_flat(params: Params, r: int, s: int, classes: list[FlatClass]) -> VerificationReport:
+    """Audit a claimed decomposition of K_v given on flat ids, as
+    `serialize.loads_flat` reads it."""
+    return _audit(params, r, s, classes, lambda fc: fc)
+
+
+def _audit(p: Params, r: int, s: int, classes, flat) -> VerificationReport:
+    """The audit of both entries: classes are FactorClass or FlatClass
+    objects, and flat gives each one's FlatClass when its turn comes."""
+    violations: list[tuple[str, str]] = []
     n, v = p.n, p.v
 
     if p.v != p.m * (n + 1) or n % 2 == 0 or n < 3:
         violations.append((PARAM_MISMATCH, f"invalid parameters v={p.v}, n={n}, m={p.m}"))
         return VerificationReport.from_violations(violations)
 
-    if (n + 1) * d.r + 2 * n * d.s != (n + 1) * (v - 1):
+    if (n + 1) * r + 2 * n * s != (n + 1) * (v - 1):
         violations.append(
             (
                 PARAM_MISMATCH,
-                f"(n+1)r + 2ns = {(n + 1) * d.r + 2 * n * d.s} "
+                f"(n+1)r + 2ns = {(n + 1) * r + 2 * n * s} "
                 f"!= (n+1)(v-1) = {(n + 1) * (v - 1)}",
             )
         )
 
-    actual_r = sum(1 for c in d.classes if c.kind == ONE_FACTOR)
-    actual_s = sum(1 for c in d.classes if c.kind == STAR_FACTOR)
-    if (actual_r, actual_s) != (d.r, d.s):
+    actual_r = sum(1 for c in classes if c.kind == ONE_FACTOR)
+    actual_s = sum(1 for c in classes if c.kind == STAR_FACTOR)
+    if (actual_r, actual_s) != (r, s):
         violations.append(
             (
                 COUNT_MISMATCH,
-                f"recorded (r,s)=({d.r},{d.s}) but classes give ({actual_r},{actual_s})",
+                f"recorded (r,s)=({r},{s}) but classes give ({actual_r},{actual_s})",
             )
         )
 
     pairs: list[int] = []
     extra: set[Edge] = set()
     centers: list[int] = []
-    for index, fc in enumerate(d.classes):
+    for index, fc in enumerate(classes):
+        fc = flat(fc)
         _audit_flat_class(index, fc, p, pairs, extra, centers, violations)
+        blocks = len(fc.stars)
         want = v // 2 if fc.kind == ONE_FACTOR else v // (n + 1)
-        if len(fc.blocks) != want:
+        if blocks != want:
             violations.append(
-                (
-                    COUNT_MISMATCH,
-                    f"class {index}: {len(fc.blocks)} blocks, expected {want}",
-                )
+                (COUNT_MISMATCH, f"class {index}: {blocks} blocks, expected {want}")
             )
 
     _audit_flat_edges(pairs, extra, v, n + 1, violations)

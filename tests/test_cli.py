@@ -10,6 +10,7 @@ import pytest
 import starurd
 from starurd.cli import main
 from starurd.serialize import loads
+from test_serialize import SCHEMA_ERRORS
 
 
 def run(capsys, *argv):
@@ -288,6 +289,60 @@ def test_verify_schema_error_names_its_location_once(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "parse failure: class 0 block 0: edge block needs two vertices\n"
+
+
+@pytest.mark.parametrize("obj,message", SCHEMA_ERRORS)
+def test_verify_prints_the_readers_schema_error(capsys, tmp_path, obj, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert (code, out, err) == (2, "", f"parse failure: {message}\n")
+
+
+def test_verify_makes_no_vertex_edge_or_star_object(capsys, tmp_path, monkeypatch):
+    # `starurd verify` reads and audits flat ids: a valid certificate
+    # passes without one Vertex, Edge or StarBlock being made
+    from starurd.assembler import BuildRequest, construct
+    from starurd.model import Edge, StarBlock, Vertex
+    from starurd.serialize import dumps
+
+    d = construct(BuildRequest(24, 5, 1))
+    path = tmp_path / "d.json"
+    path.write_text(dumps(d), encoding="utf-8")
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} made on the verify path")
+
+    for cls in (Vertex, Edge, StarBlock):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            cls(Vertex, Vertex)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert out == f"PASS: valid decomposition of K_24 with r={d.r}, s={d.s}\n"
+
+
+def test_file_io_does_not_depend_on_the_locale(tmp_path):
+    # a text-mode open that names no encoding is an error under these flags
+    env = dict(os.environ, PYTHONPATH=str(Path(starurd.__file__).parents[1]))
+    cli = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+           "-m", "starurd.cli"]
+
+    def run_cli(*argv):
+        return subprocess.run([*cli, *argv], capture_output=True, text=True, env=env)
+
+    path = tmp_path / "d.json"
+    built = run_cli("build", "--v", "12", "--n", "3", "--ell", "0", "--out", str(path))
+    assert built.returncode == 0, built.stderr
+    checked = run_cli("verify", "--in", str(path))
+    assert checked.returncode == 0, checked.stderr
+    assert checked.stdout.startswith("PASS")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x7fELF" + bytes(range(128, 256)))
+    unread = run_cli("verify", "--in", str(binary))
+    assert unread.returncode == 2
+    assert f"cannot read {binary}" in unread.stderr
+    assert "Traceback" not in unread.stdout + unread.stderr
 
 
 def test_verify_missing_file(capsys, tmp_path):

@@ -235,7 +235,9 @@ def one_class(kind, *blocks):
     return dict(HEADER, classes=[{"kind": kind, "blocks": list(blocks)}])
 
 
-@pytest.mark.parametrize("obj,message", [
+# Each malformed object with the one message the reader gives for it;
+# test_cli checks that `starurd verify` prints the same.
+SCHEMA_ERRORS = [
     pytest.param(one_class("one_factor", [[0, 0]]),
                  "class 0 block 0: edge block needs two vertices", id="one-vertex-edge"),
     pytest.param(one_class("one_factor", [[0, "x"], [0, 1]]),
@@ -263,7 +265,21 @@ def one_class(kind, *blocks):
                  "class 0: need exactly kind and blocks", id="class-without-blocks"),
     pytest.param(dict(HEADER, classes=[{"kind": "one_factor", "blocks": {}}]),
                  "class 0: blocks must be a list", id="blocks-not-list"),
-])
+    # vertices outside Z_m x Z_{n+1} have no flat id, but the block checks
+    # name them as Edge and StarBlock do
+    pytest.param(one_class("one_factor", [[9, 9], [9, 9]]),
+                 "class 0 block 0: loop edge at Vertex(base=9, level=9)",
+                 id="out-of-range-loop-edge"),
+    pytest.param(one_class("star_factor", {"center": [0, 0], "leaves": [[9, 9], [9, 9]]}),
+                 "class 0 block 0: duplicate leaves in star at Vertex(base=0, level=0)",
+                 id="out-of-range-duplicate-leaves"),
+    pytest.param(one_class("star_factor", {"center": [9, 9], "leaves": [[0, 1], [9, 9]]}),
+                 "class 0 block 0: star center Vertex(base=9, level=9) repeated as leaf",
+                 id="out-of-range-center-as-leaf"),
+]
+
+
+@pytest.mark.parametrize("obj,message", SCHEMA_ERRORS)
 def test_schema_error_names_its_location_once(obj, message):
     with pytest.raises(SchemaError) as info:
         from_dict(obj)

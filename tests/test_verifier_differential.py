@@ -3,8 +3,10 @@
 The reference (`reference_verifier.py`) enumerates E(K_v) as objects; the
 package's `verify` audits flat ids and never enumerates E(K_v).  On every
 input here both must return the same violations: the same codes and
-details, in the same order.  The last tests show that `verify` costs what
-its input holds, not what the v it claims would cost.
+details, in the same order.  `starurd verify` reads a file straight into
+flat ids and audits those; on written files it must print the reference's
+verdict on `from_dict` of the same file.  The last tests show that
+`verify` costs what its input holds, not what the v it claims would cost.
 """
 
 import json
@@ -33,7 +35,8 @@ from starurd.model import (
     StarBlock,
     Vertex,
 )
-from starurd.serialize import loads
+from starurd.cli import main
+from starurd.serialize import from_dict, loads, to_dict
 from starurd.verifier import verify
 
 SMALL = [(12, 3, 0), (16, 3, 1), (24, 5, 1), (20, 3, 0)]
@@ -283,6 +286,79 @@ def test_sweep_agrees(mn, ell_seed, kind, seed):
     ):
         return
     assert not assert_same(MUTATIONS[kind](d, random.Random(seed))).passed
+
+
+def _written(d, rng):
+    """d as compact JSON with each edge's endpoints reversed and each
+    star's leaves shuffled: the reader must put them back in order."""
+    obj = to_dict(d)
+    for klass in obj["classes"]:
+        for block in klass["blocks"]:
+            if isinstance(block, list):
+                block.reverse()
+            else:
+                rng.shuffle(block["leaves"])
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def assert_cli_same(text, path, capsys):
+    path.write_text(text, encoding="utf-8")
+    code = main(["verify", "--in", str(path)])
+    out, err = capsys.readouterr()
+    d = from_dict(json.loads(text))
+    want = reference_verify(d)
+    if want.passed:
+        lines = [f"PASS: valid decomposition of K_{d.params.v} with r={d.r}, s={d.s}"]
+    else:
+        lines = [f"{name}: {detail}" for name, detail in want.violations]
+        lines.append(f"FAIL: {len(want.violations)} violation(s)")
+    assert (code, out, err) == (0 if want.passed else 1, "\n".join(lines) + "\n", "")
+
+
+def test_cli_verify_of_written_files_agrees(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    rng = random.Random(3)
+    for args in SMALL:
+        assert_cli_same(_written(built(*args), rng), path, capsys)
+    for kind, mutation in MUTATIONS.items():
+        for args in SMALL:
+            d = built(*args)
+            if kind == "leaf_swap" and d.s == 0:
+                continue
+            for seed in range(3):
+                assert_cli_same(_written(mutation(d, random.Random(seed)), rng), path, capsys)
+    # classes that mix edges and stars, in both kinds, one with a star first
+    d = built(20, 3, 1)
+    ones, stars = d.classes[_ones(d.classes)[0]], d.classes[_stars(d.classes)[0]]
+    for kind in (ONE_FACTOR, STAR_FACTOR):
+        mixed = [
+            FactorClass(kind, ones.blocks[:4] + stars.blocks[1:3] + ones.blocks[6:]),
+            FactorClass(kind, stars.blocks[:1] + ones.blocks[2:5] + stars.blocks[1:]),
+        ]
+        assert_cli_same(_written(with_classes(d, list(d.classes) + mixed), rng), path, capsys)
+    # a repeated edge, and a star whose leaves but not its center are in
+    # an earlier star: NOT_DISJOINT names the first shared vertex in
+    # canonical order, whether the class is read whole or, because it
+    # holds a vertex outside the vertex set, block by block
+    d = built(24, 5, 0)
+    m = d.params.m
+    ci, si = _ones(d.classes)[0], _stars(d.classes)[0]
+    for foreign in (False, True):
+        classes = list(d.classes)
+        edges, stars = classes[ci].blocks, classes[si].blocks
+        edges = (edges[0], edges[0]) + edges[1:]
+        stars = (stars[0], StarBlock(stars[1].center, stars[0].leaves)) + stars[2:]
+        if foreign:
+            edges = edges[:-1] + (Edge(edges[-1].u, Vertex(m, 0)),)
+            last = stars[-1]
+            stars = stars[:-1] + (StarBlock(last.center, last.leaves[1:] + (Vertex(m, 1),)),)
+        classes[ci] = FactorClass(ONE_FACTOR, edges)
+        classes[si] = FactorClass(STAR_FACTOR, stars)
+        for _ in range(4):
+            assert_cli_same(_written(with_classes(d, classes), rng), path, capsys)
+    # the hostile claim of the benchmark: a large order and no class
+    hostile = {"version": "1", "v": 800, "n": 15, "m": 50, "r": 799, "s": 0, "classes": []}
+    assert_cli_same(json.dumps(hostile), path, capsys)
 
 
 def _hostile(v, n, classes=(), r=None, s=0):
