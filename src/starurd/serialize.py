@@ -95,102 +95,72 @@ def _key(k, w: int) -> tuple[int, int]:
     return divmod(k, w) if type(k) is int else k
 
 
-def _in_range_id(obj, m: int, w: int) -> int | None:
-    """The flat id of a well-formed [base, level] pair inside Z_m x Z_w,
-    None for anything else."""
-    if type(obj) is list and len(obj) == 2:
-        base, level = obj
-        if type(base) is int and type(level) is int and 0 <= base < m and 0 <= level < w:
-            return base * w + level
-    return None
-
-
-def _simple_class(blocks: list, m: int, w: int) -> tuple[list, list, bytearray, bool] | None:
-    """The ids, bounds, stars and foreign of a FlatClass, for a class whose
-    blocks are all made of well-formed pairs inside Z_m x Z_w and pass the
-    block checks; None for any other class, which _checked_class reads
-    instead.  This is the reader's hot path: it makes no message and no
-    Vertex, and checks an edge's endpoints inline."""
-    ids, bounds, stars = [], [0], bytearray()
-    for obj in blocks:
-        if type(obj) is list and len(obj) == 2:
-            p, q = obj
-            if type(p) is list and type(q) is list and len(p) == 2 and len(q) == 2:
-                (pb, pl), (qb, ql) = p, q
-                if (type(pb) is int and type(pl) is int and type(qb) is int and type(ql) is int
-                        and 0 <= pb < m and 0 <= pl < w and 0 <= qb < m and 0 <= ql < w):
-                    a, b = pb * w + pl, qb * w + ql
-                    if a != b:
-                        ids += (a, b) if a < b else (b, a)
-                        bounds.append(len(ids))
-                        stars.append(0)
-                        continue
-        elif type(obj) is dict and len(obj) == 2 and "center" in obj and "leaves" in obj:
-            center, leaves = _in_range_id(obj["center"], m, w), obj["leaves"]
-            if center is not None and type(leaves) is list and leaves:
-                leaf_ids = [_in_range_id(leaf, m, w) for leaf in leaves]
-                distinct = set(leaf_ids)
-                if None not in distinct and len(distinct) == len(leaf_ids) and center not in distinct:
-                    leaf_ids.sort()
-                    ids.append(center)
-                    ids += leaf_ids
-                    bounds.append(len(ids))
-                    stars.append(1)
-                    continue
-        return None
-    return ids, bounds, stars, False
-
-
-def _vertex_id(obj, what: str, m: int, w: int):
+def _vertex_id(obj, m: int, w: int):
     """The id of the vertex a [base, level] pair names (see FlatClass),
-    or a SchemaError: on its shape, then each coordinate's type, then
-    their signs."""
+    or a SchemaError, on its shape, then each coordinate's type, then
+    their signs, whose message follows the label of its block."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise SchemaError(f"{what} must be a [base, level] pair, got {obj!r}")
-    base, level = (_int(x, what) for x in obj)
+        raise SchemaError(f" must be a [base, level] pair, got {obj!r}")
+    base, level = obj
+    if type(base) is not int:
+        _int(base, "")
+    if type(level) is not int:
+        _int(level, "")
+    if 0 <= base < m and 0 <= level < w:
+        return base * w + level
     if base < 0 or level < 0:
-        raise SchemaError(f"{what} has negative coordinates: {obj!r}")
-    return base * w + level if base < m and level < w else (base, level)
+        raise SchemaError(f" has negative coordinates: {obj!r}")
+    return (base, level)
 
 
-def _checked_block(obj, what: str, m: int, w: int) -> tuple[tuple, int]:
-    """The ids of one block in canonical order and 1 if it is a star,
-    for any block, or the SchemaError that names its first fault: the
-    block's shape, each vertex's own checks in turn, then a loop edge,
+def _checked_block(obj, m: int, w: int) -> tuple[tuple, int, bool]:
+    """The ids of one block in canonical order, 1 if it is a star, and
+    whether it holds a vertex outside Z_m x Z_w.  Or the SchemaError that
+    names its first fault, with a message that follows the block's label:
+    the block's shape, each vertex's own checks in turn, then a loop edge,
     duplicate leaves or a center that is also a leaf, with the messages
-    of Edge and StarBlock."""
+    of Edge and StarBlock.  Ids inside Z_m x Z_w sort in (base, level)
+    order as they stand; a block with a pair among them sorts on _key."""
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
-            raise SchemaError(f"{what}: edge block needs two vertices")
-        a, b = _vertex_id(obj[0], what, m, w), _vertex_id(obj[1], what, m, w)
+            raise SchemaError(": edge block needs two vertices")
+        a, b = _vertex_id(obj[0], m, w), _vertex_id(obj[1], m, w)
         if a == b:
-            raise SchemaError(f"{what}: loop edge at {vertex_from_flat(a, w)}")
-        return ((a, b) if _key(a, w) < _key(b, w) else (b, a)), 0
+            raise SchemaError(f": loop edge at {vertex_from_flat(a, w)}")
+        foreign = type(a) is tuple or type(b) is tuple
+        if (_key(a, w) < _key(b, w)) if foreign else a < b:
+            return (a, b), 0, foreign
+        return (b, a), 0, foreign
     if isinstance(obj, dict):
         if set(obj) != {"center", "leaves"}:
-            raise SchemaError(f"{what}: star block needs center and leaves")
+            raise SchemaError(": star block needs center and leaves")
         if not isinstance(obj["leaves"], list) or not obj["leaves"]:
-            raise SchemaError(f"{what}: leaves must be a nonempty list")
-        center = _vertex_id(obj["center"], what, m, w)
-        leaves = [_vertex_id(leaf, what, m, w) for leaf in obj["leaves"]]
+            raise SchemaError(": leaves must be a nonempty list")
+        center = _vertex_id(obj["center"], m, w)
+        leaves = [_vertex_id(leaf, m, w) for leaf in obj["leaves"]]
         distinct = set(leaves)
         if len(distinct) != len(leaves):
-            raise SchemaError(f"{what}: duplicate leaves in star at {vertex_from_flat(center, w)}")
+            raise SchemaError(f": duplicate leaves in star at {vertex_from_flat(center, w)}")
         if center in distinct:
-            raise SchemaError(f"{what}: star center {vertex_from_flat(center, w)} repeated as leaf")
-        leaves.sort(key=lambda k: _key(k, w))
-        return (center, *leaves), 1
-    raise SchemaError(f"{what}: unrecognized block shape {obj!r}")
+            raise SchemaError(f": star center {vertex_from_flat(center, w)} repeated as leaf")
+        foreign = type(center) is tuple or tuple in map(type, leaves)
+        leaves.sort(key=(lambda k: _key(k, w)) if foreign else None)
+        return (center, *leaves), 1, foreign
+    raise SchemaError(f": unrecognized block shape {obj!r}")
 
 
 def _checked_class(blocks: list, where: str, m: int, w: int) -> tuple[list, list, bytearray, bool]:
-    """What _simple_class gives, for any class, read block by block: or
-    the SchemaError of its first faulty block."""
+    """The ids, bounds, stars and foreign of a FlatClass, read block by
+    block: or the SchemaError of its first faulty block, labelled with
+    where the block is.  The label is made only for the error."""
     ids, bounds, stars = [], [0], bytearray()
     foreign = False
     for bi, obj in enumerate(blocks):
-        block, star = _checked_block(obj, f"{where} block {bi}", m, w)
-        foreign = foreign or tuple in map(type, block)
+        try:
+            block, star, outside = _checked_block(obj, m, w)
+        except SchemaError as exc:
+            raise SchemaError(f"{where} block {bi}{exc}") from None
+        foreign = foreign or outside
         ids += block
         bounds.append(len(ids))
         stars.append(star)
@@ -230,10 +200,7 @@ def flat_from_dict(obj) -> tuple[Params, int, int, list[FlatClass]]:
             raise SchemaError(f"{where}: unknown kind {cobj['kind']!r}")
         if not isinstance(cobj["blocks"], list):
             raise SchemaError(f"{where}: blocks must be a list")
-        blocks = cobj["blocks"]
-        ids, bounds, stars, foreign = (
-            _simple_class(blocks, m, w) or _checked_class(blocks, where, m, w)
-        )
+        ids, bounds, stars, foreign = _checked_class(cobj["blocks"], where, m, w)
         classes.append(FlatClass(cobj["kind"], tuple(ids), tuple(bounds), bytes(stars), foreign))
     return params, r, s, classes
 

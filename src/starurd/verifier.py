@@ -134,22 +134,22 @@ def _audit_flat_class(
                 violations.append((NOT_DISJOINT, f"{where}: vertex {u} in two blocks"))
                 disjoint = False
             walked.update(block)
-    if shapes_ok and not stars and not fc.foreign:
-        # every block is an edge: ids pair up
-        pairs += [a * v + b if a < b else b * v + a for a, b in zip(ids[::2], ids[1::2])]
-    else:
+    # a block's edges join its first id to each of the others; an edge with
+    # an end outside the vertex set has no pair id and goes into extra
+    if fc.foreign:
         for block in fc.blocks():
-            if not block:
-                continue
-            c = block[0]
-            if fc.foreign and tuple in map(type, block):
-                for k in block[1:]:
-                    if type(c) is tuple or type(k) is tuple:
-                        extra.add(Edge(vertex_from_flat(c, w), vertex_from_flat(k, w)))
-                    else:
-                        pairs.append(c * v + k if c < k else k * v + c)
-            else:
-                pairs += [c * v + k if c < k else k * v + c for k in block[1:]]
+            c = block[0] if block else None
+            for k in block[1:]:
+                if type(c) is tuple or type(k) is tuple:
+                    extra.add(Edge(vertex_from_flat(c, w), vertex_from_flat(k, w)))
+                else:
+                    pairs.append(c * v + k if c < k else k * v + c)
+    else:
+        pairs += [
+            c * v + k if c < k else k * v + c
+            for a, b in zip(bounds, bounds[1:]) if a < b
+            for c in (ids[a],) for k in ids[a + 1:b]
+        ]
     if stars:
         centers += [ids[a] for a, star in zip(bounds, fc.stars) if star and type(ids[a]) is int]
     outside = sum(type(k) is tuple for k in seen) if fc.foreign else 0
@@ -206,18 +206,20 @@ def _audit_flat_edges(
 def verify(d: Decomposition) -> VerificationReport:
     """Audit a claimed decomposition of K_v, one class at a time on flat ids."""
     p = d.params
-    return _audit(p, d.r, d.s, d.classes, lambda fc: _flatten(fc, p.m, p.n + 1))
+    kinds = [fc.kind for fc in d.classes]
+    return _audit(p, d.r, d.s, kinds, (_flatten(fc, p.m, p.n + 1) for fc in d.classes))
 
 
 def verify_flat(params: Params, r: int, s: int, classes: list[FlatClass]) -> VerificationReport:
     """Audit a claimed decomposition of K_v given on flat ids, as
     `serialize.loads_flat` reads it."""
-    return _audit(params, r, s, classes, lambda fc: fc)
+    return _audit(params, r, s, [fc.kind for fc in classes], classes)
 
 
-def _audit(p: Params, r: int, s: int, classes, flat) -> VerificationReport:
-    """The audit of both entries: classes are FactorClass or FlatClass
-    objects, and flat gives each one's FlatClass when its turn comes."""
+def _audit(p: Params, r: int, s: int, kinds: list[str], classes) -> VerificationReport:
+    """The audit of both entries: kinds holds each class's kind, and
+    classes gives the FlatClass of each in turn, which is audited before
+    the next is taken."""
     violations: list[tuple[str, str]] = []
     n, v = p.n, p.v
 
@@ -234,8 +236,7 @@ def _audit(p: Params, r: int, s: int, classes, flat) -> VerificationReport:
             )
         )
 
-    actual_r = sum(1 for c in classes if c.kind == ONE_FACTOR)
-    actual_s = sum(1 for c in classes if c.kind == STAR_FACTOR)
+    actual_r, actual_s = kinds.count(ONE_FACTOR), kinds.count(STAR_FACTOR)
     if (actual_r, actual_s) != (r, s):
         violations.append(
             (
@@ -248,7 +249,6 @@ def _audit(p: Params, r: int, s: int, classes, flat) -> VerificationReport:
     extra: set[Edge] = set()
     centers: list[int] = []
     for index, fc in enumerate(classes):
-        fc = flat(fc)
         _audit_flat_class(index, fc, p, pairs, extra, centers, violations)
         blocks = len(fc.stars)
         want = v // 2 if fc.kind == ONE_FACTOR else v // (n + 1)

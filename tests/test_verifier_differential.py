@@ -338,8 +338,8 @@ def test_cli_verify_of_written_files_agrees(tmp_path, capsys):
         assert_cli_same(_written(with_classes(d, list(d.classes) + mixed), rng), path, capsys)
     # a repeated edge, and a star whose leaves but not its center are in
     # an earlier star: NOT_DISJOINT names the first shared vertex in
-    # canonical order, whether the class is read whole or, because it
-    # holds a vertex outside the vertex set, block by block
+    # canonical order, also when the class holds a vertex outside the
+    # vertex set, whose block the reader sorts on (base, level) pairs
     d = built(24, 5, 0)
     m = d.params.m
     ci, si = _ones(d.classes)[0], _stars(d.classes)[0]
