@@ -2,13 +2,13 @@
 
 An independent existence oracle: given (v, n, r, s), build the classes
 depth-first, always extending the current class at its lexicographically
-least uncovered vertex.  Edge availability is tracked as per-vertex
-bitmasks.  The first class is always the canonical perfect matching
-{0,1}, {2,3}, ...: v = m(n+1) is even, so every admissible r = v-1-2nx is
-odd and at least 1, and there is always a one-factor to fix.  Fixing it is
-sound symmetry reduction: any solution can be relabeled to start with it.
-No deeper isomorph rejection is attempted, so NOT_FOUND_EXHAUSTED is a
-genuine nonexistence certificate for the instance.
+least uncovered vertex.  The first class is always the canonical
+perfect matching {0,1}, {2,3}, ...: v = m(n+1) is even, so every
+admissible r = v-1-2nx is odd and at least 1, and there is always a
+one-factor to fix.  Fixing it is sound symmetry reduction: any solution
+can be relabeled to start with it.  No deeper isomorph rejection is
+attempted, so NOT_FOUND_EXHAUSTED is a genuine nonexistence certificate
+for the instance.
 
 Class scheduling: after the canonical first class, all star classes are
 built before the remaining one-factor classes.  Star classes carry the
@@ -21,6 +21,14 @@ are placed as flat vertex ids; `aurd._output`, the emitter of the
 construction classes, packages the witness, and the independent verifier
 re-checks it before it is returned.
 
+Bookkeeping is in bitmasks over the vertices: the covered set of the
+current class, each vertex's row of still-unused edges (`adj`), and
+`used_by[k]`, the vertices that are already the center of k stars.  A
+class's edges leave `adj` when the class is complete and come back when
+the search backtracks out of it: within a class only edges between two
+covered vertices are taken, and the search reads no row of a covered
+vertex, so deferring them changes no choice.
+
 Two sound prunes keep exhaustion honest and fast; neither can discard a
 solution:
 
@@ -28,11 +36,17 @@ solution:
   the star classes (its degree across the star classes is v-1-r =
   n*x + (s-x), which forces x = s/(n+1) per vertex).  Center quotas are
   tracked, and branches where a vertex overshoots its quota or can no
-  longer meet it are cut.
+  longer meet it are cut.  Both are read off `used_by` over the
+  uncovered vertices at once.
 
 * within a star class (one-factor classes skip it), every uncovered
   vertex must still be joinable to some other uncovered vertex; a vertex
   isolated inside the remaining uncovered set kills the branch at once.
+
+The search recurses at every node.  A tree deeper than Python's
+recursion limit (K_64 into 63 one-factors is about 2000 levels deep) is
+reported as BUDGET_EXCEEDED with a reason that names the limit: the run
+was cut short, not exhausted.
 
 Pairs failing the arithmetic necessary conditions are rejected without
 search.  The vertex model addresses K_v as an m x (n+1) grid, so v must
@@ -42,6 +56,8 @@ outside this module's scope and raise ValueError.
 
 from __future__ import annotations
 
+import math
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -122,110 +138,128 @@ def exhaustive_urd(
     full = (1 << v) - 1
     adj = [full ^ (1 << u) for u in range(v)]
     # r >= 1 (module docstring), and r + s >= 2 since s = 0 means r = v-1 >= 3.
+    # Classes 1..s are the star classes.
     kinds = [ONE_FACTOR] + [STAR_FACTOR] * s + [ONE_FACTOR] * (r - 1)
+    last = len(kinds) - 1
     placed: list[list[tuple]] = [[] for _ in kinds]
     quota = s // (n + 1)  # forced per-vertex center count
     centers_used = [0] * v
+    # used_by[k]: the vertices that are already the center of k stars
+    used_by = [full] + [0] * quota
     nodes = 0
+    limit = max_nodes if max_nodes is not None else math.inf
     deadline = start + timeout if timeout is not None else None
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            raise _BudgetExceeded
-        if deadline is not None and nodes % 256 == 0:
-            if time.perf_counter() > deadline:
-                raise _BudgetExceeded
-
-    def take_edge(a: int, b: int) -> None:
-        adj[a] &= ~(1 << b)
-        adj[b] &= ~(1 << a)
-
-    def give_edge(a: int, b: int) -> None:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    def toggle(ci: int) -> None:
+        """Take the edges of class ci out of adj, or give them back."""
+        if 0 < ci <= s:
+            for center, leaves in placed[ci]:
+                for leaf in leaves:
+                    adj[center] ^= 1 << leaf
+                    adj[leaf] ^= 1 << center
+        else:
+            for a, b in placed[ci]:
+                adj[a] ^= 1 << b
+                adj[b] ^= 1 << a
 
     def place_star(ci: int, covered: int, center: int, leaves: tuple[int, ...]) -> bool:
-        mask = 1 << center
+        cbit = 1 << center
+        mask = cbit
         for leaf in leaves:
-            take_edge(center, leaf)
             mask |= 1 << leaf
-        centers_used[center] += 1
-        placed[ci].append((center, leaves))
+        k = centers_used[center]
+        centers_used[center] = k + 1
+        used_by[k] ^= cbit
+        used_by[k + 1] |= cbit
+        blocks = placed[ci]
+        blocks.append((center, leaves))
         if extend(ci, covered | mask):
             return True
-        placed[ci].pop()
-        centers_used[center] -= 1
-        for leaf in leaves:
-            give_edge(center, leaf)
+        blocks.pop()
+        used_by[k + 1] ^= cbit
+        used_by[k] |= cbit
+        centers_used[center] = k
         return False
 
     def extend(ci: int, covered: int) -> bool:
+        nonlocal nodes
         if covered == full:
-            if ci + 1 == len(kinds):
+            if ci == last:
                 return True
-            return extend(ci + 1, 0)
-        low = (~covered & full) & -(~covered & full)
+            toggle(ci)
+            if extend(ci + 1, 0):
+                return True
+            toggle(ci)
+            return False
+        uncovered = full ^ covered
+        low = uncovered & -uncovered
         u = low.bit_length() - 1
-        tick()
-        avail = adj[u] & ~covered
-        if kinds[ci] == ONE_FACTOR:
-            for w in _bits(avail):
-                take_edge(u, w)
-                placed[ci].append((u, w))
-                if extend(ci, covered | low | (1 << w)):
+        nodes += 1
+        if nodes > limit:
+            raise _BudgetExceeded
+        if not nodes & 255 and deadline is not None and time.perf_counter() > deadline:
+            raise _BudgetExceeded
+        avail = adj[u] & uncovered
+        if ci > s:  # one-factor class
+            blocks = placed[ci]
+            while avail:
+                bw = avail & -avail
+                avail ^= bw
+                blocks.append((u, bw.bit_length() - 1))
+                if extend(ci, covered | low | bw):
                     return True
-                placed[ci].pop()
-                give_edge(u, w)
+                blocks.pop()
             return False
 
-        # Star class.  left = star classes (1..s) still open, current included.
-        left = s + 1 - ci
-        uncovered = ~covered & full
-        must = 0
-        leaf_ok = 0
+        # Star class.  left = s + 1 - ci star classes are still open, current
+        # included.  A vertex that is the center of j stars needs quota - j
+        # more: with j < k = quota - left it can no longer meet its quota,
+        # and with j == k it must be a center in every open class.
+        k = quota - (s + 1 - ci)
+        for j in range(k):
+            if used_by[j] & uncovered:
+                return False
+        must = used_by[k] & uncovered if k >= 0 else 0
         scan = uncovered
         while scan:
             bit = scan & -scan
             scan ^= bit
-            w = bit.bit_length() - 1
-            need = quota - centers_used[w]
-            if need > left:
-                return False
-            if need == left:
-                must |= bit
-            else:
-                leaf_ok |= bit
-            if adj[w] & uncovered == 0:
+            if not adj[bit.bit_length() - 1] & uncovered:
                 return False
         if must.bit_count() > uncovered.bit_count() // (n + 1):
             return False
+        leaf_ok = uncovered ^ must
+        spent = used_by[quota]
 
         # u joins a star either as its center or as a leaf of a later center;
         # every other member of that star is > u, so each star is tried once.
-        if centers_used[u] < quota:
+        if not spent & low:
             for leaves in combinations(_bits(avail & leaf_ok), n):
                 if place_star(ci, covered, u, leaves):
                     return True
         if leaf_ok & low:
-            for center in _bits(avail):
-                if centers_used[center] >= quota:
-                    continue
-                rest = adj[center] & ~covered & ~low & leaf_ok & ~(1 << center)
+            for center in _bits(avail & ~spent):
+                rest = (adj[center] & leaf_ok) ^ low  # u is in both
                 for others in combinations(_bits(rest), n - 1):
                     if place_star(ci, covered, center, (u, *others)):
                         return True
         return False
 
     placed[0] = [(u, u + 1) for u in range(0, v, 2)]
-    for a, b in placed[0]:
-        take_edge(a, b)
+    toggle(0)
 
     try:
         ok = extend(1, 0)
     except _BudgetExceeded:
         return SearchOutcome(BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
+    except RecursionError:
+        return SearchOutcome(
+            BUDGET_EXCEEDED,
+            None,
+            nodes,
+            time.perf_counter() - start,
+            reason=f"stopped at Python's recursion limit ({sys.getrecursionlimit()} frames)",
+        )
     elapsed = time.perf_counter() - start
 
     if not ok:

@@ -436,6 +436,21 @@ def test_search_budget_exceeded_exits_six(capsys):
     assert "BUDGET_EXCEEDED" in out
 
 
+def test_search_recursion_limit_exits_six_without_traceback():
+    # a search deeper than Python's recursion limit is a budget stop (exit
+    # 6), not "search exhausted" (exit 1) by way of an uncaught traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(starurd.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "starurd.cli",
+         "search", "--v", "64", "--n", "3", "--r", "63", "--s", "0"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 6
+    assert proc.stderr == ""
+    assert "status: BUDGET_EXCEEDED" in proc.stdout
+    assert "reason: stopped at Python's recursion limit (" in proc.stdout
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--timeout", "-1"), ("--timeout", "nan"), ("--max-nodes", "-5")]
 )

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from starurd.admissibility import CONSTRUCTIVE, admissible_pairs, check_pair
@@ -68,6 +70,17 @@ def test_zero_timeout_stops_at_the_first_deadline_check():
     out = exhaustive_urd(8, 3, 1, 4, timeout=0)
     assert out.status == BUDGET_EXCEEDED
     assert out.nodes_explored == 256
+
+
+def test_recursion_limit_is_a_budget_stop():
+    # K_64 into 63 one-factors is about 2000 levels deep, past Python's
+    # default recursion limit: the run is cut short, not exhausted
+    out = exhaustive_urd(64, 3, 63, 0)
+    assert out.status == BUDGET_EXCEEDED
+    assert not out.complete
+    assert out.witness is None
+    assert out.nodes_explored > 0
+    assert out.reason == f"stopped at Python's recursion limit ({sys.getrecursionlimit()} frames)"
 
 
 def test_witness_iff_found():
