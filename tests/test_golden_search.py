@@ -12,6 +12,8 @@ budget.  The budget boundaries are pinned too: where `max_nodes` and
 
 import hashlib
 
+import pytest
+
 from starurd import serialize
 from starurd.admissibility import admissible_pairs
 from starurd.search import BUDGET_EXCEEDED, FOUND, exhaustive_urd
@@ -51,14 +53,21 @@ def test_search_outcomes_unchanged():
     assert _sha256(repr(rows)) == OUTCOMES_SHA256
 
 
-def test_long_search_witness_unchanged():
-    # the found instance of the benchmark's search workload
-    out = exhaustive_urd(24, 3, 17, 4)
+# (v, n, r, s): (nodes explored, sha256 of dumps of the witness).  The first
+# is the found instance of the benchmark's search workload; the second has
+# a center quota of 2, and the must-center prune cuts its tree (the budgeted
+# rows above cannot show that).
+LONG_SEARCHES = {
+    (24, 3, 17, 4): (395644, "e2db671afd56832f81f6d890dd93c6e5ba08beac587b43cefed359d5b471941c"),
+    (24, 3, 11, 8): (1028307, "88542076b1762df9249c3ba774427fb05f559cc0afdacbd29a6b59e45b4a7918"),
+}
+
+
+@pytest.mark.parametrize("v,n,r,s", sorted(LONG_SEARCHES))
+def test_long_search_witness_unchanged(v, n, r, s):
+    out = exhaustive_urd(v, n, r, s)
     assert out.status == FOUND
-    assert (out.nodes_explored, _sha256(serialize.dumps(out.witness))) == (
-        395644,
-        "e2db671afd56832f81f6d890dd93c6e5ba08beac587b43cefed359d5b471941c",
-    )
+    assert (out.nodes_explored, _sha256(serialize.dumps(out.witness))) == LONG_SEARCHES[v, n, r, s]
 
 
 def test_node_budget_boundaries():
