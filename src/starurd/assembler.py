@@ -69,17 +69,17 @@ def construct(req: BuildRequest) -> Decomposition:
     for index, cycle in enumerate(seed.cycles):
         blown = WeightedCycle(cycle, w)
         if index < req.ell:
-            one_classes.extend(matching_aurd(blown).classes)
+            one_classes.extend(matching_aurd(blown).flat)
         else:
-            star_classes.extend(star_aurd(blown).classes)
+            star_classes.extend(star_aurd(blown).flat)
 
     if m % 2 == 0:
         blown = WeightedOneFactor(seed.leftover_matching, w)
-        one_classes.extend(weighted_one_factor_aurd(blown).classes)
+        one_classes.extend(weighted_one_factor_aurd(blown).flat)
         fill = fill_even(m, n)
     else:
         fill = fill_odd(m, n)
-    one_classes.extend(fill.classes)
+    one_classes.extend(fill.flat)
 
     t, threshold = admissibility.construction_range(m, n)
     expected_r = 2 * n * req.ell + threshold
@@ -99,7 +99,7 @@ def _one_factorization(params: Params) -> Decomposition:
     factors = one_factorization(params.v).factors
     out = _output(ONE_FACTOR, range(params.m), params.weight,
                   ((f"F@j={j}", factor) for j, factor in enumerate(factors)))
-    return Decomposition.from_classes(params, out.classes)
+    return Decomposition.from_classes(params, out.flat)
 
 
 def construct_pair(v: int, n: int, r: int, s: int) -> Decomposition:

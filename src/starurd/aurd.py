@@ -56,13 +56,16 @@ stages, the filling, the one-factorization of K_v for m <= 2 and the search
 witness.  It sorts each class and checks it on those ids to be a perfect
 matching (or a spanning disjoint star set) the moment it is built; a
 failure raises ConstructionError with the family tag rather than being
-repaired.  Only a checked class is made into Edge or StarBlock blocks, from
-one Vertex per flat id of the stage.
+repaired.  A checked class is kept as the model.FlatClass of its sorted
+ids; Edge and StarBlock objects are made only when `AurdOutput.classes`
+is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
 from .blowup import WeightedCycle, WeightedOneFactor
@@ -70,24 +73,30 @@ from .model import (
     ONE_FACTOR,
     STAR_FACTOR,
     ConstructionError,
-    Edge,
     FactorClass,
-    StarBlock,
-    Vertex,
+    FlatClass,
+    factor_classes,
     vertex_from_flat,
 )
 
 
 @dataclass(frozen=True)
 class AurdOutput:
-    """Factor classes plus the construction family that produced each."""
+    """Factor classes on the flat ids of a weight-`weight` blow-up, plus
+    the construction family that produced each; classes is their object
+    view, built on request."""
 
-    classes: tuple[FactorClass, ...]
+    flat: tuple[FlatClass, ...]
     sources: tuple[str, ...]
+    weight: int
 
     def __post_init__(self):
-        if len(self.classes) != len(self.sources):
+        if len(self.flat) != len(self.sources):
             raise ValueError("one source tag per class required")
+
+    @cached_property
+    def classes(self) -> tuple[FactorClass, ...]:
+        return factor_classes(self.flat, self.weight)
 
 
 def _check_args(weight: int) -> int:
@@ -97,23 +106,26 @@ def _check_args(weight: int) -> int:
     return weight - 1
 
 
-def _class(
-    kind: str, blocks: list, vertex: dict[int, Vertex], w: int, tag: str
-) -> FactorClass:
-    """The class of the flat blocks, sorted, if they cover each flat id of
-    vertex exactly once.
+def _class(kind: str, blocks: list, ids: set[int], w: int, tag: str) -> FlatClass:
+    """The class of the flat blocks, sorted, if they cover each of ids
+    exactly once.
 
     Edges are pairs of flat ids in either order; stars are (center, leaves)
     with the leaves sorted.  Flat ids order vertices as the Vertex order
     does, so the sorted blocks are in the order of sorted(blocks) on the
-    Edge and StarBlock objects, which are made only once the class checks.
+    Edge and StarBlock objects, and each block's ids are in their
+    canonical order.
     """
     if kind == ONE_FACTOR:
         blocks = sorted(p if p[0] < p[1] else (p[1], p[0]) for p in blocks)
         covered = [u for pair in blocks for u in pair]
+        bounds = range(0, len(covered) + 1, 2)
+        stars = bytes(len(blocks))
     else:
         blocks = sorted(blocks)
         covered = [u for center, leaves in blocks for u in (center, *leaves)]
+        bounds = accumulate((1 + len(leaves) for _, leaves in blocks), initial=0)
+        stars = b"\x01" * len(blocks)
     seen = set(covered)
     if len(seen) != len(covered):  # name the first repeat, in block order
         first: set[int] = set()
@@ -121,15 +133,11 @@ def _class(
             if u in first:
                 raise ConstructionError(tag, f"vertex {vertex_from_flat(u, w)} covered twice")
             first.add(u)
-    if seen != vertex.keys():
+    if seen != ids:
         raise ConstructionError(
-            tag, f"not spanning: {len(seen)} of {len(vertex)} vertices covered"
+            tag, f"not spanning: {len(seen)} of {len(ids)} vertices covered"
         )
-    if kind == ONE_FACTOR:
-        return FactorClass(kind, tuple(Edge(vertex[a], vertex[b]) for a, b in blocks))
-    return FactorClass(kind, tuple(
-        StarBlock(vertex[center], tuple(vertex[u] for u in leaves)) for center, leaves in blocks
-    ))
+    return FlatClass(kind, tuple(covered), tuple(bounds), stars, False)
 
 
 def _output(
@@ -137,13 +145,13 @@ def _output(
 ) -> AurdOutput:
     """Check each (tag, flat blocks) pair as a class of the given kind that
     spans the w levels of the bases, in order."""
-    vertex = {x * w + i: Vertex(x, i) for x in bases for i in range(w)}
-    classes: list[FactorClass] = []
+    ids = {x * w + i for x in bases for i in range(w)}
+    flat: list[FlatClass] = []
     sources: list[str] = []
     for tag, blocks in tagged:
-        classes.append(_class(kind, blocks, vertex, w, tag))
+        flat.append(_class(kind, blocks, ids, w, tag))
         sources.append(tag)
-    return AurdOutput(tuple(classes), tuple(sources))
+    return AurdOutput(tuple(flat), tuple(sources), w)
 
 
 def _pos_pairs(c: WeightedCycle, x: int, k: int, e: int, levels: range) -> list[tuple[int, int]]:
@@ -214,9 +222,9 @@ def matching_aurd(c: WeightedCycle) -> AurdOutput:
 
     tagged = (pair for family in plan for pair in _family(c, *family))
     out = _output(ONE_FACTOR, c.base, c.weight, tagged)
-    if len(out.classes) != 2 * n:
+    if len(out.flat) != 2 * n:
         raise ConstructionError(
-            "matching_aurd", f"built {len(out.classes)} classes, expected {2 * n}"
+            "matching_aurd", f"built {len(out.flat)} classes, expected {2 * n}"
         )
     return out
 

@@ -28,7 +28,7 @@ from . import admissibility, serialize
 from .assembler import BuildRequest, PairNotConstructive, construct, construct_pair
 from .model import ConstructionError, _require_odd_n
 from .search import BUDGET_EXCEEDED, FOUND, NOT_FOUND_EXHAUSTED, exhaustive_urd
-from .verifier import verify, verify_flat
+from .verifier import verify
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -169,15 +169,15 @@ def cmd_verify(args) -> int:
         print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        params, r, s, classes = serialize.loads_flat(text)
+        d = serialize.loads(text)
     except serialize.SchemaError as exc:
         print(f"parse failure: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = verify_flat(params, r, s, classes)
+    report = verify(d)
     if report.passed:
         return _print([
-            f"PASS: valid decomposition of K_{params.v} with r={r}, s={s}"
+            f"PASS: valid decomposition of K_{d.params.v} with r={d.r}, s={d.s}"
         ], EXIT_OK)
     lines = [f"{code}: {detail}" for code, detail in report.violations]
     lines.append(f"FAIL: {len(report.violations)} violation(s)")

@@ -21,7 +21,7 @@ Both parities of m admit exactly m+n-1 one-factors:
   of K_{n+1} across all bases (n factors).
 
 Vertex (x, i) is built as its flat id x*(n+1) + i, and every factor is
-checked and made into Edge blocks by `aurd._output`, as the AURD stages are.
+checked and kept on those ids by `aurd._output`, as the AURD stages are.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 Every object lives on the complete graph K_v with v = m*(n+1), n odd.  A
 vertex is addressed as a pair (base, level): base in Z_m names one of the m
 "groups" and level in Z_{n+1} names the copy inside the group.  The flat
-index base*(n+1) + level orders vertices as Vertex does.  It is the working
-form of the construction, the search, the JSON reader and the verifier's
-audit: `aurd._output` makes and checks each class on flat ids, and only
-then builds its Vertex, Edge and StarBlock objects, one Vertex per flat id;
-the reader gives each class as a FlatClass, which the verifier audits as it
-stands.  `vertex_from_flat` turns a flat id back into a Vertex.
+index base*(n+1) + level orders vertices as Vertex does.  It is the one
+stored form of a class: `aurd._output` makes and checks each class of the
+construction on flat ids, the JSON reader gives each class on them, and
+the verifier audits them as they stand, all as FlatClass.  Decomposition
+and `aurd.AurdOutput` keep FlatClass classes; their `classes` is a view
+of Vertex, Edge and StarBlock objects (`factor_classes`), built on
+request with one Vertex per id.  `vertex_from_flat` turns a flat id back
+into a Vertex, and `FlatClass.of` turns a FactorClass into a FlatClass.
 
 Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
@@ -20,13 +22,14 @@ factors forces (n+1)*r + 2*n*s = (n+1)*(v-1).  It is checked exactly,
 never with a tolerance.
 
 All types are immutable after construction and safe to share between
-threads.  Vertex, Edge and StarBlock use __slots__: a certificate holds
-many of them.
+threads.  Vertex, Edge and StarBlock use __slots__: a view holds many of
+them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 ONE_FACTOR = "one_factor"
 STAR_FACTOR = "star_factor"
@@ -169,7 +172,7 @@ class FactorClass:
 
 @dataclass(frozen=True, slots=True)
 class FlatClass:
-    """One resolution class on flat ids: the form the verifier audits.
+    """One resolution class on flat ids: the form every class is kept in.
 
     ids holds the vertex ids of every block, block after block: block i
     is ids[bounds[i]:bounds[i + 1]], and stars[i] is 1 if it is a star, 0
@@ -190,27 +193,82 @@ class FlatClass:
     stars: bytes
     foreign: bool
 
+    @classmethod
+    def of(cls, fc: FactorClass, m: int, w: int) -> "FlatClass":
+        """fc on the flat ids of Z_m x Z_w.  A block that is neither an Edge
+        nor a StarBlock becomes a block of the other shape than the class
+        kind with no vertices: the audit reports it as of the wrong kind
+        and nothing else."""
+        ids, bounds, stars = [], [0], bytearray()
+        foreign = False
+        for b in fc.blocks:
+            if isinstance(b, Edge):
+                ends, star = (b.u, b.v), 0
+            elif isinstance(b, StarBlock):
+                ends, star = (b.center, *b.leaves), 1
+            else:
+                ends, star = (), int(fc.kind == ONE_FACTOR)
+            block = [u.base * w + u.level for u in ends if 0 <= u.base < m and 0 <= u.level < w]
+            if len(block) != len(ends):
+                foreign = True
+                block = [
+                    u.base * w + u.level if 0 <= u.base < m and 0 <= u.level < w
+                    else (u.base, u.level)
+                    for u in ends
+                ]
+            ids += block
+            bounds.append(len(ids))
+            stars.append(star)
+        return cls(fc.kind, tuple(ids), tuple(bounds), bytes(stars), foreign)
+
     def blocks(self):
         """Each block's ids, as a tuple, in block order."""
         ids, bounds = self.ids, self.bounds
         return (ids[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
+def factor_classes(flat, w: int) -> tuple[FactorClass, ...]:
+    """The FactorClass of each FlatClass of weight w, with one Vertex per
+    id for all of them: the view behind Decomposition.classes and
+    `aurd.AurdOutput.classes`."""
+    vertex: dict = {}
+    classes = []
+    for fc in flat:
+        vertex.update((k, vertex_from_flat(k, w)) for k in set(fc.ids) - vertex.keys())
+        classes.append(FactorClass(fc.kind, tuple(
+            StarBlock(vertex[ids[0]], tuple(map(vertex.__getitem__, ids[1:]))) if star
+            else Edge(*map(vertex.__getitem__, ids))
+            for ids, star in zip(fc.blocks(), fc.stars)
+        )))
+    return tuple(classes)
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """A claimed decomposition of K_v: the certificate the verifier audits.
 
-    r and s are stored as claimed (e.g. as read from a file); the verifier
-    checks them against the actual class kinds.
+    flat holds each class as a FlatClass; a FactorClass given in its place
+    is flattened (FlatClass.of), hostile ones included.  classes is their
+    object view, built on the first request and kept; a class that held an
+    object that is no block has no view.  r and s are stored as claimed
+    (e.g. as read from a file); the verifier checks them against the
+    actual class kinds.
     """
 
     params: Params
-    classes: tuple[FactorClass, ...]
+    flat: tuple[FlatClass, ...]
     r: int
     s: int
 
     def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
+        m, w = self.params.m, self.params.n + 1
+        object.__setattr__(self, "flat", tuple(
+            fc if isinstance(fc, FlatClass) else FlatClass.of(fc, m, w) for fc in self.flat
+        ))
+
+    @cached_property
+    def classes(self) -> tuple[FactorClass, ...]:
+        return factor_classes(self.flat, self.params.n + 1)
 
     @classmethod
     def from_classes(cls, params: Params, classes) -> "Decomposition":

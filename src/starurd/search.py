@@ -35,9 +35,13 @@ solution:
 * in any solution every vertex is a star center in exactly s/(n+1) of
   the star classes (its degree across the star classes is v-1-r =
   n*x + (s-x), which forces x = s/(n+1) per vertex).  Center quotas are
-  tracked, and branches where a vertex overshoots its quota or can no
-  longer meet it are cut.  Both are read off `used_by` over the
-  uncovered vertices at once.
+  tracked in `used_by`: a vertex that has met its quota is never made a
+  center again, and one that must be a center in every star class still
+  open is never made a leaf; a branch with more of those uncovered than
+  the class has stars left is cut.  No vertex falls further behind: at
+  the first star class each needs fewer centers than there are star
+  classes, and each class makes a center of every vertex that needs one
+  in all the classes left.
 
 * within a star class (one-factor classes skip it), every uncovered
   vertex must still be joinable to some other uncovered vertex; a vertex
@@ -213,12 +217,10 @@ def exhaustive_urd(
 
         # Star class.  left = s + 1 - ci star classes are still open, current
         # included.  A vertex that is the center of j stars needs quota - j
-        # more: with j < k = quota - left it can no longer meet its quota,
-        # and with j == k it must be a center in every open class.
+        # more: with j == k = quota - left it must be a center in every open
+        # class.  None has j < k (module docstring): k < 0 at the first star
+        # class, and must is never a leaf, so each class makes it a center.
         k = quota - (s + 1 - ci)
-        for j in range(k):
-            if used_by[j] & uncovered:
-                return False
         must = used_by[k] & uncovered if k >= 0 else 0
         scan = uncovered
         while scan:
@@ -274,7 +276,7 @@ def exhaustive_urd(
     def classes(kind: str) -> tuple:
         tagged = ((f"search@class={ci}", blocks)
                   for ci, blocks in enumerate(placed) if kinds[ci] == kind)
-        return _output(kind, range(params.m), n + 1, tagged).classes
+        return _output(kind, range(params.m), n + 1, tagged).flat
 
     witness = Decomposition.from_classes(params, classes(ONE_FACTOR) + classes(STAR_FACTOR))
     report = verify(witness)

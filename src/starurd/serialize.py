@@ -17,39 +17,30 @@ Vertices are [base, level] pairs of nonnegative integers.  Malformed input
 raises SchemaError; semantically wrong but well-formed certificates parse
 fine and are left for the verifier to flag.
 
-There is one reader, flat_from_dict.  It checks the object, header first,
-and gives each class as a model.FlatClass of flat vertex ids, making no
-Vertex; every SchemaError comes from it, in one order: a block's shape,
-then each vertex's shape, the types and then the signs of its
-coordinates, then a loop edge, duplicate leaves or a center that is also
-a leaf.  It puts each block in the canonical order of Edge and StarBlock
-(endpoints, and a star's leaves after its center, in (base, level)
-order), which the verifier's samples rely on: NOT_DISJOINT names the
-first shared vertex in that order.  `starurd verify` audits its output
-as it stands (loads_flat); from_dict and loads build the Decomposition
-from it, with one Vertex per vertex of the certificate.
+There is one reader, from_dict (loads on text).  It checks the object,
+header first, and returns the Decomposition with each class as a
+model.FlatClass of flat vertex ids, making no Vertex; every SchemaError
+comes from it, in one order: a block's shape, then each vertex's shape,
+the types and then the signs of its coordinates, then a loop edge,
+duplicate leaves or a center that is also a leaf.  It puts each block in
+the canonical order of Edge and StarBlock (endpoints, and a star's leaves
+after its center, in (base, level) order), which the verifier's samples
+rely on: NOT_DISJOINT names the first shared vertex in that order.
+`starurd verify` audits what it returns as it stands.
 
-dumps writes the text of json.dumps(to_dict(d), indent=1) without building
-the dict: each vertex is rendered once per indent depth it appears at, and
-the block, class and top-level texts are joined from those strings.
-to_dict is the dict form of the same schema.
+The writers render from the same flat ids, each id as the (base, level)
+pair it names (_key).  dumps writes the text of
+json.dumps(to_dict(d), indent=1) without building the dict: each vertex
+is rendered once per indent depth it appears at, and the block, class and
+top-level texts are joined from those strings.  to_dict is the dict form
+of the same schema.
 """
 
 from __future__ import annotations
 
 import json
 
-from .model import (
-    KINDS,
-    Decomposition,
-    Edge,
-    FactorClass,
-    FlatClass,
-    Params,
-    StarBlock,
-    Vertex,
-    vertex_from_flat,
-)
+from .model import KINDS, Decomposition, FlatClass, Params, vertex_from_flat
 
 SCHEMA_VERSION = "1"
 
@@ -59,19 +50,13 @@ class SchemaError(ValueError):
 
 
 def to_dict(d: Decomposition) -> dict:
+    w = d.params.n + 1
     classes = []
-    for fc in d.classes:
+    for fc in d.flat:
         blocks = []
-        for b in fc.blocks:
-            if isinstance(b, Edge):
-                blocks.append([[b.u.base, b.u.level], [b.v.base, b.v.level]])
-            else:
-                blocks.append(
-                    {
-                        "center": [b.center.base, b.center.level],
-                        "leaves": [[leaf.base, leaf.level] for leaf in b.leaves],
-                    }
-                )
+        for ids, star in zip(fc.blocks(), fc.stars):
+            pairs = [list(_key(k, w)) for k in ids]
+            blocks.append({"center": pairs[0], "leaves": pairs[1:]} if star else pairs)
         classes.append({"kind": fc.kind, "blocks": blocks})
     return {
         "version": SCHEMA_VERSION,
@@ -167,10 +152,9 @@ def _checked_class(blocks: list, where: str, m: int, w: int) -> tuple[list, list
     return ids, bounds, stars, foreign
 
 
-def flat_from_dict(obj) -> tuple[Params, int, int, list[FlatClass]]:
-    """Check a certificate's JSON object against the schema and return its
-    flat form: the header Params, the claimed r and s, and each class as a
-    FlatClass.
+def from_dict(obj) -> Decomposition:
+    """Check a certificate's JSON object against the schema and return it
+    as a Decomposition of FlatClass classes.
 
     Every SchemaError comes from here.  The header is checked in full
     before any class, so each block is read knowing m and n.
@@ -202,33 +186,6 @@ def flat_from_dict(obj) -> tuple[Params, int, int, list[FlatClass]]:
             raise SchemaError(f"{where}: blocks must be a list")
         ids, bounds, stars, foreign = _checked_class(cobj["blocks"], where, m, w)
         classes.append(FlatClass(cobj["kind"], tuple(ids), tuple(bounds), bytes(stars), foreign))
-    return params, r, s, classes
-
-
-class _Vertices(dict):
-    """id -> its Vertex, made once per certificate read."""
-
-    def __init__(self, weight: int):
-        super().__init__()
-        self.weight = weight
-
-    def __missing__(self, k) -> Vertex:
-        vertex = self[k] = vertex_from_flat(k, self.weight)
-        return vertex
-
-
-def from_dict(obj) -> Decomposition:
-    params, r, s, flat = flat_from_dict(obj)
-    vertices = _Vertices(params.weight)
-    classes = []
-    for fc in flat:
-        blocks = []
-        for ids, star in zip(fc.blocks(), fc.stars):
-            if star:
-                blocks.append(StarBlock(vertices[ids[0]], tuple(vertices[k] for k in ids[1:])))
-            else:
-                blocks.append(Edge(vertices[ids[0]], vertices[ids[1]]))
-        classes.append(FactorClass(fc.kind, tuple(blocks)))
     return Decomposition(params, tuple(classes), r, s)
 
 
@@ -242,34 +199,41 @@ def _join(brackets: str, items: list[str], depth: int) -> str:
 
 
 class _Rendered(dict):
-    """(base, level) -> the text of that vertex at one depth, made once."""
+    """id -> render(base, level) of the vertex it names, made once."""
 
-    def __init__(self, depth: int):
+    def __init__(self, render, weight: int):
         super().__init__()
-        self.depth = depth
+        self.render = render
+        self.weight = weight
 
-    def __missing__(self, key: tuple[int, int]) -> str:
-        text = self[key] = _join("[]", [str(key[0]), str(key[1])], self.depth)
+    def __missing__(self, k) -> str:
+        text = self[k] = self.render(*_key(k, self.weight))
         return text
+
+
+def _pair_at(depth: int):
+    """The renderer of a [base, level] pair whose brackets sit at depth."""
+    return lambda base, level: _join("[]", [str(base), str(level)], depth)
 
 
 def dumps(d: Decomposition) -> str:
     """The text of json.dumps(to_dict(d), indent=1)."""
-    at5, at6 = _Rendered(5), _Rendered(6)  # endpoints and centers; leaves
+    w = d.params.n + 1
+    # endpoints and centers; leaves
+    at5, at6 = _Rendered(_pair_at(5), w), _Rendered(_pair_at(6), w)
     classes = []
-    for fc in d.classes:
+    for fc in d.flat:
         blocks = []
-        for b in fc.blocks:
-            if isinstance(b, Edge):
-                u, w = b.u, b.v
-                # _join("[]", [endpoint texts], 4), written out: the hot path
-                blocks.append(f"[\n     {at5[u.base, u.level]},\n     {at5[w.base, w.level]}\n    ]")
-            else:
-                c = b.center
-                leaves = [at6[leaf.base, leaf.level] for leaf in b.leaves]
+        for ids, star in zip(fc.blocks(), fc.stars):
+            if star:
+                leaves = [at6[k] for k in ids[1:]]
                 blocks.append(_join("{}", [
-                    f'"center": {at5[c.base, c.level]}', f'"leaves": {_join("[]", leaves, 5)}'
+                    f'"center": {at5[ids[0]]}', f'"leaves": {_join("[]", leaves, 5)}'
                 ], 4))
+            else:
+                a, b = ids
+                # _join("[]", [endpoint texts], 4), written out: the hot path
+                blocks.append(f"[\n     {at5[a]},\n     {at5[b]}\n    ]")
         classes.append(_join("{}", [
             f'"kind": {json.dumps(fc.kind)}', f'"blocks": {_join("[]", blocks, 3)}'
         ], 2))
@@ -299,26 +263,21 @@ def loads(text: str) -> Decomposition:
     return from_dict(_json(text))
 
 
-def loads_flat(text: str) -> tuple[Params, int, int, list[FlatClass]]:
-    """flat_from_dict of a certificate's text: what `starurd verify` audits."""
-    return flat_from_dict(_json(text))
-
-
 def to_text(d: Decomposition) -> str:
     """Human-readable listing, one class per paragraph.  Not machine-parsed."""
     out = [
         f"decomposition of K_{d.params.v} "
         f"(v={d.params.v} n={d.params.n} m={d.params.m} r={d.r} s={d.s})"
     ]
-    for ci, fc in enumerate(d.classes, start=1):
+    name = _Rendered("({},{})".format, d.params.n + 1)
+    for ci, fc in enumerate(d.flat, start=1):
         out.append("")
         out.append(f"class {ci}: {fc.kind}")
-        for b in fc.blocks:
-            if isinstance(b, Edge):
-                u, w = b.endpoints()
-                out.append(f"  ({u.base},{u.level})-({w.base},{w.level})")
+        for ids, star in zip(fc.blocks(), fc.stars):
+            if star:
+                out.append(f"  center {name[ids[0]]}: {' '.join([name[k] for k in ids[1:]])}")
             else:
-                leaves = " ".join(f"({l.base},{l.level})" for l in b.leaves)
-                out.append(f"  center ({b.center.base},{b.center.level}): {leaves}")
+                a, b = ids
+                out.append(f"  {name[a]}-{name[b]}")
     out.append("")
     return "\n".join(out)

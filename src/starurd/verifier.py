@@ -5,13 +5,13 @@ certificate makes is re-derived from the blocks themselves.  All failures
 are reported as (code, detail) violations; nothing raises on hostile
 input.
 
-One audit core checks a certificate of K_v on flat vertex ids
-base*(n+1)+level, one model.FlatClass at a time.  It has two entries:
-`verify_flat` audits the classes of `serialize.loads_flat` as they stand
-(this is `starurd verify`), and `verify` flattens each class of a
-Decomposition just before its turn (the build's self-check and the
-library API), so that only one flat class is held at a time.  The ids of
-each block come in the canonical order of Edge and StarBlock, and the
+The audit checks a certificate of K_v on flat vertex ids
+base*(n+1)+level, one model.FlatClass at a time: `verify` takes the
+classes of a Decomposition as it stores them, whether they came from the
+JSON reader (`starurd verify`), from the construction (the build's
+self-check) or from a FactorClass flattened on the way in (the library
+API).  It never reads the object view `Decomposition.classes`.  The ids
+of each block come in the canonical order of Edge and StarBlock, and the
 samples follow it: NOT_DISJOINT names the first vertex of a block, in
 that order, that an earlier block of its class holds.
 
@@ -51,40 +51,11 @@ from .model import (
     WRONG_KIND,
     Decomposition,
     Edge,
-    FactorClass,
     FlatClass,
     Params,
-    StarBlock,
     VerificationReport,
     vertex_from_flat,
 )
-
-
-def _flatten(fc: FactorClass, m: int, w: int) -> FlatClass:
-    """fc as a FlatClass.  A block that is neither an Edge nor a StarBlock
-    becomes a block of the other shape than the class kind with no
-    vertices: the audit reports it as of the wrong kind and nothing else."""
-    ids, bounds, stars = [], [0], bytearray()
-    foreign = False
-    for b in fc.blocks:
-        if isinstance(b, Edge):
-            ends, star = (b.u, b.v), 0
-        elif isinstance(b, StarBlock):
-            ends, star = (b.center, *b.leaves), 1
-        else:
-            ends, star = (), int(fc.kind == ONE_FACTOR)
-        block = [u.base * w + u.level for u in ends if 0 <= u.base < m and 0 <= u.level < w]
-        if len(block) != len(ends):
-            foreign = True
-            block = [
-                u.base * w + u.level if 0 <= u.base < m and 0 <= u.level < w
-                else (u.base, u.level)
-                for u in ends
-            ]
-        ids += block
-        bounds.append(len(ids))
-        stars.append(star)
-    return FlatClass(fc.kind, tuple(ids), tuple(bounds), bytes(stars), foreign)
 
 
 def _audit_flat_class(
@@ -204,22 +175,8 @@ def _audit_flat_edges(
 
 
 def verify(d: Decomposition) -> VerificationReport:
-    """Audit a claimed decomposition of K_v, one class at a time on flat ids."""
-    p = d.params
-    kinds = [fc.kind for fc in d.classes]
-    return _audit(p, d.r, d.s, kinds, (_flatten(fc, p.m, p.n + 1) for fc in d.classes))
-
-
-def verify_flat(params: Params, r: int, s: int, classes: list[FlatClass]) -> VerificationReport:
-    """Audit a claimed decomposition of K_v given on flat ids, as
-    `serialize.loads_flat` reads it."""
-    return _audit(params, r, s, [fc.kind for fc in classes], classes)
-
-
-def _audit(p: Params, r: int, s: int, kinds: list[str], classes) -> VerificationReport:
-    """The audit of both entries: kinds holds each class's kind, and
-    classes gives the FlatClass of each in turn, which is audited before
-    the next is taken."""
+    """Audit a claimed decomposition of K_v on its flat classes."""
+    p, r, s, classes = d.params, d.r, d.s, d.flat
     violations: list[tuple[str, str]] = []
     n, v = p.n, p.v
 
@@ -236,6 +193,7 @@ def _audit(p: Params, r: int, s: int, kinds: list[str], classes) -> Verification
             )
         )
 
+    kinds = [fc.kind for fc in classes]
     actual_r, actual_s = kinds.count(ONE_FACTOR), kinds.count(STAR_FACTOR)
     if (actual_r, actual_s) != (r, s):
         violations.append(

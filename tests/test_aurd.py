@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from reference_verifier import block_vertices, edges_of_block
 from starurd.aurd import matching_aurd, star_aurd, weighted_one_factor_aurd
 from starurd.blowup import WeightedCycle, WeightedOneFactor
-from starurd.model import Edge, ONE_FACTOR, STAR_FACTOR, StarBlock, Vertex, vertex_from_flat
+from starurd.model import Edge, ONE_FACTOR, STAR_FACTOR, StarBlock, Vertex
 
 
 def host_of_cycle(base, w):
@@ -268,9 +268,8 @@ def test_class_that_does_not_span_raises():
     from starurd.model import ConstructionError
 
     # (0, 0), (0, 1), (1, 0), (1, 1) at weight 4; the edge (0, 0)-(1, 1)
-    vertex = {u: vertex_from_flat(u, 4) for u in (0, 1, 4, 5)}
     with pytest.raises(ConstructionError, match="not spanning: 2 of 4") as info:
-        _class(ONE_FACTOR, [(0, 5)], vertex, 4, "T@k=0")
+        _class(ONE_FACTOR, [(0, 5)], {0, 1, 4, 5}, 4, "T@k=0")
     assert info.value.family == "T@k=0"
 
 
@@ -309,13 +308,13 @@ def test_class_orders_blocks_as_the_dataclass_order(rnd, shape, m, w):
     # _class sorts flat ids; the order must be that of sorted(blocks), and a
     # doubly covered vertex must be the one the dataclass order finds
     from starurd.aurd import _class
-    from starurd.model import ConstructionError
+    from starurd.model import ConstructionError, factor_classes
 
     kind = ONE_FACTOR if shape == "edge" else STAR_FACTOR
     vertex = {x * w + i: Vertex(x, i) for x in range(m) for i in range(w)}
     blocks = _spanning(rnd, shape, m, w)
-    built = _class(kind, [_flat(rnd, b, w) for b in blocks], vertex, w, "T").blocks
-    assert built == tuple(sorted(blocks))
+    built = _class(kind, [_flat(rnd, b, w) for b in blocks], set(vertex), w, "T")
+    assert factor_classes((built,), w)[0].blocks == tuple(sorted(blocks))
 
     extra = rnd.sample(sorted(vertex), 2 if shape == "edge" else min(len(vertex), 4))
     extra = [vertex[u] for u in extra]
@@ -328,7 +327,7 @@ def test_class_orders_blocks_as_the_dataclass_order(rnd, shape, m, w):
                 expected = f"[T] vertex {v} covered twice"
             seen.add(v)
     with pytest.raises(ConstructionError) as info:
-        _class(kind, [_flat(rnd, b, w) for b in blocks], vertex, w, "T")
+        _class(kind, [_flat(rnd, b, w) for b in blocks], set(vertex), w, "T")
     assert str(info.value) == expected
 
 

@@ -194,7 +194,7 @@ def test_build_assembly_count_assertion_exits_five(capsys, monkeypatch, tmp_path
 
     def short_fill(m, n):
         out = real(m, n)
-        return SimpleNamespace(classes=out.classes[:-1])
+        return SimpleNamespace(flat=out.flat[:-1])
 
     monkeypatch.setattr(assembler, "fill_odd", short_fill)
     err = _build_exits_five(capsys, tmp_path, "--ell", "0")
@@ -320,6 +320,28 @@ def test_verify_makes_no_vertex_edge_or_star_object(capsys, tmp_path, monkeypatc
     code, out, err = run(capsys, "verify", "--in", str(path))
     assert (code, err) == (0, "")
     assert out == f"PASS: valid decomposition of K_24 with r={d.r}, s={d.s}\n"
+
+
+def test_commands_make_no_edge_or_star_object(capsys, tmp_path, monkeypatch):
+    # classes are kept on flat ids: build, its self-check and its writer,
+    # verify and search make Edge and StarBlock objects only on request
+    from starurd.model import Edge, StarBlock
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} made")
+
+    for cls in (Edge, StarBlock):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    builds = {
+        "odd-m": ("--v", "12", "--n", "3", "--ell", "0"),
+        "even-m": ("--v", "16", "--n", "3", "--ell", "1"),
+        "one-factorization": ("--v", "8", "--n", "3", "--r", "7", "--s", "0"),
+    }
+    for name, flags in builds.items():
+        path = tmp_path / f"{name}.json"
+        assert run(capsys, "build", *flags, "--out", str(path))[0] == 0, name
+    assert run(capsys, "verify", "--in", str(tmp_path / "even-m.json"))[0] == 0
+    assert run(capsys, "search", "--v", "8", "--n", "3", "--r", "1", "--s", "4")[0] == 0
 
 
 def test_file_io_does_not_depend_on_the_locale(tmp_path):

@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from reference_verifier import block_vertices
 from starurd.assembler import BuildRequest, construct
-from starurd.model import Vertex
+from starurd.model import Decomposition, Vertex
 from starurd.serialize import SchemaError, dumps, from_dict, loads, to_dict, to_text
 
 
-@pytest.mark.parametrize("request_args", [(12, 3, 0), (12, 3, 1), (16, 3, 0), (24, 5, 0)])
+@pytest.mark.parametrize("request_args", [
+    (12, 3, 0), (12, 3, 1), (16, 3, 0), (24, 5, 0), (48, 7, 1), (56, 7, 3),
+])
 def test_json_round_trip(request_args):
+    # the object view flattens back to the stored classes, and both read
+    # back from the file
     d = construct(BuildRequest(*request_args))
-    assert loads(dumps(d)) == d
+    assert Decomposition(d.params, d.classes, d.r, d.s) == d == loads(dumps(d))
 
 
 def test_dict_shape():

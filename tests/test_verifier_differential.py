@@ -58,9 +58,12 @@ def assert_same(d):
 
 
 def with_classes(d, classes, r=None, s=None):
-    return Decomposition(
+    out = Decomposition(
         d.params, tuple(classes), d.r if r is None else r, d.s if s is None else s
     )
+    # the reference audits the object view: it must be the objects built here
+    assert out.classes == tuple(classes)
+    return out
 
 
 def _ones(classes):
@@ -363,7 +366,9 @@ def test_cli_verify_of_written_files_agrees(tmp_path, capsys):
 
 def _hostile(v, n, classes=(), r=None, s=0):
     params = Params(v, n, v // (n + 1))
-    return Decomposition(params, tuple(classes), v - 1 if r is None else r, s)
+    d = Decomposition(params, tuple(classes), v - 1 if r is None else r, s)
+    assert d.classes == tuple(classes)
+    return d
 
 
 def _traced(d):
