@@ -18,7 +18,7 @@ nonexistence; the search module exists to probe such cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import _require_odd_n
 
@@ -27,20 +27,14 @@ ADMISSIBLE_UNRESOLVED = "ADMISSIBLE_UNRESOLVED"
 INADMISSIBLE = "INADMISSIBLE"
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(namedtuple("AdmissiblePair", "r s x")):
     """An (r, s) pair passing the necessary conditions, with its witness x."""
 
-    r: int
-    s: int
-    x: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoverageVerdict:
-    status: str
-    reason: str
-    ell: int | None = None
+class CoverageVerdict(namedtuple("CoverageVerdict", "status reason ell", defaults=(None,))):
+    __slots__ = ()
 
 
 def _require_args(v: int, n: int) -> None:

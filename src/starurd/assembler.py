@@ -18,7 +18,7 @@ Equal requests produce structurally identical decompositions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import admissibility
 from .aurd import _output, matching_aurd, star_aurd, weighted_one_factor_aurd
@@ -36,22 +36,20 @@ class PairNotConstructive(ValueError):
         self.verdict = verdict
 
 
-@dataclass(frozen=True)
-class BuildRequest:
+class BuildRequest(namedtuple("BuildRequest", "v n ell")):
     """The ell-knob construction of K_v; needs m >= 3 (`construct_pair`
     builds the one-factorization of K_v for m in {1, 2})."""
 
-    v: int
-    n: int
-    ell: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        params = Params.for_order(self.v, self.n)
+    def __new__(cls, v: int, n: int, ell: int):
+        params = Params.for_order(v, n)
         if params.m < 3:
             raise ValueError(f"need m >= 3, got m={params.m}")
-        t, _ = admissibility.construction_range(params.m, self.n)
-        if not 0 <= self.ell <= t:
-            raise ValueError(f"ell={self.ell} out of range 0..{t} for m={params.m}")
+        t, _ = admissibility.construction_range(params.m, n)
+        if not 0 <= ell <= t:
+            raise ValueError(f"ell={ell} out of range 0..{t} for m={params.m}")
+        return tuple.__new__(cls, (v, n, ell))
 
     @property
     def params(self) -> Params:

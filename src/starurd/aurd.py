@@ -63,10 +63,10 @@ is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable
 
 from .blowup import WeightedCycle, WeightedOneFactor
 from .model import (
@@ -80,19 +80,15 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class AurdOutput:
+class AurdOutput(namedtuple("AurdOutput", "flat sources weight")):
     """Factor classes on the flat ids of a weight-`weight` blow-up, plus
     the construction family that produced each; classes is their object
-    view, built on request."""
+    view, built on request and cached on the instance."""
 
-    flat: tuple[FlatClass, ...]
-    sources: tuple[str, ...]
-    weight: int
-
-    def __post_init__(self):
-        if len(self.flat) != len(self.sources):
+    def __new__(cls, flat: tuple[FlatClass, ...], sources: tuple[str, ...], weight: int):
+        if len(flat) != len(sources):
             raise ValueError("one source tag per class required")
+        return tuple.__new__(cls, (flat, sources, weight))
 
     @cached_property
     def classes(self) -> tuple[FactorClass, ...]:

@@ -13,27 +13,26 @@ base cycle, not just (0, 1, ..., m-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .model import Vertex
 from .seeds import Matching, _pair
 
 
-@dataclass(frozen=True)
-class WeightedCycle:
+class WeightedCycle(namedtuple("WeightedCycle", "base weight")):
     """A base m-cycle blown up by the given weight."""
 
-    base: tuple[int, ...]
-    weight: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
-        if len(self.base) < 3:
-            raise ValueError(f"cycle needs >= 3 base points, got {len(self.base)}")
-        if len(set(self.base)) != len(self.base):
+    def __new__(cls, base: tuple[int, ...], weight: int):
+        base = tuple(base)
+        if len(base) < 3:
+            raise ValueError(f"cycle needs >= 3 base points, got {len(base)}")
+        if len(set(base)) != len(base):
             raise ValueError("cycle base points must be distinct")
-        if self.weight < 2:
-            raise ValueError(f"weight must be >= 2, got {self.weight}")
+        if weight < 2:
+            raise ValueError(f"weight must be >= 2, got {weight}")
+        return tuple.__new__(cls, (base, weight))
 
     @property
     def m(self) -> int:
@@ -43,27 +42,25 @@ class WeightedCycle:
         return [Vertex(x, i) for x in self.base for i in range(self.weight)]
 
 
-@dataclass(frozen=True)
-class WeightedOneFactor:
+class WeightedOneFactor(namedtuple("WeightedOneFactor", "base_matching weight")):
     """A base perfect matching blown up by the given weight.
 
     Pairs are stored canonically (smaller point first); difference
     arithmetic orients each pair from its smaller to its larger point.
     """
 
-    base_matching: Matching
-    weight: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        pairs = tuple(sorted(_pair(a, b) for a, b in self.base_matching))
+    def __new__(cls, base_matching: Matching, weight: int):
+        pairs = tuple(sorted(_pair(a, b) for a, b in base_matching))
         points = [p for pair in pairs for p in pair]
         if len(set(points)) != len(points):
             raise ValueError("base matching pairs are not disjoint")
         if not pairs:
             raise ValueError("base matching is empty")
-        if self.weight < 2:
-            raise ValueError(f"weight must be >= 2, got {self.weight}")
-        object.__setattr__(self, "base_matching", pairs)
+        if weight < 2:
+            raise ValueError(f"weight must be >= 2, got {weight}")
+        return tuple.__new__(cls, (pairs, weight))
 
     def vertices(self) -> list[Vertex]:
         points = sorted(p for pair in self.base_matching for p in pair)

@@ -15,6 +15,9 @@ Exit codes are stable:
 No command writes partial output: a payload is rendered fully before its
 file is touched, and each command's stdout text, help included, is
 rendered fully and written once, through the same writer as the files.
+
+Each command imports the layers it runs when it runs, so that `verify`
+does not pay for importing the construction or the search.
 """
 
 from __future__ import annotations
@@ -24,11 +27,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import admissibility, serialize
-from .assembler import BuildRequest, PairNotConstructive, construct, construct_pair
 from .model import ConstructionError, _require_odd_n
-from .search import BUDGET_EXCEEDED, FOUND, NOT_FOUND_EXHAUSTED, exhaustive_urd
-from .verifier import verify
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,6 +84,8 @@ def _print(lines: list[str], code: int) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import admissibility
+
     problem = _check_vn(args.v, args.n)
     if problem:
         return _usage_error(problem)
@@ -115,6 +116,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import serialize
+    from .assembler import BuildRequest, PairNotConstructive, construct, construct_pair
+    from .verifier import verify
+
     problem = _check_vn(args.v, args.n)
     if problem:
         return _usage_error(problem)
@@ -163,6 +168,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import serialize
+    from .verifier import verify
+
     try:
         text = Path(args.infile).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -185,6 +193,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import serialize
+    from .search import BUDGET_EXCEEDED, FOUND, NOT_FOUND_EXHAUSTED, exhaustive_urd
+
     problem = _check_vn(args.v, args.n)
     if problem:
         return _usage_error(problem)

@@ -22,13 +22,17 @@ factors forces (n+1)*r + 2*n*s = (n+1)*(v-1).  It is checked exactly,
 never with a tolerance.
 
 All types are immutable after construction and safe to share between
-threads.  Vertex, Edge and StarBlock use __slots__: a view holds many of
-them.
+threads.  Each record is a namedtuple subclass that checks or
+canonicalizes its fields in __new__.  Its repr is Name(field=value, ...);
+its hash and its order are those of the tuple of its fields, and it
+equals that plain tuple (and so any record with equal fields).  All but
+Decomposition, whose `classes` view is cached on the instance, have no
+instance __dict__.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 ONE_FACTOR = "one_factor"
@@ -65,20 +69,18 @@ def _require_odd_n(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be odd and >= 3, got {n}")
 
 
-@dataclass(frozen=True, order=True)
-class Params:
+class Params(namedtuple("Params", "v n m")):
     """Order data: v = m*(n+1) with n odd, n >= 3."""
 
-    v: int
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_odd_n(self.n)
-        if self.m < 1:
-            raise ValueError(f"m must be positive, got {self.m}")
-        if self.v != self.m * (self.n + 1):
-            raise ValueError(f"v={self.v} is not m*(n+1)={self.m * (self.n + 1)}")
+    def __new__(cls, v: int, n: int, m: int):
+        _require_odd_n(n)
+        if m < 1:
+            raise ValueError(f"m must be positive, got {m}")
+        if v != m * (n + 1):
+            raise ValueError(f"v={v} is not m*(n+1)={m * (n + 1)}")
+        return tuple.__new__(cls, (v, n, m))
 
     @classmethod
     def for_order(cls, v: int, n: int) -> "Params":
@@ -92,10 +94,8 @@ class Params:
         return self.n + 1
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Vertex:
-    base: int
-    level: int
+class Vertex(namedtuple("Vertex", "base level")):
+    __slots__ = ()
 
 
 def vertex_from_flat(index: int | tuple[int, int], weight: int) -> Vertex:
@@ -106,72 +106,62 @@ def vertex_from_flat(index: int | tuple[int, int], weight: int) -> Vertex:
     return Vertex(index // weight, index % weight)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Edge:
+class Edge(namedtuple("Edge", "u v")):
     """Unordered pair of distinct vertices, stored in canonical sorted order."""
 
-    u: Vertex
-    v: Vertex
+    __slots__ = ()
 
-    def __post_init__(self):
-        # the Vertex order, on (base, level) tuples
-        u, v = self.u, self.v
-        if (v.base, v.level) <= (u.base, u.level):
-            if (v.base, v.level) == (u.base, u.level):
+    def __new__(cls, u: Vertex, v: Vertex):
+        if v <= u:
+            if v == u:
                 raise ValueError(f"loop edge at {u}")
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
+            u, v = v, u
+        return tuple.__new__(cls, (u, v))
 
     def endpoints(self) -> tuple[Vertex, Vertex]:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class StarBlock:
+class StarBlock(namedtuple("StarBlock", "center leaves")):
     """An n-star: the edges {center, leaf} for each leaf.
 
     Leaves are stored sorted, so two stars are equal exactly when their edge
     sets are equal.
     """
 
-    center: Vertex
-    leaves: tuple[Vertex, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        # the Vertex order and equality, on (base, level) tuples
-        keyed = sorted(((leaf.base, leaf.level), leaf) for leaf in self.leaves)
-        if not keyed:
+    def __new__(cls, center: Vertex, leaves: tuple[Vertex, ...]):
+        leaves = tuple(sorted(leaves))
+        if not leaves:
             raise ValueError("star needs at least one leaf")
-        keys = {key for key, _ in keyed}
-        if len(keys) != len(keyed):
-            raise ValueError(f"duplicate leaves in star at {self.center}")
-        if (self.center.base, self.center.level) in keys:
-            raise ValueError(f"star center {self.center} repeated as leaf")
-        object.__setattr__(self, "leaves", tuple(leaf for _, leaf in keyed))
+        distinct = set(leaves)
+        if len(distinct) != len(leaves):
+            raise ValueError(f"duplicate leaves in star at {center}")
+        if center in distinct:
+            raise ValueError(f"star center {center} repeated as leaf")
+        return tuple.__new__(cls, (center, leaves))
 
 
 Block = Edge | StarBlock
 
 
-@dataclass(frozen=True)
-class FactorClass:
+class FactorClass(namedtuple("FactorClass", "kind blocks")):
     """One resolution class: blocks of a single kind, meant to span K_v.
 
     Only the kind label is validated here; disjointness and spanning are the
     verifier's job, so that hostile input can be represented and audited.
     """
 
-    kind: str
-    blocks: tuple[Block, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown class kind {self.kind!r}")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
+    def __new__(cls, kind: str, blocks: tuple[Block, ...]):
+        if kind not in KINDS:
+            raise ValueError(f"unknown class kind {kind!r}")
+        return tuple.__new__(cls, (kind, tuple(blocks)))
 
 
-@dataclass(frozen=True, slots=True)
-class FlatClass:
+class FlatClass(namedtuple("FlatClass", "kind ids bounds stars foreign")):
     """One resolution class on flat ids: the form every class is kept in.
 
     ids holds the vertex ids of every block, block after block: block i
@@ -187,11 +177,7 @@ class FlatClass:
     or spanning.
     """
 
-    kind: str
-    ids: tuple
-    bounds: tuple[int, ...]
-    stars: bytes
-    foreign: bool
+    __slots__ = ()
 
     @classmethod
     def of(cls, fc: FactorClass, m: int, w: int) -> "FlatClass":
@@ -243,8 +229,7 @@ def factor_classes(flat, w: int) -> tuple[FactorClass, ...]:
     return tuple(classes)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "params flat r s")):
     """A claimed decomposition of K_v: the certificate the verifier audits.
 
     flat holds each class as a FlatClass; a FactorClass given in its place
@@ -255,16 +240,10 @@ class Decomposition:
     actual class kinds.
     """
 
-    params: Params
-    flat: tuple[FlatClass, ...]
-    r: int
-    s: int
-
-    def __post_init__(self):
-        m, w = self.params.m, self.params.n + 1
-        object.__setattr__(self, "flat", tuple(
-            fc if isinstance(fc, FlatClass) else FlatClass.of(fc, m, w) for fc in self.flat
-        ))
+    def __new__(cls, params: Params, flat: tuple[FlatClass, ...], r: int, s: int):
+        m, w = params.m, params.n + 1
+        flat = tuple(fc if isinstance(fc, FlatClass) else FlatClass.of(fc, m, w) for fc in flat)
+        return tuple.__new__(cls, (params, flat, r, s))
 
     @cached_property
     def classes(self) -> tuple[FactorClass, ...]:
@@ -278,10 +257,8 @@ class Decomposition:
         return cls(params, classes, r, s)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    passed: bool
-    violations: tuple[tuple[str, str], ...]
+class VerificationReport(namedtuple("VerificationReport", "passed violations")):
+    __slots__ = ()
 
     @classmethod
     def from_violations(cls, violations) -> "VerificationReport":

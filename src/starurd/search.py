@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from . import admissibility
@@ -76,15 +76,13 @@ NOT_FOUND_EXHAUSTED = "NOT_FOUND_EXHAUSTED"
 BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    """Result of one search run."""
+class SearchOutcome(namedtuple(
+    "SearchOutcome", "status witness nodes_explored elapsed reason", defaults=(None,)
+)):
+    """Result of one search run: status, witness (a Decomposition or None),
+    nodes_explored, elapsed seconds and reason (a str or None)."""
 
-    status: str
-    witness: Decomposition | None
-    nodes_explored: int
-    elapsed: float
-    reason: str | None = None
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:

@@ -18,7 +18,7 @@ Everything returned is in canonical form: pairs sorted, factors sorted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 Pair = tuple[int, int]
 Matching = tuple[Pair, ...]
@@ -32,22 +32,17 @@ def _canon_matching(pairs) -> Matching:
     return tuple(sorted(_pair(a, b) for a, b in pairs))
 
 
-@dataclass(frozen=True)
-class HamDecomposition:
+class HamDecomposition(namedtuple("HamDecomposition", "m cycles leftover_matching")):
     """Edge partition of K_m into Hamiltonian cycles (plus a perfect
     matching when m is even)."""
 
-    m: int
-    cycles: tuple[tuple[int, ...], ...]
-    leftover_matching: Matching | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class OneFactorization:
+class OneFactorization(namedtuple("OneFactorization", "k factors")):
     """Edge partition of K_k into k-1 perfect matchings."""
 
-    k: int
-    factors: tuple[Matching, ...]
+    __slots__ = ()
 
 
 def hamiltonian_decomposition(m: int) -> HamDecomposition:

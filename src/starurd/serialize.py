@@ -38,6 +38,7 @@ of the same schema.
 
 from __future__ import annotations
 
+import gc
 import json
 
 from .model import KINDS, Decomposition, FlatClass, Params, vertex_from_flat
@@ -260,7 +261,17 @@ def _json(text: str):
 
 
 def loads(text: str) -> Decomposition:
-    return from_dict(_json(text))
+    """from_dict of the JSON text, with the cyclic GC off while it runs:
+    the parsed certificate and the classes read from it hold no cycles,
+    and GC passes over their many lists would only walk them.  A GC the
+    caller had enabled is enabled again, whatever loads raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return from_dict(_json(text))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def to_text(d: Decomposition) -> str:

@@ -142,13 +142,13 @@ def test_build_needs_ell_or_pair(capsys):
 
 
 def test_build_internal_failure_exits_five(capsys, monkeypatch, tmp_path):
-    import starurd.cli as cli
+    from starurd import assembler
     from starurd.model import ConstructionError
 
     def boom(req):
         raise ConstructionError("B1a@d=1", "induced failure")
 
-    monkeypatch.setattr(cli, "construct", boom)
+    monkeypatch.setattr(assembler, "construct", boom)
     path = tmp_path / "never.json"
     code, _, err = run(
         capsys, "build", "--v", "12", "--n", "3", "--ell", "0", "--out", str(path)
@@ -159,11 +159,11 @@ def test_build_internal_failure_exits_five(capsys, monkeypatch, tmp_path):
 
 
 def test_build_self_verify_failure_exits_five(capsys, monkeypatch, tmp_path):
-    import starurd.cli as cli
+    from starurd import verifier
     from starurd.model import VerificationReport
 
     monkeypatch.setattr(
-        cli,
+        verifier,
         "verify",
         lambda d: VerificationReport(False, (("MISSING_EDGE", "induced"),)),
     )
@@ -310,11 +310,11 @@ def test_verify_makes_no_vertex_edge_or_star_object(capsys, tmp_path, monkeypatc
     path = tmp_path / "d.json"
     path.write_text(dumps(d), encoding="utf-8")
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"{type(self).__name__} made on the verify path")
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} made on the verify path")
 
     for cls in (Vertex, Edge, StarBlock):
-        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "__new__", refuse)
         with pytest.raises(AssertionError):
             cls(Vertex, Vertex)
     code, out, err = run(capsys, "verify", "--in", str(path))
@@ -327,11 +327,11 @@ def test_commands_make_no_edge_or_star_object(capsys, tmp_path, monkeypatch):
     # verify and search make Edge and StarBlock objects only on request
     from starurd.model import Edge, StarBlock
 
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__} made")
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError(f"{cls.__name__} made")
 
     for cls in (Edge, StarBlock):
-        monkeypatch.setattr(cls, "__post_init__", refuse)
+        monkeypatch.setattr(cls, "__new__", refuse)
     builds = {
         "odd-m": ("--v", "12", "--n", "3", "--ell", "0"),
         "even-m": ("--v", "16", "--n", "3", "--ell", "1"),

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 
@@ -35,6 +36,36 @@ def test_dict_shape():
     star = obj["classes"][-1]
     assert star["kind"] == "star_factor"
     assert all(set(b) == {"center", "leaves"} for b in star["blocks"])
+
+
+@pytest.mark.parametrize("text,error", [
+    (dumps(construct(BuildRequest(12, 3, 0))), None),
+    ("{", SchemaError),
+    ('{"version": "1"}', SchemaError),
+], ids=["valid", "not-json", "schema-error"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_loads_reads_with_the_gc_off_and_restores_its_state(monkeypatch, text, error, enabled):
+    import starurd.serialize as serialize
+
+    real, during = serialize.from_dict, []
+
+    def from_dict(obj):
+        during.append(gc.isenabled())
+        return real(obj)
+
+    monkeypatch.setattr(serialize, "from_dict", from_dict)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            loads(text)
+        else:
+            with pytest.raises(error):
+                loads(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert not any(during)
 
 
 def test_not_json_rejected():
