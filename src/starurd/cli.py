@@ -86,9 +86,6 @@ def _print(lines: list[str], code: int) -> int:
 def cmd_check(args) -> int:
     from . import admissibility
 
-    problem = _check_vn(args.v, args.n)
-    if problem:
-        return _usage_error(problem)
     if (args.r is None) != (args.s is None):
         return _usage_error("--r and --s must be given together")
 
@@ -120,9 +117,6 @@ def cmd_build(args) -> int:
     from .assembler import BuildRequest, PairNotConstructive, construct, construct_pair
     from .verifier import verify
 
-    problem = _check_vn(args.v, args.n)
-    if problem:
-        return _usage_error(problem)
     by_ell = args.ell is not None
     by_pair = args.r is not None or args.s is not None
     if by_ell == by_pair or (by_pair and (args.r is None or args.s is None)):
@@ -196,9 +190,6 @@ def cmd_search(args) -> int:
     from . import serialize
     from .search import BUDGET_EXCEEDED, FOUND, NOT_FOUND_EXHAUSTED, exhaustive_urd
 
-    problem = _check_vn(args.v, args.n)
-    if problem:
-        return _usage_error(problem)
     if args.r < 0 or args.s < 0:
         return _usage_error("--r and --s must be nonnegative")
 
@@ -300,6 +291,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if args.command != "verify":  # every other command takes --v and --n
+        problem = _check_vn(args.v, args.n)
+        if problem:
+            return _usage_error(problem)
     return args.func(args)
 
 

@@ -30,7 +30,7 @@ from itertools import chain
 
 from . import seeds
 from .aurd import AurdOutput, _blown, _output
-from .model import ONE_FACTOR, ConstructionError, _require_odd_n
+from .model import ONE_FACTOR, _require_odd_n
 
 
 def _check_args(m: int, n: int, m_parity: int) -> None:
@@ -51,10 +51,11 @@ def fill_odd(m: int, n: int) -> AurdOutput:
     w = n + 1
     level_matching = tuple((i, i + 1) for i in range(0, n, 2))
     # The level matching is the same in every base, so one completion to a
-    # one-factorization of K_{n+1} serves all of them.
-    inner = seeds.one_factorization_containing(level_matching)
-    if inner.factors[0] != level_matching:
-        raise ConstructionError("AxBx", "completion lost the prescribed level matching")
+    # one-factorization of K_{n+1} serves all of them: relabel the
+    # round-robin one so that the j-th pair of its first factor becomes
+    # (2j, 2j+1), the j-th pair of the level matching.
+    factors = seeds.one_factorization(w).factors
+    label = {u: 2 * j + t for j, pair in enumerate(factors[0]) for t, u in enumerate(pair)}
     half = range(1, (m - 1) // 2 + 1)
     return _output(ONE_FACTOR, range(m), w, chain(
         (
@@ -62,7 +63,10 @@ def fill_odd(m: int, n: int) -> AurdOutput:
              + _pooled((x,), level_matching, w))
             for x in range(m)
         ),
-        ((f"Bxk@k={k}", _pooled(range(m), inner.factors[k], w)) for k in range(1, n)),
+        (
+            (f"Bxk@k={k}", _pooled(range(m), [(label[a], label[b]) for a, b in factors[k]], w))
+            for k in range(1, n)
+        ),
     ))
 
 

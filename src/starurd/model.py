@@ -9,8 +9,10 @@ construction on flat ids, the JSON reader gives each class on them, and
 the verifier audits them as they stand, all as FlatClass.  Decomposition
 and `aurd.AurdOutput` keep FlatClass classes; their `classes` is a view
 of Vertex, Edge and StarBlock objects (`factor_classes`), built on
-request with one Vertex per id.  `vertex_from_flat` turns a flat id back
-into a Vertex, and `FlatClass.of` turns a FactorClass into a FlatClass.
+request with one Vertex per id.  `vertex_key` is the one rule that turns
+a flat id back into its (base, level) pair, for the writers, the reader's
+sort and `vertex_from_flat`, which makes the Vertex; `FlatClass.of` turns
+a FactorClass into a FlatClass.
 
 Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
@@ -98,12 +100,16 @@ class Vertex(namedtuple("Vertex", "base level")):
     __slots__ = ()
 
 
+def vertex_key(k: int | tuple[int, int], weight: int) -> tuple[int, int]:
+    """The (base, level) pair a flat id names; a (base, level) pair, the id
+    FlatClass gives a vertex outside Z_m x Z_weight, names itself.  Ids
+    sort on it as their vertices do."""
+    return divmod(k, weight) if type(k) is int else k
+
+
 def vertex_from_flat(index: int | tuple[int, int], weight: int) -> Vertex:
-    """The Vertex a flat id names; a (base, level) pair, the id FlatClass
-    gives a vertex outside Z_m x Z_weight, names its own Vertex."""
-    if type(index) is tuple:
-        return Vertex(*index)
-    return Vertex(index // weight, index % weight)
+    """The Vertex a flat id names (vertex_key)."""
+    return Vertex(*vertex_key(index, weight))
 
 
 class Edge(namedtuple("Edge", "u v")):
@@ -186,7 +192,6 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars foreign")):
         kind with no vertices: the audit reports it as of the wrong kind
         and nothing else."""
         ids, bounds, stars = [], [0], bytearray()
-        foreign = False
         for b in fc.blocks:
             if isinstance(b, Edge):
                 ends, star = (b.u, b.v), 0
@@ -194,18 +199,14 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars foreign")):
                 ends, star = (b.center, *b.leaves), 1
             else:
                 ends, star = (), int(fc.kind == ONE_FACTOR)
-            block = [u.base * w + u.level for u in ends if 0 <= u.base < m and 0 <= u.level < w]
-            if len(block) != len(ends):
-                foreign = True
-                block = [
-                    u.base * w + u.level if 0 <= u.base < m and 0 <= u.level < w
-                    else (u.base, u.level)
-                    for u in ends
-                ]
-            ids += block
+            ids += [
+                u.base * w + u.level if 0 <= u.base < m and 0 <= u.level < w
+                else (u.base, u.level)
+                for u in ends
+            ]
             bounds.append(len(ids))
             stars.append(star)
-        return cls(fc.kind, tuple(ids), tuple(bounds), bytes(stars), foreign)
+        return cls(fc.kind, tuple(ids), tuple(bounds), bytes(stars), tuple in map(type, ids))
 
     def blocks(self):
         """Each block's ids, as a tuple, in block order."""

@@ -80,34 +80,3 @@ def one_factorization(k: int) -> OneFactorization:
         factors.append(_canon_matching(pairs))
     return OneFactorization(k, tuple(factors))
 
-
-def _check_matching(prescribed) -> tuple[Matching, int]:
-    pairs = _canon_matching(prescribed)
-    points = [p for pair in pairs for p in pair]
-    k = 2 * len(pairs)
-    if len(set(points)) != len(points):  # a loop pair (a, a) included
-        raise ValueError("prescribed pairs are not disjoint")
-    if sorted(points) != list(range(k)):
-        raise ValueError(f"prescribed matching must cover the points 0..{k - 1}")
-    return pairs, k
-
-
-def one_factorization_containing(prescribed) -> OneFactorization:
-    """One-factorization of K_k whose first factor is the given perfect
-    matching on points 0..k-1.
-
-    Built by relabeling: any perfect matching maps onto any other under a
-    point bijection, so we send the round-robin factorization's first
-    factor onto the prescribed one and relabel every factor.
-    """
-    pairs, k = _check_matching(prescribed)
-    base = one_factorization(k)
-    relabel = {}
-    for (a, b), (c, d) in zip(base.factors[0], pairs):
-        relabel[a] = c
-        relabel[b] = d
-    factors = tuple(
-        _canon_matching((relabel[a], relabel[b]) for a, b in factor)
-        for factor in base.factors
-    )
-    return OneFactorization(k, factors)

@@ -29,11 +29,11 @@ rely on: NOT_DISJOINT names the first shared vertex in that order.
 `starurd verify` audits what it returns as it stands.
 
 The writers render from the same flat ids, each id as the (base, level)
-pair it names (_key).  dumps writes the text of
-json.dumps(to_dict(d), indent=1) without building the dict: each vertex
-is rendered once per indent depth it appears at, and the block, class and
-top-level texts are joined from those strings.  to_dict is the dict form
-of the same schema.
+pair it names (model.vertex_key).  dumps is the one writer of the schema.
+It writes the text of json.dumps(to_dict(d), indent=1) without building
+the dict: each vertex is rendered once per indent depth it appears at,
+and the block, class and top-level texts are joined from those strings.
+to_dict parses what dumps writes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 import gc
 import json
 
-from .model import KINDS, Decomposition, FlatClass, Params, vertex_from_flat
+from .model import KINDS, Decomposition, FlatClass, Params, vertex_from_flat, vertex_key
 
 SCHEMA_VERSION = "1"
 
@@ -51,34 +51,14 @@ class SchemaError(ValueError):
 
 
 def to_dict(d: Decomposition) -> dict:
-    w = d.params.n + 1
-    classes = []
-    for fc in d.flat:
-        blocks = []
-        for ids, star in zip(fc.blocks(), fc.stars):
-            pairs = [list(_key(k, w)) for k in ids]
-            blocks.append({"center": pairs[0], "leaves": pairs[1:]} if star else pairs)
-        classes.append({"kind": fc.kind, "blocks": blocks})
-    return {
-        "version": SCHEMA_VERSION,
-        "v": d.params.v,
-        "n": d.params.n,
-        "m": d.params.m,
-        "r": d.r,
-        "s": d.s,
-        "classes": classes,
-    }
+    """The dict form of d: the JSON object that dumps(d) writes."""
+    return json.loads(dumps(d))
 
 
 def _int(obj, what: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise SchemaError(f"{what} must be an integer, got {obj!r}")
     return obj
-
-
-def _key(k, w: int) -> tuple[int, int]:
-    """The (base, level) pair an id names: the Vertex order on ids."""
-    return divmod(k, w) if type(k) is int else k
 
 
 def _vertex_id(obj, m: int, w: int):
@@ -106,7 +86,7 @@ def _checked_block(obj, m: int, w: int) -> tuple[tuple, int, bool]:
     the block's shape, each vertex's own checks in turn, then a loop edge,
     duplicate leaves or a center that is also a leaf, with the messages
     of Edge and StarBlock.  Ids inside Z_m x Z_w sort in (base, level)
-    order as they stand; a block with a pair among them sorts on _key."""
+    order as they stand; a block with a pair among them sorts on vertex_key."""
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
             raise SchemaError(": edge block needs two vertices")
@@ -114,7 +94,7 @@ def _checked_block(obj, m: int, w: int) -> tuple[tuple, int, bool]:
         if a == b:
             raise SchemaError(f": loop edge at {vertex_from_flat(a, w)}")
         foreign = type(a) is tuple or type(b) is tuple
-        if (_key(a, w) < _key(b, w)) if foreign else a < b:
+        if (vertex_key(a, w) < vertex_key(b, w)) if foreign else a < b:
             return (a, b), 0, foreign
         return (b, a), 0, foreign
     if isinstance(obj, dict):
@@ -130,7 +110,7 @@ def _checked_block(obj, m: int, w: int) -> tuple[tuple, int, bool]:
         if center in distinct:
             raise SchemaError(f": star center {vertex_from_flat(center, w)} repeated as leaf")
         foreign = type(center) is tuple or tuple in map(type, leaves)
-        leaves.sort(key=(lambda k: _key(k, w)) if foreign else None)
+        leaves.sort(key=(lambda k: vertex_key(k, w)) if foreign else None)
         return (center, *leaves), 1, foreign
     raise SchemaError(f": unrecognized block shape {obj!r}")
 
@@ -208,7 +188,7 @@ class _Rendered(dict):
         self.weight = weight
 
     def __missing__(self, k) -> str:
-        text = self[k] = self.render(*_key(k, self.weight))
+        text = self[k] = self.render(*vertex_key(k, self.weight))
         return text
 
 

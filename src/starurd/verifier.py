@@ -180,7 +180,7 @@ def verify(d: Decomposition) -> VerificationReport:
     violations: list[tuple[str, str]] = []
     n, v = p.n, p.v
 
-    if p.v != p.m * (n + 1) or n % 2 == 0 or n < 3:
+    if p.v != p.m * (n + 1) or n % 2 == 0 or n < 3 or p.m < 1:
         violations.append((PARAM_MISMATCH, f"invalid parameters v={p.v}, n={n}, m={p.m}"))
         return VerificationReport.from_violations(violations)
 

@@ -154,18 +154,13 @@ def test_parity_validation():
         fill_even(4, 2)
 
 
-def test_completion_that_drops_the_level_matching_raises(monkeypatch):
-    import starurd.filling as filling
-    from starurd import seeds
-    from starurd.model import ConstructionError
-
-    real = seeds.one_factorization_containing
-
-    def dropped(prescribed):
-        full = real(prescribed)
-        return seeds.OneFactorization(full.k, full.factors[1:])
-
-    monkeypatch.setattr(seeds, "one_factorization_containing", dropped)
-    with pytest.raises(ConstructionError, match="completion lost") as info:
-        filling.fill_odd(3, 3)
-    assert info.value.family == "AxBx"
+@pytest.mark.parametrize("m", range(3, 10, 2))
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_fill_odd_axbx_classes_hold_their_level_matching(m, n):
+    # the relabelled first factor of the inner one-factorization is the
+    # level matching (x, 2i)-(x, 2i+1) of base x, by construction
+    out = fill_odd(m, n)
+    for x in range(m):
+        fc = out.classes[out.sources.index(f"AxBx@x={x}")]
+        inner = {b for b in fc.blocks if b.u.base == b.v.base}
+        assert inner == {Edge(Vertex(x, 2 * i), Vertex(x, 2 * i + 1)) for i in range((n + 1) // 2)}

@@ -2,11 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from starurd.seeds import (
-    hamiltonian_decomposition,
-    one_factorization,
-    one_factorization_containing,
-)
+from starurd.seeds import hamiltonian_decomposition, one_factorization
 
 
 def cycle_edge_set(cycle):
@@ -105,70 +101,3 @@ def test_one_factorization_rejects_odd():
     with pytest.raises(ValueError):
         one_factorization(0)
 
-
-def test_containing_k4_identity():
-    of = one_factorization_containing(((0, 1), (2, 3)))
-    assert of.factors == (
-        ((0, 1), (2, 3)),
-        ((0, 2), (1, 3)),
-        ((0, 3), (1, 2)),
-    )
-
-
-def test_containing_k4_relabelled():
-    of = one_factorization_containing(((0, 2), (1, 3)))
-    assert of.factors == (
-        ((0, 2), (1, 3)),
-        ((0, 1), (2, 3)),
-        ((0, 3), (1, 2)),
-    )
-
-
-def test_containing_k6():
-    prescribed = ((0, 1), (2, 3), (4, 5))
-    of = one_factorization_containing(prescribed)
-    assert of.factors[0] == prescribed
-    seen = set()
-    for factor in of.factors:
-        assert sorted(x for p in factor for x in p) == list(range(6))
-        seen |= {frozenset(p) for p in factor}
-    assert seen == complete_edges(6)
-
-
-def all_matchings(points):
-    """Every perfect matching on the given point tuple."""
-    if not points:
-        yield ()
-        return
-    first, rest = points[0], points[1:]
-    for i, partner in enumerate(rest):
-        for sub in all_matchings(rest[:i] + rest[i + 1 :]):
-            yield ((first, partner),) + sub
-
-
-@pytest.mark.parametrize("k", [2, 4, 6, 8])
-def test_containing_exhaustive_small(k):
-    for matching in all_matchings(tuple(range(k))):
-        of = one_factorization_containing(matching)
-        assert of.factors[0] == tuple(sorted(matching))
-        seen = set()
-        for factor in of.factors:
-            assert sorted(x for p in factor for x in p) == list(range(k))
-            seen |= {frozenset(p) for p in factor}
-        assert seen == complete_edges(k)
-
-
-@pytest.mark.parametrize("k", [10, 12])
-def test_containing_exhaustive_first_factor(k):
-    # full partition audit is covered up to k=8; here only the prescribed
-    # first factor is checked exhaustively
-    for matching in all_matchings(tuple(range(k))):
-        of = one_factorization_containing(matching)
-        assert of.factors[0] == tuple(sorted(matching))
-
-
-def test_containing_rejects_bad_input():
-    with pytest.raises(ValueError):
-        one_factorization_containing(((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
-        one_factorization_containing(((0, 1), (3, 4)))

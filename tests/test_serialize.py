@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reference_verifier import block_vertices
 from starurd.assembler import BuildRequest, construct
-from starurd.model import Decomposition, Vertex
+from starurd.model import Decomposition, StarBlock, Vertex
 from starurd.serialize import SchemaError, dumps, from_dict, loads, to_dict, to_text
 
 
@@ -237,11 +237,31 @@ def certificates(draw):
     }
 
 
+def object_dict(d):
+    """The schema's dict of d, built from its Vertex, Edge and StarBlock
+    objects: what the writer must say, not what it renders."""
+    def pair(u):
+        return [u.base, u.level]
+
+    classes = [
+        {"kind": fc.kind, "blocks": [
+            {"center": pair(b.center), "leaves": [pair(u) for u in b.leaves]}
+            if isinstance(b, StarBlock) else [pair(b.u), pair(b.v)]
+            for b in fc.blocks
+        ]}
+        for fc in d.classes
+    ]
+    return {"version": "1", "v": d.params.v, "n": d.params.n, "m": d.params.m,
+            "r": d.r, "s": d.s, "classes": classes}
+
+
 @settings(max_examples=150, deadline=None)
 @given(certificates())
 def test_dumps_is_json_dumps_of_the_dict(cert):
     d = loads(json.dumps(cert))
-    assert dumps(d) == json.dumps(to_dict(d), indent=1)
+    obj = to_dict(d)
+    assert obj == object_dict(d)
+    assert dumps(d) == json.dumps(obj, indent=1)
 
 
 @pytest.mark.parametrize("classes", [[], [{"kind": "one_factor", "blocks": []}]],
@@ -261,6 +281,33 @@ def test_dumps_of_a_search_witness_is_json_dumps_of_the_dict():
     outcome = exhaustive_urd(8, 3, 1, 4)
     assert outcome.status == FOUND
     assert dumps(outcome.witness) == json.dumps(to_dict(outcome.witness), indent=1)
+
+
+def _witness():
+    from starurd.search import exhaustive_urd
+
+    return exhaustive_urd(8, 3, 1, 4).witness
+
+
+# a certificate of K_4 (m=1, n=3) holding [m, 0] and [0, n+1], outside Z_1 x Z_4
+FOREIGN = {"version": "1", "v": 4, "n": 3, "m": 1, "r": 1, "s": 1, "classes": [
+    {"kind": "one_factor", "blocks": [[[0, 4], [0, 0]], [[1, 0], [0, 1]], [[0, 3], [0, 2]]]},
+    {"kind": "star_factor", "blocks": [{"center": [1, 0], "leaves": [[0, 4], [0, 2], [0, 0]]}]},
+]}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: construct(BuildRequest(12, 3, 0)),
+    lambda: construct(BuildRequest(24, 5, 1)),
+    lambda: construct(BuildRequest(56, 7, 3)),
+    _witness,
+    lambda: loads(json.dumps(FOREIGN)),
+], ids=["12-3-0", "24-5-1", "56-7-3", "witness", "foreign"])
+def test_dict_holds_the_classes_of_the_object_view(make):
+    d = make()
+    obj = to_dict(d)
+    assert obj == object_dict(d)
+    assert dumps(d) == json.dumps(obj, indent=1)
 
 
 HEADER = {"version": "1", "v": 4, "n": 3, "m": 1, "r": 3, "s": 0}

@@ -9,6 +9,7 @@ verdict on `from_dict` of the same file.  The last tests show that
 `verify` costs what its input holds, not what the v it claims would cost.
 """
 
+import itertools
 import json
 import random
 import time
@@ -33,6 +34,7 @@ from starurd.model import (
     FactorClass,
     Params,
     StarBlock,
+    VerificationReport,
     Vertex,
 )
 from starurd.cli import main
@@ -395,6 +397,20 @@ def test_forged_params_get_only_the_param_mismatch():
     d = built(12, 3, 0)
     report = assert_same(Decomposition(params, d.classes, d.r, d.s))
     assert report.violations == ((PARAM_MISMATCH, "invalid parameters v=12, n=3, m=4"),)
+
+
+def test_forged_params_on_a_grid_always_get_a_report():
+    # v = m(n+1) with m < 1 passed the order check and sent the missing-edge
+    # walk over an empty range(v)
+    for v, n, m, r, s in itertools.product(
+        range(-8, 9), (-3, -1, 1, 3, 5), range(-3, 4), range(-6, 8), (-4, 0, 4)
+    ):
+        report = verify(Decomposition(tuple.__new__(Params, (v, n, m)), (), r, s))
+        assert isinstance(report, VerificationReport)
+        if m < 1:
+            assert report.violations == (
+                (PARAM_MISMATCH, f"invalid parameters v={v}, n={n}, m={m}"),
+            )
 
 
 def test_hostile_claim_of_millions_of_vertices_is_cheap():
