@@ -18,14 +18,27 @@ rendered fully and written once, through the same writer as the files.
 
 Each command imports the layers it runs when it runs, so that `verify`
 does not pay for importing the construction or the search.
+
+How argv is read: the surface is declared once, in `_COMMANDS` (per
+command its help and flags; per flag its name, dest, type, required,
+default, choices and help).  A strict reader takes the canonical form
+`COMMAND (--flag VALUE)*`, with each flag an exact declared name given
+once, no VALUE starting with `-`, each VALUE of its declared type and
+choices and every required flag present, and gives the namespace argparse
+would.  Anything else (no argv, help, abbreviations, `--flag=value`,
+repeated flags, negative or bad numbers, unknown or missing flags) goes to
+the argparse parser that `build_parser` makes from the same table, so
+argparse alone writes help and usage errors, and a well-formed command
+does not import it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
+from types import SimpleNamespace
 
 from .model import ConstructionError, _require_odd_n
 
@@ -230,18 +243,92 @@ def cmd_search(args) -> int:
     return _print(lines, code)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help text goes through _write_payload, so a
-    closed or full stdout exits 2 there too (argparse ignores the error)."""
+# One flag of a command: the argparse add_argument fields it is declared with.
+_Flag = namedtuple("_Flag", "name dest type required default choices help",
+                   defaults=(False, None, None, None))
 
-    def print_help(self, file=None):
-        if file is not None:
-            super().print_help(file)
-        elif not _write_payload(self.format_help(), None):
-            self.exit(EXIT_USAGE)
+# The command-line surface: per command, its help and its flags in the
+# order argparse lists them.  build_parser and _read_canonical both read it.
+_COMMANDS = {
+    "check": ("admissibility and construction coverage", (
+        _Flag("--v", "v", int, True),
+        _Flag("--n", "n", int, True),
+        _Flag("--r", "r", int),
+        _Flag("--s", "s", int),
+    )),
+    "build": ("construct a decomposition", (
+        _Flag("--v", "v", int, True),
+        _Flag("--n", "n", int, True),
+        _Flag("--ell", "ell", int, help="number of matching-route cycles"),
+        _Flag("--r", "r", int),
+        _Flag("--s", "s", int),
+        _Flag("--out", "out", str, help="output path (default: stdout)"),
+        _Flag("--format", "format", str, default="json", choices=("json", "text")),
+    )),
+    "verify": ("verify a decomposition file", (
+        _Flag("--in", "infile", str, True),
+    )),
+    "search": ("exhaustive backtracking existence check", (
+        _Flag("--v", "v", int, True),
+        _Flag("--n", "n", int, True),
+        _Flag("--r", "r", int, True),
+        _Flag("--s", "s", int, True),
+        _Flag("--max-nodes", "max_nodes", int),
+        _Flag("--timeout", "timeout", float, help="seconds"),
+        _Flag("--out", "out", str, help="witness path when found (default: stdout)"),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _func(command: str):
+    # looked up when argv is read, so a rebound cmd_* (a span wrapper) runs
+    return globals()[f"cmd_{command}"]
+
+
+def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives for argv in the canonical form
+    `COMMAND (--flag VALUE)*`, or None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    command = argv[0]
+    flags = _COMMANDS[command][1]
+    by_name = {flag.name: flag for flag in flags}
+    values = {}
+    for name, text in zip(argv[1::2], argv[2::2]):
+        flag = by_name.get(name)
+        if flag is None or flag.dest in values or text.startswith("-"):
+            return None
+        try:
+            value = flag.type(text)
+        except ValueError:
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    if any(flag.required and flag.dest not in values for flag in flags):
+        return None
+    return SimpleNamespace(
+        command=command,
+        func=_func(command),
+        **{flag.dest: values.get(flag.dest, flag.default) for flag in flags},
+    )
+
+
+def build_parser():
+    """The argparse parser of the surface in _COMMANDS."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An ArgumentParser whose help text goes through _write_payload, so
+        a closed or full stdout exits 2 there too (argparse ignores the
+        error)."""
+
+        def print_help(self, file=None):
+            if file is not None:
+                super().print_help(file)
+            elif not _write_payload(self.format_help(), None):
+                self.exit(EXIT_USAGE)
+
     parser = _Parser(
         prog="starurd",
         description=(
@@ -250,47 +337,23 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="admissibility and construction coverage")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("build", help="construct a decomposition")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, help="number of matching-route cycles")
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("verify", help="verify a decomposition file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("search", help="exhaustive backtracking existence check")
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--max-nodes", type=int, dest="max_nodes")
-    p.add_argument("--timeout", type=float, help="seconds")
-    p.add_argument("--out", help="witness path when found (default: stdout)")
-    p.set_defaults(func=cmd_search)
-
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(flag.name, dest=flag.dest, type=flag.type, required=flag.required,
+                           default=flag.default, choices=flag.choices, help=flag.help)
+        p.set_defaults(func=_func(command))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_canonical(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.command != "verify":  # every other command takes --v and --n
         problem = _check_vn(args.v, args.n)
         if problem:

@@ -5,10 +5,13 @@
 runs `check`, a small `build`, `verify` of what it built and `search`,
 each through cli.main in a fresh `python -I -S` process with src on
 sys.path, so that neither site nor a .pth file preloads anything.  No
-command may load dataclasses, inspect or typing, whose import costs more
-than the small commands' work, and `check` and `verify` load only the
-layers they run.  Exits 1, naming each fault, if any is found.
-The tier-1 test tests/test_startup.py runs the same checks.
+command may load dataclasses, inspect or typing, nor argparse with the
+gettext and locale it pulls in, whose import costs more than the small
+commands' work, and `check` and `verify` load only the layers they run.
+It also runs `starurd --help` and a usage error, which only argparse
+reads: they must load it and exit 0 and 2.  Exits 1, naming each fault,
+if any is found.  The tier-1 test tests/test_startup.py runs the same
+checks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-NEVER_LOADED = ("dataclasses", "inspect", "typing")
+NEVER_LOADED = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 # per command, the only starurd modules it may load (None: any)
 ALLOWED = {
     "check": {"starurd", "starurd.cli", "starurd.model", "starurd.admissibility"},
@@ -29,6 +32,8 @@ ALLOWED = {
                "starurd.verifier"},
     "search": None,
 }
+# argv forms that only argparse reads, with the exit code each must give
+FALLBACK = {"help": 0, "usage-error": 2}
 
 # Run cli.main on argv[3:]; write its exit code and the modules loaded
 # by then (before json is imported for the record) to the file argv[2].
@@ -53,6 +58,8 @@ def commands(tmp: Path) -> dict[str, list[str]]:
         "build": ["build", "--v", "12", "--n", "3", "--ell", "0", "--out", cert],
         "verify": ["verify", "--in", cert],
         "search": ["search", "--v", "8", "--n", "3", "--r", "1", "--s", "4"],
+        "help": ["--help"],
+        "usage-error": ["check", "--v", "12", "--n", "3", "--frobnicate"],
     }
 
 
@@ -69,6 +76,9 @@ def loaded(argv: list[str], tmp: Path) -> tuple[int, set[str]]:
 
 def faults(command: str, code: int, modules: set[str]) -> list[str]:
     """What is wrong with one command's exit code and loaded modules."""
+    if command in FALLBACK:
+        out = [f"{command}: exit {code}"] if code != FALLBACK[command] else []
+        return out + ([] if "argparse" in modules else [f"{command} does not load argparse"])
     out = [f"{command}: exit {code}"] if code != 0 else []
     out += [f"{command} loads {name}" for name in NEVER_LOADED if name in modules]
     if ALLOWED[command] is not None:

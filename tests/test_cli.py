@@ -1,13 +1,18 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import starurd
+from starurd import cli
 from starurd.cli import main
 from starurd.serialize import loads
 from test_serialize import SCHEMA_ERRORS
@@ -579,3 +584,72 @@ def test_no_command_is_usage_error(capsys):
 
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["check", "--v", "12", "--n", "3", "--frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    pytest.param(SEARCH_8 + ["--max", "5"], 6, "status: BUDGET_EXCEEDED\n", "",
+                 id="abbreviation"),
+    pytest.param(["check", "--v=12", "--n=3"], 0, "admissible (r, s) pairs for v=12, n=3:\n", "",
+                 id="equals"),
+    pytest.param(["check", "--v", "7", "--v", "12", "--n", "3", "--r", "5", "--s", "4"], 0,
+                 "CONSTRUCTIVE ell=0: ", "", id="repeated-last-wins"),
+    pytest.param(["search", "--v", "8", "--n", "3", "--r", "-1", "--s", "4"], 2, "",
+                 "error: --r and --s must be nonnegative\n", id="negative-value"),
+    pytest.param(["check", "-h"], 0, "usage: starurd check [-h] --v V --n N", "", id="help"),
+])
+def test_forms_outside_the_canonical_one_go_to_argparse(capsys, argv, code, out, err):
+    # argparse reads these as it always has; the canonical reader passes
+    assert cli._read_canonical(argv) is None
+    got, stdout, stderr = run(capsys, *argv)
+    assert (got, stderr) == (code, err)
+    assert stdout.startswith(out) if out else stdout == ""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+FLAGS = sorted({flag.name for _, flags in cli._COMMANDS.values() for flag in flags})
+VALUES = ["12", "-1", "+3", " 7", "1_0", "x", "", "nan", "inf", "1.5", "json", "text", "csv"]
+INTEGERS = ["12", "+3", " 7", "1_0"]
+TOKENS = [*cli._COMMANDS, *FLAGS, "--max", "--fo", "--in=x", "-h", "--help", *VALUES]
+
+
+@st.composite
+def argvs(draw):
+    """An argv of TOKENS: any sequence of them, or a command with its
+    required flags and some of its others, each with a value that is half
+    the time an integer, which the canonical reader may take."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(TOKENS), max_size=8))
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    argv = [command]
+    for flag in draw(st.permutations(cli._COMMANDS[command][1])):
+        if flag.required or draw(st.booleans()):
+            values = INTEGERS if draw(st.booleans()) else VALUES
+            argv += [flag.name, draw(st.sampled_from(values))]
+    return argv
+
+
+def _agrees(argv: list[str]) -> bool:
+    """Whether the canonical reader takes argv; where it does, its
+    namespace must be the one argparse gives."""
+    namespace = cli._read_canonical(argv)
+    if namespace is not None:
+        def fields(ns):  # NaN is not equal to itself: compare floats by repr
+            return {k: repr(v) if isinstance(v, float) else v for k, v in vars(ns).items()}
+
+        assert fields(namespace) == fields(cli.build_parser().parse_args(argv)), argv
+    return namespace is not None
+
+
+def test_canonical_reader_agrees_with_argparse():
+    block = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("starurd ")]
+    assert len(lines) == 6
+    for line in lines:
+        assert _agrees(shlex.split(line)[1:]), line
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    def agrees(argv):
+        _agrees(argv)
+
+    agrees()

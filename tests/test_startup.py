@@ -31,6 +31,11 @@ def test_command_loads_only_what_it_runs(runs, command):
     assert startup_guard.faults(command, *runs[command]) == []
 
 
+@pytest.mark.parametrize("case", list(startup_guard.FALLBACK))
+def test_help_and_usage_errors_go_through_argparse(runs, case):
+    assert startup_guard.faults(case, *runs[case]) == []
+
+
 def _fresh(code: str) -> str:
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(startup_guard.SRC)],
                          capture_output=True, text=True)
