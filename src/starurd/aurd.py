@@ -133,7 +133,7 @@ def _class(kind: str, blocks: list, ids: set[int], w: int, tag: str) -> FlatClas
         raise ConstructionError(
             tag, f"not spanning: {len(seen)} of {len(ids)} vertices covered"
         )
-    return FlatClass(kind, tuple(covered), tuple(bounds), stars, False)
+    return FlatClass(kind, tuple(covered), tuple(bounds), stars)
 
 
 def _output(

@@ -6,7 +6,8 @@ Exit codes are stable:
     1  verification failed / search exhausted without a witness
     2  bad flags, unreadable or unparseable input (including an integer
        literal too long to parse), or unwritable output (including a
-       closed or full stdout, on any command and whatever the verdict)
+       closed or full stdout, on any command and whatever the verdict;
+       a closed or full stderr changes no code)
     3  inadmissible or otherwise invalid build request
     4  admissible pair the constructions do not cover
     5  internal construction, self-verification or search failure
@@ -15,6 +16,7 @@ Exit codes are stable:
 No command writes partial output: a payload is rendered fully before its
 file is touched, and each command's stdout text, help included, is
 rendered fully and written once, through the same writer as the files.
+Each diagnostic is written to stderr once, by `_fail`, which cannot raise.
 
 Each command imports the layers it runs when it runs, so that `verify`
 does not pay for importing the construction or the search.
@@ -51,9 +53,23 @@ EXIT_INTERNAL = 5
 EXIT_BUDGET = 6
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+def _drop(stream) -> None:
+    """Point the fd of a stream that cannot be written at devnull, so the
+    final flush at exit drops what is still buffered instead of failing."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _fail(code: int, *lines: str) -> int:
+    """Write lines to stderr in one go and return code, whether or not
+    stderr can be written."""
+    try:
+        sys.stderr.write("".join(f"{line}\n" for line in lines))
+        sys.stderr.flush()
+    except OSError:
+        _drop(sys.stderr)
+    return code
 
 
 def _check_vn(v: int, n: int) -> str | None:
@@ -80,12 +96,8 @@ def _write_payload(payload: str, out: str | None) -> bool:
             Path(out).write_text(payload, encoding="utf-8")
     except OSError as exc:
         if out is None:
-            # the reader is gone: point fd 1 at devnull so the final flush
-            # at exit drops what is still buffered instead of failing again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        print(f"cannot write {'<stdout>' if out is None else out}: {exc}", file=sys.stderr)
+            _drop(sys.stdout)
+        _fail(EXIT_USAGE, f"cannot write {'<stdout>' if out is None else out}: {exc}")
         return False
     return True
 
@@ -100,7 +112,7 @@ def cmd_check(args) -> int:
     from . import admissibility
 
     if (args.r is None) != (args.s is None):
-        return _usage_error("--r and --s must be given together")
+        return _fail(EXIT_USAGE, "error: --r and --s must be given together")
 
     if args.r is None:
         pairs = admissibility.admissible_pairs(args.v, args.n)
@@ -133,7 +145,7 @@ def cmd_build(args) -> int:
     by_ell = args.ell is not None
     by_pair = args.r is not None or args.s is not None
     if by_ell == by_pair or (by_pair and (args.r is None or args.s is None)):
-        return _usage_error("give either --ell or both --r and --s")
+        return _fail(EXIT_USAGE, "error: give either --ell or both --r and --s")
 
     try:
         if by_ell:
@@ -141,24 +153,18 @@ def cmd_build(args) -> int:
         else:
             decomposition = construct_pair(args.v, args.n, args.r, args.s)
     except PairNotConstructive as exc:
-        print(f"cannot build: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(EXIT_INVALID, f"cannot build: {exc}")
     except ConstructionError as exc:
-        print(f"construction failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, f"construction failure: {exc}")
     except AssertionError as exc:
-        print(f"internal construction failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, f"internal construction failure: {exc}")
     except ValueError as exc:
-        print(f"invalid request: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _fail(EXIT_INVALID, f"invalid request: {exc}")
 
     report = verify(decomposition)
     if not report.passed:
-        for code, detail in report.violations:
-            print(f"{code}: {detail}", file=sys.stderr)
-        print("self-verification failed; nothing written", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, *(f"{code}: {detail}" for code, detail in report.violations),
+                     "self-verification failed; nothing written")
 
     if args.format == "json":
         payload = serialize.dumps(decomposition)
@@ -181,13 +187,11 @@ def cmd_verify(args) -> int:
     try:
         text = Path(args.infile).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {args.infile}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"cannot read {args.infile}: {exc}")
     try:
         d = serialize.loads(text)
     except serialize.SchemaError as exc:
-        print(f"parse failure: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"parse failure: {exc}")
 
     report = verify(d)
     if report.passed:
@@ -204,7 +208,7 @@ def cmd_search(args) -> int:
     from .search import BUDGET_EXCEEDED, FOUND, NOT_FOUND_EXHAUSTED, exhaustive_urd
 
     if args.r < 0 or args.s < 0:
-        return _usage_error("--r and --s must be nonnegative")
+        return _fail(EXIT_USAGE, "error: --r and --s must be nonnegative")
 
     try:
         outcome = exhaustive_urd(
@@ -216,11 +220,9 @@ def cmd_search(args) -> int:
             timeout=args.timeout,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"error: {exc}")
     except (AssertionError, ConstructionError) as exc:
-        print(f"internal search failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return _fail(EXIT_INTERNAL, f"internal search failure: {exc}")
 
     lines = [
         f"status: {outcome.status}",
@@ -280,11 +282,6 @@ _COMMANDS = {
 }
 
 
-def _func(command: str):
-    # looked up when argv is read, so a rebound cmd_* (a span wrapper) runs
-    return globals()[f"cmd_{command}"]
-
-
 def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse gives for argv in the canonical form
     `COMMAND (--flag VALUE)*`, or None for any other argv."""
@@ -308,9 +305,7 @@ def _read_canonical(argv: list[str]) -> SimpleNamespace | None:
     if any(flag.required and flag.dest not in values for flag in flags):
         return None
     return SimpleNamespace(
-        command=command,
-        func=_func(command),
-        **{flag.dest: values.get(flag.dest, flag.default) for flag in flags},
+        command=command, **{flag.dest: values.get(flag.dest, flag.default) for flag in flags}
     )
 
 
@@ -342,7 +337,6 @@ def build_parser():
         for flag in flags:
             p.add_argument(flag.name, dest=flag.dest, type=flag.type, required=flag.required,
                            default=flag.default, choices=flag.choices, help=flag.help)
-        p.set_defaults(func=_func(command))
     return parser
 
 
@@ -357,8 +351,9 @@ def main(argv=None) -> int:
     if args.command != "verify":  # every other command takes --v and --n
         problem = _check_vn(args.v, args.n)
         if problem:
-            return _usage_error(problem)
-    return args.func(args)
+            return _fail(EXIT_USAGE, f"error: {problem}")
+    # looked up as the command runs, so a rebound cmd_* (a span wrapper) runs
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

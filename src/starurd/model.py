@@ -167,7 +167,7 @@ class FactorClass(namedtuple("FactorClass", "kind blocks")):
         return tuple.__new__(cls, (kind, tuple(blocks)))
 
 
-class FlatClass(namedtuple("FlatClass", "kind ids bounds stars foreign")):
+class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
     """One resolution class on flat ids: the form every class is kept in.
 
     ids holds the vertex ids of every block, block after block: block i
@@ -176,11 +176,11 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars foreign")):
     StarBlock: an edge's endpoints, or a star's center and then its
     leaves, each in (base, level) order.  The id of a vertex of
     Z_m x Z_{n+1} is base*(n+1)+level; any other vertex keeps its
-    (base, level) pair as its id, so that (0, n+1) cannot alias (1, 0),
-    and foreign says whether ids holds one.  One tuple per class, not one
-    object per block, keeps it smaller than the Edge and StarBlock objects
-    it stands for.  Like FactorClass, it is not checked for disjointness
-    or spanning.
+    (base, level) pair as its id, so that (0, n+1) cannot alias (1, 0);
+    ids that are not an int in 0..v-1 are outside the vertex set.  One
+    tuple per class, not one object per block, keeps it smaller than the
+    Edge and StarBlock objects it stands for.  Like FactorClass, it is
+    not checked for disjointness or spanning.
     """
 
     __slots__ = ()
@@ -206,7 +206,7 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars foreign")):
             ]
             bounds.append(len(ids))
             stars.append(star)
-        return cls(fc.kind, tuple(ids), tuple(bounds), bytes(stars), tuple in map(type, ids))
+        return cls(fc.kind, tuple(ids), tuple(bounds), bytes(stars))
 
     def blocks(self):
         """Each block's ids, as a tuple, in block order."""

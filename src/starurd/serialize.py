@@ -79,24 +79,24 @@ def _vertex_id(obj, m: int, w: int):
     return (base, level)
 
 
-def _checked_block(obj, m: int, w: int) -> tuple[tuple, int, bool]:
-    """The ids of one block in canonical order, 1 if it is a star, and
-    whether it holds a vertex outside Z_m x Z_w.  Or the SchemaError that
-    names its first fault, with a message that follows the block's label:
-    the block's shape, each vertex's own checks in turn, then a loop edge,
-    duplicate leaves or a center that is also a leaf, with the messages
-    of Edge and StarBlock.  Ids inside Z_m x Z_w sort in (base, level)
-    order as they stand; a block with a pair among them sorts on vertex_key."""
+def _checked_block(obj, m: int, w: int) -> tuple[tuple, int]:
+    """The ids of one block in canonical order and 1 if it is a star.  Or
+    the SchemaError that names its first fault, with a message that
+    follows the block's label: the block's shape, each vertex's own
+    checks in turn, then a loop edge, duplicate leaves or a center that
+    is also a leaf, with the messages of Edge and StarBlock.  Ids inside
+    Z_m x Z_w sort in (base, level) order as they stand; a block with a
+    pair among them sorts on vertex_key."""
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
             raise SchemaError(": edge block needs two vertices")
         a, b = _vertex_id(obj[0], m, w), _vertex_id(obj[1], m, w)
         if a == b:
             raise SchemaError(f": loop edge at {vertex_from_flat(a, w)}")
-        foreign = type(a) is tuple or type(b) is tuple
-        if (vertex_key(a, w) < vertex_key(b, w)) if foreign else a < b:
-            return (a, b), 0, foreign
-        return (b, a), 0, foreign
+        paired = type(a) is tuple or type(b) is tuple
+        if (vertex_key(a, w) < vertex_key(b, w)) if paired else a < b:
+            return (a, b), 0
+        return (b, a), 0
     if isinstance(obj, dict):
         if set(obj) != {"center", "leaves"}:
             raise SchemaError(": star block needs center and leaves")
@@ -109,28 +109,26 @@ def _checked_block(obj, m: int, w: int) -> tuple[tuple, int, bool]:
             raise SchemaError(f": duplicate leaves in star at {vertex_from_flat(center, w)}")
         if center in distinct:
             raise SchemaError(f": star center {vertex_from_flat(center, w)} repeated as leaf")
-        foreign = type(center) is tuple or tuple in map(type, leaves)
-        leaves.sort(key=(lambda k: vertex_key(k, w)) if foreign else None)
-        return (center, *leaves), 1, foreign
+        paired = type(center) is tuple or tuple in map(type, leaves)
+        leaves.sort(key=(lambda k: vertex_key(k, w)) if paired else None)
+        return (center, *leaves), 1
     raise SchemaError(f": unrecognized block shape {obj!r}")
 
 
-def _checked_class(blocks: list, where: str, m: int, w: int) -> tuple[list, list, bytearray, bool]:
-    """The ids, bounds, stars and foreign of a FlatClass, read block by
-    block: or the SchemaError of its first faulty block, labelled with
-    where the block is.  The label is made only for the error."""
+def _checked_class(blocks: list, where: str, m: int, w: int) -> tuple[list, list, bytearray]:
+    """The ids, bounds and stars of a FlatClass, read block by block: or
+    the SchemaError of its first faulty block, labelled with where the
+    block is.  The label is made only for the error."""
     ids, bounds, stars = [], [0], bytearray()
-    foreign = False
     for bi, obj in enumerate(blocks):
         try:
-            block, star, outside = _checked_block(obj, m, w)
+            block, star = _checked_block(obj, m, w)
         except SchemaError as exc:
             raise SchemaError(f"{where} block {bi}{exc}") from None
-        foreign = foreign or outside
         ids += block
         bounds.append(len(ids))
         stars.append(star)
-    return ids, bounds, stars, foreign
+    return ids, bounds, stars
 
 
 def from_dict(obj) -> Decomposition:
@@ -165,8 +163,8 @@ def from_dict(obj) -> Decomposition:
             raise SchemaError(f"{where}: unknown kind {cobj['kind']!r}")
         if not isinstance(cobj["blocks"], list):
             raise SchemaError(f"{where}: blocks must be a list")
-        ids, bounds, stars, foreign = _checked_class(cobj["blocks"], where, m, w)
-        classes.append(FlatClass(cobj["kind"], tuple(ids), tuple(bounds), bytes(stars), foreign))
+        ids, bounds, stars = _checked_class(cobj["blocks"], where, m, w)
+        classes.append(FlatClass(cobj["kind"], tuple(ids), tuple(bounds), bytes(stars)))
     return Decomposition(params, tuple(classes), r, s)
 
 

@@ -21,11 +21,12 @@ vertices exactly once, checked on integer pair ids.  E(K_v) is never
 enumerated: the uncovered pairs are counted as v(v-1)/2 minus the
 distinct pairs covered, and the first of them is found by walking the
 pairs in lexicographic order up to the first gap.  Time and memory are
-thus bounded by the size of the certificate, not by the v it claims.  A
-vertex outside Z_m x Z_{n+1} gets no flat id, so that (0, n+1) cannot
-alias (1, 0): it is kept as its (base, level) pair, and its edges as Edge
-objects.  Otherwise Vertex and Edge objects are made only to name a
-sample in a violation.
+thus bounded by the size of the certificate, not by the v it claims.
+Ids that are not an int in 0..v-1, such as the (base, level) pair kept
+for a vertex outside Z_m x Z_{n+1}, are outside the vertex set: the
+audit finds them from the ids, trusting no flag of whoever made the
+class, and keeps their edges as Edge objects.  Otherwise Vertex and Edge
+objects are made only to name a sample in a violation.
 
 Beyond the edge-partition audit, the checker recomputes, per vertex, the
 number of star classes in which that vertex is a center.  A valid
@@ -62,6 +63,7 @@ def _audit_flat_class(
     index: int,
     fc: FlatClass,
     params: Params,
+    vertices: set[int] | None,
     pairs: list[int],
     extra: set[Edge],
     centers: list[int],
@@ -74,20 +76,21 @@ def _audit_flat_class(
     holds outside the vertex set.  Collects the class's edges on the way:
     pairs of the vertex set as a*v + b with a < b into pairs, edges with
     an endpoint outside it into extra, and, in a star class, the star
-    centers in the vertex set into centers.
+    centers in the vertex set into centers.  vertices is {0..v-1} or None.
     """
     n, v = params.n, params.v
     w = n + 1
     where = f"class {index}"
     ids, bounds = fc.ids, fc.bounds
     stars = fc.kind == STAR_FACTOR
-    seen = set(ids)  # flat ids, and (base, level) of vertices outside
-    if stars:
-        shapes_ok = 0 not in fc.stars and all(
-            b - a == w for a, b in zip(bounds, bounds[1:])
-        )
-    else:
-        shapes_ok = 1 not in fc.stars
+    seen = set(ids)
+    # the ids that are not an int in 0..v-1: none if seen is the vertex set
+    outside = set() if seen == vertices else {
+        k for k in seen if type(k) is not int or not 0 <= k < v}
+    # each block of the class's kind, with w ids if a star and 2 if an edge
+    shapes_ok = (0 if stars else 1) not in fc.stars and bounds == tuple(
+        range(0, len(ids) + 1, w if stars else 2)
+    )
     if not shapes_ok or len(seen) != len(ids):
         # some block has a fault: find each, in block order
         walked: set = set()
@@ -100,6 +103,8 @@ def _audit_flat_class(
                 violations.append(
                     (WRONG_KIND, f"{where}: star with {len(block) - 1} leaves, expected {n}")
                 )
+            elif not star and len(block) != 2:
+                violations.append((WRONG_KIND, f"{where}: edge with {len(block)} vertices"))
             if disjoint and not walked.isdisjoint(block):
                 u = vertex_from_flat(next(k for k in block if k in walked), w)
                 violations.append((NOT_DISJOINT, f"{where}: vertex {u} in two blocks"))
@@ -107,11 +112,11 @@ def _audit_flat_class(
             walked.update(block)
     # a block's edges join its first id to each of the others; an edge with
     # an end outside the vertex set has no pair id and goes into extra
-    if fc.foreign:
+    if outside:
         for block in fc.blocks():
             c = block[0] if block else None
             for k in block[1:]:
-                if type(c) is tuple or type(k) is tuple:
+                if c in outside or k in outside:
                     extra.add(Edge(vertex_from_flat(c, w), vertex_from_flat(k, w)))
                 else:
                     pairs.append(c * v + k if c < k else k * v + c)
@@ -121,14 +126,14 @@ def _audit_flat_class(
             for a, b in zip(bounds, bounds[1:]) if a < b
             for c in (ids[a],) for k in ids[a + 1:b]
         ]
-    if stars:
-        centers += [ids[a] for a, star in zip(bounds, fc.stars) if star and type(ids[a]) is int]
-    outside = sum(type(k) is tuple for k in seen) if fc.foreign else 0
-    covered = len(seen) - outside
+    if stars:  # an empty block has no center; it is of the wrong kind
+        centers += [ids[a] for a, b, star in zip(bounds, bounds[1:], fc.stars)
+                    if star and a < b and ids[a] not in outside]
+    covered = len(seen) - len(outside)
     if covered != v or outside:
         detail = f"{where}: {v - covered} vertices uncovered"
         if outside:
-            detail += f", {outside} outside the vertex set"
+            detail += f", {len(outside)} outside the vertex set"
         violations.append((NOT_SPANNING, detail))
 
 
@@ -203,11 +208,13 @@ def verify(d: Decomposition) -> VerificationReport:
             )
         )
 
+    # built only if some class may equal it, so at no cost beyond the input
+    vertices = set(range(v)) if any(len(fc.ids) >= v for fc in classes) else None
     pairs: list[int] = []
     extra: set[Edge] = set()
     centers: list[int] = []
     for index, fc in enumerate(classes):
-        _audit_flat_class(index, fc, p, pairs, extra, centers, violations)
+        _audit_flat_class(index, fc, p, vertices, pairs, extra, centers, violations)
         blocks = len(fc.stars)
         want = v // 2 if fc.kind == ONE_FACTOR else v // (n + 1)
         if blocks != want:

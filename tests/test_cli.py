@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import starurd
 from starurd import cli
 from starurd.cli import main
+from starurd.model import ConstructionError, VerificationReport
 from starurd.serialize import loads
 from test_serialize import SCHEMA_ERRORS
 
@@ -552,6 +554,73 @@ def test_build_to_closed_stdout_exits_two(tmp_path, argv, stdout):
         assert (tmp_path / "d.json").read_text() == serialize.dumps(built)
     if "w.json" in argv:
         assert verify(loads((tmp_path / "w.json").read_text())).passed
+
+
+@pytest.fixture
+def closed_pipe():
+    """The write end of a pipe whose read end is closed: every write to
+    it fails."""
+    read, write = os.pipe()
+    os.close(read)
+    yield write
+    os.close(write)
+
+
+BUILD_12 = ["build", "--v", "12", "--n", "3", "--ell", "0"]
+
+
+@pytest.mark.parametrize("argv,code,stdout_too", [
+    pytest.param(["verify", "--in", "missing.json"], 2, False, id="verify-missing"),
+    pytest.param(["verify", "--in", "bad.json"], 2, False, id="verify-parse"),
+    pytest.param(["check", "--v", "12", "--n", "4"], 2, False, id="check-even-n"),
+    pytest.param(["check", "--v", "12", "--n", "3", "--r", "5"], 2, False, id="check-r-only"),
+    pytest.param(["check", "--v", "12", "--n", "3", "--frobnicate"], 2, False, id="argparse"),
+    pytest.param(["build", "--v", "12", "--n", "3"], 2, False, id="build-no-ell"),
+    pytest.param(["build", "--v", "12", "--n", "3", "--ell", "2"], 3, False, id="build-bad-ell"),
+    pytest.param(["build", "--v", "12", "--n", "3", "--r", "4", "--s", "4"], 3, False,
+                 id="build-inadmissible"),
+    pytest.param(BUILD_12 + ["--out", "no/d.json"], 2, False, id="build-out-missing-dir"),
+    pytest.param(BUILD_12, 2, True, id="build-stdout-closed-too"),
+    pytest.param(["search", "--v", "8", "--n", "3", "--r", "-1", "--s", "4"], 2, False,
+                 id="search-negative"),
+    pytest.param(["search", "--v", "6", "--n", "3", "--r", "5", "--s", "0"], 2, False,
+                 id="search-no-grid"),
+    pytest.param(SEARCH_8 + ["--out", "no/w.json"], 2, False, id="search-out-missing-dir"),
+])
+def test_exit_codes_hold_when_stderr_cannot_be_written(
+    tmp_path, closed_pipe, argv, code, stdout_too
+):
+    # a diagnostic that cannot be written must not turn the exit code
+    # into 1 ("verification failed") by way of an uncaught traceback, nor
+    # into 120 by way of a failed flush at exit; stdout_too is `2>&1 | true`
+    (tmp_path / "bad.json").write_text("{")
+    env = dict(os.environ, PYTHONPATH=str(Path(starurd.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "starurd.cli", *argv], env=env, cwd=tmp_path,
+        stdout=closed_pipe if stdout_too else subprocess.DEVNULL, stderr=closed_pipe,
+    )
+    assert proc.returncode == code
+
+
+def _construction_error(*args, **kwargs):
+    raise ConstructionError("induced", "failure")
+
+
+@pytest.mark.parametrize("module,name,replacement,argv", [
+    ("starurd.assembler", "construct", _construction_error, BUILD_12),
+    ("starurd.verifier", "verify",
+     lambda d: VerificationReport(False, (("MISSING_EDGE", "induced"),)), BUILD_12),
+    ("starurd.search", "exhaustive_urd", _construction_error, SEARCH_8),
+], ids=["build-construction", "build-self-verify", "search"])
+def test_internal_failures_exit_five_when_stderr_cannot_be_written(
+    tmp_path, closed_pipe, monkeypatch, module, name, replacement, argv
+):
+    monkeypatch.setattr(importlib.import_module(module), name, replacement)
+    path = tmp_path / "never.json"
+    with open(closed_pipe, "w", closefd=False) as stderr:
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(argv + ["--out", str(path)]) == 5
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("v,n", [(4, 3), (8, 3), (12, 5)])

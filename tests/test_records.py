@@ -24,7 +24,7 @@ from starurd.seeds import HamDecomposition, OneFactorization
 
 EDGE = Edge(Vertex(0, 1), Vertex(0, 0))
 STAR = StarBlock(Vertex(0, 0), (Vertex(1, 3), Vertex(1, 1), Vertex(1, 2)))
-FLAT = FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 2, 4), b"\x00\x00", False)
+FLAT = FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 2, 4), b"\x00\x00")
 RECORDS = [
     Params(12, 3, 3),
     Vertex(0, 1),

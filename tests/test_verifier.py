@@ -12,12 +12,14 @@ from starurd.model import (
     EXTRA_EDGE,
     Edge,
     FactorClass,
+    FlatClass,
     MISSING_EDGE,
     NOT_DISJOINT,
     NOT_SPANNING,
     ONE_FACTOR,
     PARAM_MISMATCH,
     STAR_FACTOR,
+    Params,
     StarBlock,
     Vertex,
     WRONG_KIND,
@@ -103,6 +105,35 @@ def test_object_that_is_no_block_is_reported_not_raised(kind, detail):
     report = verify(with_classes(d, classes))
     assert (WRONG_KIND, f"class {ci}: {detail}") in report.violations
     assert {WRONG_KIND, NOT_SPANNING, MISSING_EDGE} <= report.codes()
+
+
+@pytest.mark.parametrize("ids,bounds,stars", [
+    ((0, 1, 2, 3), (0, 4, 4), b"\x01\x01"),
+    ((), (0, 0), b"\x01"),
+], ids=["star-then-empty", "empty"])
+def test_empty_star_block_is_reported_not_raised(ids, bounds, stars):
+    # a star block with no ids has no center to count; the reference
+    # verifier cannot view such a class, so the codes are checked here
+    fc = FlatClass(STAR_FACTOR, ids, bounds, stars)
+    report = verify(Decomposition(Params(4, 3, 1), (fc,) * 4, 0, 4))
+    assert (WRONG_KIND, "class 0: star with -1 leaves, expected 3") in report.violations
+    assert COUNT_MISMATCH in report.codes()
+
+
+def test_edge_block_of_other_than_two_ids_is_reported():
+    # K_4 = {01,23} + {02,13} + {03,12}, with the first two written as the
+    # blocks (0,1,2),(3) and (3,1,2),(0): the same four edges, read as
+    # edges from each block's first id, but no one-factors
+    one = FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 3, 4), b"\x00\x00")
+    two = FlatClass(ONE_FACTOR, (3, 1, 2, 0), (0, 3, 4), b"\x00\x00")
+    three = FlatClass(ONE_FACTOR, (0, 3, 1, 2), (0, 2, 4), b"\x00\x00")
+    report = verify(Decomposition(Params(4, 3, 1), (one, two, three), 3, 0))
+    assert report.violations == (
+        (WRONG_KIND, "class 0: edge with 3 vertices"),
+        (WRONG_KIND, "class 0: edge with 1 vertices"),
+        (WRONG_KIND, "class 1: edge with 3 vertices"),
+        (WRONG_KIND, "class 1: edge with 1 vertices"),
+    )
 
 
 def test_fudged_counts_detected():

@@ -5,8 +5,11 @@ package's `verify` audits flat ids and never enumerates E(K_v).  On every
 input here both must return the same violations: the same codes and
 details, in the same order.  `starurd verify` reads a file straight into
 flat ids and audits those; on written files it must print the reference's
-verdict on `from_dict` of the same file.  The last tests show that
-`verify` costs what its input holds, not what the v it claims would cost.
+verdict on `from_dict` of the same file.  Classes built by hand may hold
+ids that no reader makes, ints outside 0..v-1: `verify` must find them
+from the ids alone and judge them as the reference judges their object
+view.  The last tests show that `verify` costs what its input holds, not
+what the v it claims would cost.
 """
 
 import itertools
@@ -21,9 +24,10 @@ from hypothesis import strategies as st
 from reference_verifier import verify as reference_verify
 from test_acceptance import mutate as acceptance_mutate
 
-from starurd.assembler import BuildRequest, construct
+from starurd.assembler import BuildRequest, construct, construct_pair
 from starurd.model import (
     COUNT_MISMATCH,
+    EXTRA_EDGE,
     MISSING_EDGE,
     NOT_SPANNING,
     ONE_FACTOR,
@@ -38,6 +42,7 @@ from starurd.model import (
     Vertex,
 )
 from starurd.cli import main
+from starurd.search import exhaustive_urd
 from starurd.serialize import from_dict, loads, to_dict
 from starurd.verifier import verify
 
@@ -291,6 +296,67 @@ def test_sweep_agrees(mn, ell_seed, kind, seed):
     ):
         return
     assert not assert_same(MUTATIONS[kind](d, random.Random(seed))).passed
+
+
+# (v, n, r, s) of search instances with a witness found in milliseconds
+WITNESSES = [(4, 3, 3, 0), (8, 3, 1, 4), (8, 3, 7, 0), (12, 3, 5, 4)]
+
+
+def witness(v, n, r, s):
+    if (v, n, r, s) not in _BUILT:
+        _BUILT[v, n, r, s] = exhaustive_urd(v, n, r, s).witness
+    return _BUILT[v, n, r, s]
+
+
+def renamed(d, k, new, ci=None):
+    """d with id k written as new on its flat classes: its first
+    occurrence in class ci, or every occurrence if ci is None."""
+    flat = list(d.flat)
+    for i, fc in enumerate(flat):
+        ids = list(fc.ids)
+        if ci is None:
+            ids = [new if x == k else x for x in ids]
+        elif i == ci:
+            ids[ids.index(k)] = new
+        flat[i] = fc._replace(ids=tuple(ids))
+    return Decomposition(d.params, tuple(flat), d.r, d.s)
+
+
+def test_one_factorization_with_a_vertex_past_v_fails():
+    # every id 7 of the one-factorization of K_8 written as 15: vertex 7
+    # never appears, and 15 is no vertex, though a*8 + 15 is the pair id
+    # of (a + 1, 7)
+    d = construct_pair(8, 3, 7, 0)
+    report = assert_same(renamed(d, 7, 15))
+    assert report.codes() == {NOT_SPANNING, EXTRA_EDGE, MISSING_EDGE}
+
+
+def test_star_center_past_v_fails():
+    # one star center c of a valid K_12 written as c + 12
+    d = built(12, 3, 0)
+    si = _stars(d.flat)[0]
+    report = assert_same(renamed(d, d.flat[si].ids[0], d.flat[si].ids[0] + 12, si))
+    assert report.codes() == {NOT_SPANNING, EXTRA_EDGE, MISSING_EDGE, COUNT_MISMATCH}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(built, args) for args in SMALL] + [(witness, args) for args in WITNESSES]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
+    st.one_of(st.none(), st.integers(1, 3)),
+    st.booleans(),
+)
+def test_ids_outside_the_vertex_set_never_pass(source, ci, position, t, everywhere):
+    # id k of one class, or every occurrence of it in every class, written
+    # as k + t*v, or as -1 - k if t is None: an int that names no vertex
+    make, args = source
+    d = make(*args)
+    v = d.params.v
+    ci %= len(d.flat)
+    k = d.flat[ci].ids[position % len(d.flat[ci].ids)]
+    forged = renamed(d, k, -1 - k if t is None else k + t * v, None if everywhere else ci)
+    assert not assert_same(forged).passed
 
 
 def _written(d, rng):
