@@ -192,6 +192,7 @@ def cmd_verify(args) -> int:
         d = serialize.loads(text)
     except serialize.SchemaError as exc:
         return _fail(EXIT_USAGE, f"parse failure: {exc}")
+    del text  # the audit needs only the classes read from it
 
     report = verify(d)
     if report.passed:

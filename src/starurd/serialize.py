@@ -17,15 +17,22 @@ Vertices are [base, level] pairs of nonnegative integers.  Malformed input
 raises SchemaError; semantically wrong but well-formed certificates parse
 fine and are left for the verifier to flag.
 
-There is one reader, from_dict (loads on text).  It checks the object,
-header first, and returns the Decomposition with each class as a
+There is one reader of the schema: a header check and a class check,
+which from_dict runs on a parsed object and loads on text.  They check
+the header first and return the Decomposition with each class as a
 model.FlatClass of flat vertex ids, making no Vertex; every SchemaError
-comes from it, in one order: a block's shape, then each vertex's shape,
+comes from them, in one order: a block's shape, then each vertex's shape,
 the types and then the signs of its coordinates, then a loop edge,
-duplicate leaves or a center that is also a leaf.  It puts each block in
-the canonical order of Edge and StarBlock (endpoints, and a star's leaves
-after its center, in (base, level) order), which the verifier's samples
-rely on: NOT_DISJOINT names the first shared vertex in that order.
+duplicate leaves or a center that is also a leaf.  loads reads a text
+whose keys all come before classes one class at a time, so the parsed
+form of the whole certificate, several times the size of its classes,
+never exists.  Any other text, and any text with a fault, loads reads as
+from_dict(json.loads(text)): its Decomposition or error is that of the
+whole-text parse, and a JSON error anywhere wins over a schema error.
+The reader puts each block in the canonical order of Edge and StarBlock
+(endpoints, and a star's leaves after its center, in (base, level)
+order), which the verifier's samples rely on: NOT_DISJOINT names the
+first shared vertex in that order.
 `starurd verify` audits what it returns as it stands.
 
 The writers render from the same flat ids, each id as the (base, level)
@@ -115,12 +122,20 @@ def _checked_block(obj, m: int, w: int) -> tuple[tuple, int]:
     raise SchemaError(f": unrecognized block shape {obj!r}")
 
 
-def _checked_class(blocks: list, where: str, m: int, w: int) -> tuple[list, list, bytearray]:
-    """The ids, bounds and stars of a FlatClass, read block by block: or
-    the SchemaError of its first faulty block, labelled with where the
-    block is.  The label is made only for the error."""
+def _checked_class(cobj, ci: int, m: int, w: int) -> FlatClass:
+    """Class ci of a certificate as a FlatClass, read block by block: or
+    the SchemaError of its shape, its kind, or its first faulty block,
+    labelled with where the block is.  The block label is made only for
+    the error."""
+    where = f"class {ci}"
+    if not isinstance(cobj, dict) or set(cobj) != {"kind", "blocks"}:
+        raise SchemaError(f"{where}: need exactly kind and blocks")
+    if cobj["kind"] not in KINDS:
+        raise SchemaError(f"{where}: unknown kind {cobj['kind']!r}")
+    if not isinstance(cobj["blocks"], list):
+        raise SchemaError(f"{where}: blocks must be a list")
     ids, bounds, stars = [], [0], bytearray()
-    for bi, obj in enumerate(blocks):
+    for bi, obj in enumerate(cobj["blocks"]):
         try:
             block, star = _checked_block(obj, m, w)
         except SchemaError as exc:
@@ -128,16 +143,13 @@ def _checked_class(blocks: list, where: str, m: int, w: int) -> tuple[list, list
         ids += block
         bounds.append(len(ids))
         stars.append(star)
-    return ids, bounds, stars
+    return FlatClass(cobj["kind"], tuple(ids), tuple(bounds), bytes(stars))
 
 
-def from_dict(obj) -> Decomposition:
-    """Check a certificate's JSON object against the schema and return it
-    as a Decomposition of FlatClass classes.
-
-    Every SchemaError comes from here.  The header is checked in full
-    before any class, so each block is read knowing m and n.
-    """
+def _checked_header(obj) -> tuple[Params, int, int]:
+    """The Params, r and s of a certificate object, or the SchemaError of
+    its top level, its keys, its version or the first faulty number.
+    Only the presence of classes is checked here."""
     if not isinstance(obj, dict):
         raise SchemaError("top level must be an object")
     missing = {"version", "v", "n", "m", "r", "s", "classes"} - set(obj)
@@ -148,24 +160,24 @@ def from_dict(obj) -> Decomposition:
     v, n, m = (_int(obj[k], k) for k in ("v", "n", "m"))
     r, s = _int(obj["r"], "r"), _int(obj["s"], "s")
     try:
-        params = Params(v, n, m)
+        return Params(v, n, m), r, s
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def from_dict(obj) -> Decomposition:
+    """Check a certificate's JSON object against the schema and return it
+    as a Decomposition of FlatClass classes.
+
+    Every SchemaError comes from here.  The header is checked in full
+    before any class, so each block is read knowing m and n.
+    """
+    params, r, s = _checked_header(obj)
     if not isinstance(obj["classes"], list):
         raise SchemaError("classes must be a list")
-    w = params.weight
-    classes = []
-    for ci, cobj in enumerate(obj["classes"]):
-        where = f"class {ci}"
-        if not isinstance(cobj, dict) or set(cobj) != {"kind", "blocks"}:
-            raise SchemaError(f"{where}: need exactly kind and blocks")
-        if cobj["kind"] not in KINDS:
-            raise SchemaError(f"{where}: unknown kind {cobj['kind']!r}")
-        if not isinstance(cobj["blocks"], list):
-            raise SchemaError(f"{where}: blocks must be a list")
-        ids, bounds, stars = _checked_class(cobj["blocks"], where, m, w)
-        classes.append(FlatClass(cobj["kind"], tuple(ids), tuple(bounds), bytes(stars)))
-    return Decomposition(params, tuple(classes), r, s)
+    m, w = params.m, params.weight
+    classes = tuple(_checked_class(cobj, ci, m, w) for ci, cobj in enumerate(obj["classes"]))
+    return Decomposition(params, classes, r, s)
 
 
 def _join(brackets: str, items: list[str], depth: int) -> str:
@@ -238,15 +250,75 @@ def _json(text: str):
         raise SchemaError("not valid JSON: nested too deeply") from exc
 
 
+_DECODE = json.JSONDecoder().raw_decode
+_SKIP = json.decoder.WHITESPACE.match
+
+
+def _read_in_order(text: str) -> Decomposition | None:
+    """The Decomposition of a certificate text whose keys all come before
+    classes, read one class at a time: only the class being read is ever
+    a parsed object, not the whole certificate.  A repeated key keeps its
+    last value, as in json.loads.  For any other text this returns None or
+    raises the JSON or schema error that stopped the walk, and loads reads
+    the text whole."""
+    at = _SKIP(text, 0).end()
+    if text[at:at + 1] != "{":
+        return None
+    header = {}
+    while True:
+        key, at = _DECODE(text, _SKIP(text, at + 1).end())
+        if type(key) is not str:
+            return None
+        at = _SKIP(text, at).end()
+        if text[at:at + 1] != ":":
+            return None
+        at = _SKIP(text, at + 1).end()
+        if key == "classes":
+            break
+        header[key], at = _DECODE(text, at)
+        at = _SKIP(text, at).end()
+        if text[at:at + 1] != ",":
+            return None
+    header["classes"] = classes = []
+    params, r, s = _checked_header(header)
+    if text[at:at + 1] != "[":
+        return None
+    m, w = params.m, params.weight
+    at = _SKIP(text, at + 1).end()
+    if text[at:at + 1] != "]":
+        while True:
+            cobj, at = _DECODE(text, at)
+            classes.append(_checked_class(cobj, len(classes), m, w))
+            at = _SKIP(text, at).end()
+            if text[at:at + 1] != ",":
+                break
+            at = _SKIP(text, at + 1).end()
+        if text[at:at + 1] != "]":
+            return None
+    at = _SKIP(text, at + 1).end()
+    if text[at:at + 1] != "}" or _SKIP(text, at + 1).end() != len(text):
+        return None
+    return Decomposition(params, tuple(classes), r, s)
+
+
 def loads(text: str) -> Decomposition:
-    """from_dict of the JSON text, with the cyclic GC off while it runs:
-    the parsed certificate and the classes read from it hold no cycles,
-    and GC passes over their many lists would only walk them.  A GC the
-    caller had enabled is enabled again, whatever loads raises."""
+    """The Decomposition of a certificate text, with the cyclic GC off
+    while it is read: the classes read hold no cycles, and GC passes over
+    their many tuples would only walk them.  A GC the caller had enabled
+    is enabled again, whatever loads raises.
+
+    A text whose keys all come before classes is read one class at a
+    time.  Any other text, and any text the walk finds at fault, is read
+    as from_dict(json.loads(text)), so its Decomposition or SchemaError is
+    that of the whole-text parse."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return from_dict(_json(text))
+        try:
+            d = _read_in_order(text)
+        except (ValueError, RecursionError):  # not JSON or not the schema
+            d = None
+        return from_dict(_json(text)) if d is None else d
     finally:
         if enabled:
             gc.enable()

@@ -64,6 +64,7 @@ def _audit_flat_class(
     fc: FlatClass,
     params: Params,
     vertices: set[int] | None,
+    spans: tuple[tuple[int, ...], ...],
     pairs: list[int],
     extra: set[Edge],
     centers: list[int],
@@ -76,7 +77,9 @@ def _audit_flat_class(
     holds outside the vertex set.  Collects the class's edges on the way:
     pairs of the vertex set as a*v + b with a < b into pairs, edges with
     an endpoint outside it into extra, and, in a star class, the star
-    centers in the vertex set into centers.  vertices is {0..v-1} or None.
+    centers in the vertex set into centers.  vertices is {0..v-1} or None;
+    spans is the bounds of v ids in edges and in stars, or () when vertices
+    is None.
     """
     n, v = params.n, params.v
     w = n + 1
@@ -87,10 +90,10 @@ def _audit_flat_class(
     # the ids that are not an int in 0..v-1: none if seen is the vertex set
     outside = set() if seen == vertices else {
         k for k in seen if type(k) is not int or not 0 <= k < v}
-    # each block of the class's kind, with w ids if a star and 2 if an edge
-    shapes_ok = (0 if stars else 1) not in fc.stars and bounds == tuple(
-        range(0, len(ids) + 1, w if stars else 2)
-    )
+    # v ids, each block of the class's kind, with w ids if a star and 2 if
+    # an edge; any other class is walked block by block, which reports
+    # only the faults it finds
+    shapes_ok = len(ids) == v and (0 if stars else 1) not in fc.stars and bounds == spans[stars]
     if not shapes_ok or len(seen) != len(ids):
         # some block has a fault: find each, in block order
         walked: set = set()
@@ -208,13 +211,15 @@ def verify(d: Decomposition) -> VerificationReport:
             )
         )
 
-    # built only if some class may equal it, so at no cost beyond the input
+    # built only if some class may equal it, so at no cost beyond the input;
+    # so are the bounds of a class of v ids in edges and in stars
     vertices = set(range(v)) if any(len(fc.ids) >= v for fc in classes) else None
+    spans = (tuple(range(0, v + 1, 2)), tuple(range(0, v + 1, n + 1))) if vertices else ()
     pairs: list[int] = []
     extra: set[Edge] = set()
     centers: list[int] = []
     for index, fc in enumerate(classes):
-        _audit_flat_class(index, fc, p, vertices, pairs, extra, centers, violations)
+        _audit_flat_class(index, fc, p, vertices, spans, pairs, extra, centers, violations)
         blocks = len(fc.stars)
         want = v // 2 if fc.kind == ONE_FACTOR else v // (n + 1)
         if blocks != want:

@@ -47,13 +47,14 @@ def test_dict_shape():
 def test_loads_reads_with_the_gc_off_and_restores_its_state(monkeypatch, text, error, enabled):
     import starurd.serialize as serialize
 
-    real, during = serialize.from_dict, []
+    # the header check runs in the class-by-class walk and in from_dict
+    real, during = serialize._checked_header, []
 
-    def from_dict(obj):
+    def checked_header(obj):
         during.append(gc.isenabled())
         return real(obj)
 
-    monkeypatch.setattr(serialize, "from_dict", from_dict)
+    monkeypatch.setattr(serialize, "_checked_header", checked_header)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -66,6 +67,7 @@ def test_loads_reads_with_the_gc_off_and_restores_its_state(monkeypatch, text, e
     finally:
         (gc.enable if was else gc.disable)()
     assert not any(during)
+    assert during or text == "{"  # only a text that is not JSON skips the header
 
 
 def test_not_json_rejected():
@@ -366,3 +368,153 @@ def test_schema_error_names_its_location_once(obj, message):
     with pytest.raises(SchemaError) as info:
         from_dict(obj)
     assert str(info.value) == message
+
+
+# Reader differential: loads walks a header-first text one class at a time
+# and hands every other text to from_dict(json.loads(text)), so on any text
+# it must give that reader's Decomposition or its SchemaError.
+def _sources():
+    return [construct(BuildRequest(12, 3, 0)), construct(BuildRequest(24, 5, 1)), _witness()]
+
+
+SOURCES = _sources()
+WHITESPACE = ["", "", " ", "\n", "\t", "\r\n  "]
+
+
+def spaced(value, rnd):
+    """value as JSON text with random JSON whitespace around every token."""
+    def gap():
+        return rnd.choice(WHITESPACE)
+
+    if isinstance(value, dict):
+        items = [f"{gap()}{json.dumps(k)}{gap()}:{gap()}{spaced(x, rnd)}{gap()}"
+                 for k, x in value.items()]
+    elif isinstance(value, list):
+        items = [gap() + spaced(x, rnd) + gap() for x in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + (",".join(items) or gap()) + brackets[1]
+
+
+@st.composite
+def certificate_texts(draw):
+    obj = to_dict(draw(st.sampled_from(SOURCES)))
+    # each change to the text below is drawn a third of the time or less,
+    # so that many texts still take the walk
+    if draw(st.integers(0, 2)) == 0:  # the keys in any order
+        obj = {key: obj[key] for key in draw(st.permutations(list(obj)))}
+    if draw(st.integers(0, 2)) == 0:  # an extra key at the top level, or in a class
+        where = draw(st.sampled_from(["top", "class"]))
+        target = obj if where == "top" else draw(st.sampled_from(obj["classes"]))
+        target["note"] = draw(st.one_of(st.integers(), st.lists(st.integers(), max_size=3)))
+        if where == "top":
+            key = draw(st.sampled_from(list(obj)))
+            obj[key] = obj.pop(key)
+    repeat = draw(st.sampled_from(list(obj))) if draw(st.integers(0, 2)) == 0 else None
+    if repeat is not None:  # written as "repeat" and renamed in the text
+        obj["repeat"] = draw(st.sampled_from([obj[repeat], 1, "1", []]))
+        moved = [key for key in obj if key != "repeat"]
+        at = draw(st.integers(0, len(moved)))
+        obj = {key: obj[key] for key in moved[:at] + ["repeat"] + moved[at:]}
+    layout = draw(st.sampled_from(["dumps", "compact", "spaced"]))
+    if layout == "dumps":
+        text = json.dumps(obj, indent=1)
+    elif layout == "compact":
+        text = json.dumps(obj, separators=(",", ":"))
+    else:
+        rnd = draw(st.randoms(use_true_random=False))
+        text = rnd.choice(WHITESPACE) + spaced(obj, rnd) + rnd.choice(WHITESPACE)
+    if repeat is not None:
+        text = text.replace('"repeat"', json.dumps(repeat), 1)
+    damage = draw(st.sampled_from(["none"] * 4 + ["truncate", "replace", "delete", "insert"]))
+    if damage != "none":
+        i = draw(st.integers(0, len(text)))  # len(text): at the end
+        c = draw(st.sampled_from(list('{}[],:"-0179 xe\\')))
+        text = {"truncate": text[:i], "replace": text[:i] + c + text[i + 1:],
+                "delete": text[:i] + text[i + 1:], "insert": text[:i] + c + text[i:]}[damage]
+    return text
+
+
+def whole(text):
+    """The Decomposition or SchemaError message of the whole-text reader."""
+    from starurd.serialize import _json
+
+    try:
+        return from_dict(_json(text))
+    except SchemaError as exc:
+        return str(exc)
+
+
+def assert_reads_as_whole(text):
+    want = whole(text)
+    if isinstance(want, str):
+        with pytest.raises(SchemaError) as info:
+            loads(text)
+        assert str(info.value) == want
+    else:
+        assert loads(text) == want == from_dict(json.loads(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_texts())
+def test_loads_reads_as_from_dict_of_the_parsed_text(text):
+    assert_reads_as_whole(text)
+
+
+@pytest.mark.parametrize("layout", ["dumps", "compact"])
+@pytest.mark.parametrize("make", [lambda: construct(BuildRequest(24, 5, 1)), _witness],
+                         ids=["24-5-1", "witness"])
+def test_header_first_text_is_read_without_parsing_it_whole(monkeypatch, make, layout):
+    # the whole-text reader is only the fallback: a header-first text,
+    # as dumps or a compact writer lays it out, never reaches it
+    import starurd.serialize as serialize
+
+    d = make()
+    text = dumps(d) if layout == "dumps" else json.dumps(to_dict(d), separators=(",", ":"))
+
+    def whole_text(text):
+        raise AssertionError("the whole text was parsed")
+
+    monkeypatch.setattr(serialize, "_json", whole_text)
+    assert loads(text) == d
+
+
+EMPTY = json.dumps(dict(HEADER, classes=[]))
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"classes": [], **HEADER}),
+    json.dumps({**HEADER, "classes": [], "note": 1}),
+    json.dumps(HEADER)[:-1] + ', "v": 8, "classes": []}',
+    json.dumps(HEADER)[:-1] + ', "v": 8, "v": 4, "classes": []}',
+    EMPTY[:-1] + ', "classes": []}',
+    EMPTY + " \n",
+    EMPTY + " x",
+    EMPTY + "{}",
+    EMPTY[:-1] + ",}",
+    EMPTY[:-2] + ",]}",
+    EMPTY[:-2] + "{},]}",
+    EMPTY[:-1],
+], ids=["classes-first", "key-after-classes", "repeated-key-last-bad", "repeated-key-last-good",
+        "repeated-classes", "trailing-whitespace", "trailing-data", "two-objects",
+        "trailing-comma", "comma-in-empty-classes", "trailing-comma-in-classes", "unclosed"])
+def test_texts_around_the_walk_read_as_from_dict_of_the_parsed_text(text):
+    assert_reads_as_whole(text)
+
+
+@pytest.mark.parametrize("layout", ["dumps", "compact"])
+def test_loads_peaks_under_a_quarter_of_the_parse_tree(layout):
+    import tracemalloc
+
+    d = construct(BuildRequest(144, 7, 0))  # 10296 edges
+    text = dumps(d) if layout == "dumps" else json.dumps(to_dict(d), separators=(",", ":"))
+    peaks = []
+    for read in (loads, json.loads):
+        tracemalloc.start()
+        try:
+            read(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 4

@@ -136,6 +136,17 @@ def test_edge_block_of_other_than_two_ids_is_reported():
     )
 
 
+def test_v_ids_in_blocks_of_the_other_kinds_size_are_reported():
+    # K_8 (n=3): a star class of 8 ids in 2-id stars, a one-factor of 8 ids
+    # in 4-id edges; each block's size fits the other kind, not its own
+    stars = FlatClass(STAR_FACTOR, tuple(range(8)), (0, 2, 4, 6, 8), b"\x01" * 4)
+    edges = FlatClass(ONE_FACTOR, tuple(range(8)), (0, 4, 8), b"\x00" * 2)
+    report = verify(Decomposition(Params(8, 3, 2), (stars, edges), 1, 1))
+    assert [detail for code, detail in report.violations if code == WRONG_KIND] == [
+        "class 0: star with 1 leaves, expected 3",
+    ] * 4 + ["class 1: edge with 4 vertices"] * 2
+
+
 def test_fudged_counts_detected():
     d = construct(BuildRequest(12, 3, 0))
     report = verify(Decomposition(d.params, d.classes, d.r + 2, d.s))
