@@ -373,11 +373,7 @@ def test_schema_error_names_its_location_once(obj, message):
 # Reader differential: loads walks a header-first text one class at a time
 # and hands every other text to from_dict(json.loads(text)), so on any text
 # it must give that reader's Decomposition or its SchemaError.
-def _sources():
-    return [construct(BuildRequest(12, 3, 0)), construct(BuildRequest(24, 5, 1)), _witness()]
-
-
-SOURCES = _sources()
+SOURCES = [construct(BuildRequest(12, 3, 0)), construct(BuildRequest(24, 5, 1)), _witness()]
 WHITESPACE = ["", "", " ", "\n", "\t", "\r\n  "]
 
 
