@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
 from reference_verifier import verify_aurd
 
-from starurd.assembler import BuildRequest, construct
+from starurd import verifier
+from starurd.assembler import BuildRequest, construct, construct_pair
 from starurd.aurd import matching_aurd, star_aurd
 from starurd.blowup import WeightedCycle
 from starurd.model import (
@@ -24,6 +27,8 @@ from starurd.model import (
     Vertex,
     WRONG_KIND,
 )
+from starurd.search import exhaustive_urd
+from starurd.serialize import dumps, loads
 from starurd.verifier import verify
 
 
@@ -118,6 +123,29 @@ def test_empty_star_block_is_reported_not_raised(ids, bounds, stars):
     report = verify(Decomposition(Params(4, 3, 1), (fc,) * 4, 0, 4))
     assert (WRONG_KIND, "class 0: star with -1 leaves, expected 3") in report.violations
     assert COUNT_MISMATCH in report.codes()
+
+
+@pytest.mark.parametrize("loop,uncovered", [
+    ((2, 2), ("1 vertices uncovered", "3 vertices uncovered")),
+    (((1, 0), (1, 0)), ("2 vertices uncovered, 1 outside the vertex set",
+                        "4 vertices uncovered, 1 outside the vertex set")),
+], ids=["inside", "outside"])
+def test_loop_in_a_hand_built_class_is_reported_not_raised(loop, uncovered):
+    # no reader makes a loop, and no Edge can hold one: the walk takes no
+    # edge from it, so it is neither a covered pair nor an edge outside the
+    # target, and the classes that hold it miss a vertex
+    one = FlatClass(ONE_FACTOR, (0, 1) + loop, (0, 2, 4), b"\x00\x00")
+    two = FlatClass(ONE_FACTOR, (0, 2, 1, 3), (0, 2, 4), b"\x00\x00")
+    three = FlatClass(ONE_FACTOR, (0, 3, 1, 2), (0, 2, 4), b"\x00\x00")
+    extra = FlatClass(ONE_FACTOR, loop, (0, 2), b"\x00")
+    d = Decomposition(Params(4, 3, 1), (one, two, three, extra), 4, 0)
+    assert verify(d).violations == (
+        (PARAM_MISMATCH, "(n+1)r + 2ns = 16 != (n+1)(v-1) = 12"),
+        (NOT_SPANNING, f"class 0: {uncovered[0]}"),
+        (NOT_SPANNING, f"class 3: {uncovered[1]}"),
+        (COUNT_MISMATCH, "class 3: 1 blocks, expected 2"),
+        (MISSING_EDGE, f"1 target edges uncovered, e.g. {Edge(Vertex(0, 2), Vertex(0, 3))}"),
+    )
 
 
 def test_edge_block_of_other_than_two_ids_is_reported():
@@ -222,3 +250,45 @@ def test_report_codes_empty_on_pass():
     d = construct(BuildRequest(16, 3, 1))
     report = verify(d)
     assert report.passed and report.codes() == set()
+
+
+def _valid_certificates():
+    """A valid certificate from each producer of flat classes."""
+    odd, even = construct(BuildRequest(12, 3, 0)), construct(BuildRequest(16, 3, 0))
+    text = dumps(even)
+    obj = json.loads(text)  # written with classes first, it is parsed whole
+    first = json.dumps({"classes": obj.pop("classes"), **obj})
+    return {
+        "construct odd m": odd,
+        "construct even m": even,
+        "construct_pair m=1": construct_pair(4, 3, 3, 0),
+        "construct_pair m=2": construct_pair(8, 3, 7, 0),
+        "search witness": exhaustive_urd(8, 3, 1, 4).witness,
+        "loads header first": loads(text),
+        "loads classes first": loads(first),
+        "FlatClass.of": Decomposition(odd.params, odd.classes, odd.r, odd.s),
+    }
+
+
+def test_valid_classes_of_every_producer_pass_the_clean_class_test(monkeypatch):
+    certificates = _valid_certificates()
+
+    def walk(index, fc, *args):
+        raise AssertionError(f"class {index} of a valid certificate was walked")
+
+    monkeypatch.setattr(verifier, "_walk_class", walk)
+    for name, d in certificates.items():
+        assert verify(d).passed, name
+
+
+def test_the_fault_walk_passes_every_valid_class(monkeypatch):
+    # bounds as a list fail the clean-class test, so every class is walked:
+    # on a class with no fault the two paths must agree
+    walked = []
+    walk = verifier._walk_class
+    monkeypatch.setattr(verifier, "_walk_class", lambda *args: walked.append(1) or walk(*args))
+    for name, d in _valid_certificates().items():
+        flat = tuple(fc._replace(bounds=list(fc.bounds)) for fc in d.flat)
+        walked.clear()
+        assert verify(Decomposition(d.params, flat, d.r, d.s)).passed, name
+        assert len(walked) == len(flat), name

@@ -18,6 +18,7 @@ import random
 import time
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -337,6 +338,62 @@ def test_star_center_past_v_fails():
     si = _stars(d.flat)[0]
     report = assert_same(renamed(d, d.flat[si].ids[0], d.flat[si].ids[0] + 12, si))
     assert report.codes() == {NOT_SPANNING, EXTRA_EDGE, MISSING_EDGE, COUNT_MISMATCH}
+
+
+def _with_flat(d, ci, **fields):
+    """d with the given fields of its flat class ci replaced."""
+    flat = list(d.flat)
+    flat[ci] = flat[ci]._replace(**fields)
+    return Decomposition(d.params, tuple(flat), d.r, d.s)
+
+
+def _one_flagged_as_a_star(d, ci):
+    stars = bytearray(d.flat[ci].stars)
+    stars[1] = 1
+    return _with_flat(d, ci, stars=bytes(stars))
+
+
+def _repeated_and_missing(d, ci):
+    ids = d.flat[ci].ids
+    return renamed(d, ids[5], ids[0], ci)
+
+
+def _past_v(d, ci):
+    k = d.flat[ci].ids[5]
+    return renamed(d, k, k + d.params.v, ci)
+
+
+def _trailing_id(d, ci):
+    # ids[5] written as ids[0], and ids[5] once more after the last block:
+    # the ids are the vertex set, but the blocks repeat one and miss one
+    fc = _repeated_and_missing(d, ci).flat[ci]
+    return _with_flat(d, ci, ids=fc.ids + (d.flat[ci].ids[5],))
+
+
+# Each case fails one condition of the clean-class test: v ids, the bounds of
+# v ids in blocks of the kind's size, every block flagged as the kind, or
+# the ids 0..v-1 (stars of two ids fail the bounds and, with them, the
+# count of flags).  The fault walk must judge it as the reference judges
+# its object view.
+CLEAN_CLASS_FAULTS = {
+    "one-factor-block-flagged-as-star": (ONE_FACTOR, _one_flagged_as_a_star),
+    "stars-of-two-ids": (STAR_FACTOR, lambda d, ci: _with_flat(
+        d, ci, bounds=tuple(range(0, d.params.v + 1, 2)), stars=b"\x01" * (d.params.v // 2))),
+    "stars-of-other-sizes": (STAR_FACTOR, lambda d, ci: _with_flat(d, ci, bounds=(0, 2, 6, 12))),
+    "one-factor-id-repeated": (ONE_FACTOR, _repeated_and_missing),
+    "star-id-repeated": (STAR_FACTOR, _repeated_and_missing),
+    "one-factor-id-past-v": (ONE_FACTOR, _past_v),
+    "star-id-past-v": (STAR_FACTOR, _past_v),
+    "one-factor-id-after-the-last-block": (ONE_FACTOR, _trailing_id),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLEAN_CLASS_FAULTS))
+def test_class_failing_one_clean_class_condition_agrees(case):
+    kind, forge = CLEAN_CLASS_FAULTS[case]
+    d = built(12, 3, 0)
+    for ci in [i for i, fc in enumerate(d.flat) if fc.kind == kind][:2]:
+        assert not assert_same(forge(d, ci)).passed
 
 
 @settings(max_examples=80, deadline=None)
