@@ -13,9 +13,11 @@ Exit codes are stable:
     5  internal construction, self-verification or search failure
     6  search budget exceeded
 
-No command writes partial output: a payload is rendered fully before its
-file is touched, and each command's stdout text, help included, is
-rendered fully and written once, through the same writer as the files.
+No command writes output before it has passed its checks: a certificate
+is written only after self-verification passes, to its file or to
+stdout, one class at a time as serialize renders it, so the whole
+text is never held; every other stdout text, help included, is rendered
+fully and written once, through the same writer as the files.
 Each diagnostic is written to stderr once, by `_fail`, which cannot raise.
 
 Each command imports the layers it runs when it runs, so that `verify`
@@ -82,18 +84,20 @@ def _check_vn(v: int, n: int) -> str | None:
     return None
 
 
-def _write_payload(payload: str, out: str | None) -> bool:
-    """Write to out, or to stdout if out is None.  If it cannot be
-    written (a missing directory, a closed pipe), say so on stderr and
-    return False."""
+def _write_payload(write, out: str | None) -> bool:
+    """Write a text to out, or to stdout if out is None: write(stream)
+    writes it and returns its last character, and stdout gets a newline
+    after a text that does not end with one.  If it cannot be written (a
+    missing directory, a closed pipe, a full device), say so on stderr
+    and return False."""
     try:
         if out is None:
-            sys.stdout.write(payload)
-            if not payload.endswith("\n"):
+            if write(sys.stdout) != "\n":
                 sys.stdout.write("\n")
             sys.stdout.flush()
         else:
-            Path(out).write_text(payload, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as stream:
+                write(stream)
     except OSError as exc:
         if out is None:
             _drop(sys.stdout)
@@ -102,10 +106,18 @@ def _write_payload(payload: str, out: str | None) -> bool:
     return True
 
 
+def _whole(payload: str):
+    """The write function of _write_payload for a text rendered whole."""
+    def write(stream) -> str:
+        stream.write(payload)
+        return payload[-1:]
+    return write
+
+
 def _print(lines: list[str], code: int) -> int:
     """Write a command's stdout text in one go; return code, or
     EXIT_USAGE if stdout cannot be written."""
-    return code if _write_payload("\n".join(lines), None) else EXIT_USAGE
+    return code if _write_payload(_whole("\n".join(lines)), None) else EXIT_USAGE
 
 
 def cmd_check(args) -> int:
@@ -166,11 +178,8 @@ def cmd_build(args) -> int:
         return _fail(EXIT_INTERNAL, *(f"{code}: {detail}" for code, detail in report.violations),
                      "self-verification failed; nothing written")
 
-    if args.format == "json":
-        payload = serialize.dumps(decomposition)
-    else:
-        payload = serialize.to_text(decomposition)
-    if not _write_payload(payload, args.out):
+    render = serialize.dumps if args.format == "json" else serialize.to_text
+    if not _write_payload(lambda stream: render(decomposition, stream), args.out):
         return EXIT_USAGE
     if args.out is not None:
         return _print([
@@ -236,10 +245,9 @@ def cmd_search(args) -> int:
         outcome.status
     ]
     if outcome.status == FOUND:
-        witness = serialize.dumps(outcome.witness)
         if args.out is None:
-            lines.append(witness)
-        elif _write_payload(witness, args.out):
+            lines.append(serialize.dumps(outcome.witness))
+        elif _write_payload(lambda stream: serialize.dumps(outcome.witness, stream), args.out):
             lines.append(f"witness written to {args.out}")
         else:
             code = EXIT_USAGE
@@ -322,7 +330,7 @@ def build_parser():
         def print_help(self, file=None):
             if file is not None:
                 super().print_help(file)
-            elif not _write_payload(self.format_help(), None):
+            elif not _write_payload(_whole(self.format_help()), None):
                 self.exit(EXIT_USAGE)
 
     parser = _Parser(

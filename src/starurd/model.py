@@ -103,8 +103,12 @@ class Vertex(namedtuple("Vertex", "base level")):
 def vertex_key(k: int | tuple[int, int], weight: int) -> tuple[int, int]:
     """The (base, level) pair a flat id names; a (base, level) pair, the id
     FlatClass gives a vertex outside Z_m x Z_weight, names itself.  Ids
-    sort on it as their vertices do."""
-    return divmod(k, weight) if type(k) is int else k
+    sort on it as their vertices do.  Any other id, such as 1.0 or True in
+    a hand-built class, names no vertex: it is named (k, -1), a pair that
+    names no vertex either, so it is reported as written, not raised on."""
+    if type(k) is int:
+        return divmod(k, weight)
+    return k if type(k) is tuple else (k, -1)
 
 
 def vertex_from_flat(index: int | tuple[int, int], weight: int) -> Vertex:

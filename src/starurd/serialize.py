@@ -39,8 +39,12 @@ The writers render from the same flat ids, each id as the (base, level)
 pair it names (model.vertex_key).  dumps is the one writer of the schema.
 It writes the text of json.dumps(to_dict(d), indent=1) without building
 the dict: each vertex is rendered once per indent depth it appears at,
-and the block, class and top-level texts are joined from those strings.
-to_dict parses what dumps writes.
+and the block and class texts are joined from those strings.  to_dict
+parses what dumps writes.  Each format, the schema and the listing of
+to_text, has one renderer, which yields its text one class at a time:
+dumps and to_text return the join of its pieces, or, given a stream,
+write the pieces there as they come, so `starurd build` never holds
+more than one class of the text.
 """
 
 from __future__ import annotations
@@ -207,12 +211,21 @@ def _pair_at(depth: int):
     return lambda base, level: _join("[]", [str(base), str(level)], depth)
 
 
-def dumps(d: Decomposition) -> str:
-    """The text of json.dumps(to_dict(d), indent=1)."""
+def _json_pieces(d: Decomposition):
+    """The text of json.dumps(to_dict(d), indent=1), one class at a time:
+    the header with the first class, each further class, then the close."""
+    header = {"version": SCHEMA_VERSION, "v": d.params.v, "n": d.params.n,
+              "m": d.params.m, "r": d.r, "s": d.s}
+    empty = _join("{}", [f'"{key}": {json.dumps(value)}' for key, value in header.items()]
+                  + ['"classes": []'], 0)
+    if not d.flat:
+        yield empty
+        return
     w = d.params.n + 1
     # endpoints and centers; leaves
     at5, at6 = _Rendered(_pair_at(5), w), _Rendered(_pair_at(6), w)
-    classes = []
+    # each class text goes into the "[]" that empty ends with
+    lead = empty[:-3] + "\n  "
     for fc in d.flat:
         blocks = []
         for ids, star in zip(fc.blocks(), fc.stars):
@@ -225,20 +238,53 @@ def dumps(d: Decomposition) -> str:
                 a, b = ids
                 # _join("[]", [endpoint texts], 4), written out: the hot path
                 blocks.append(f"[\n     {at5[a]},\n     {at5[b]}\n    ]")
-        classes.append(_join("{}", [
+        yield lead + _join("{}", [
             f'"kind": {json.dumps(fc.kind)}', f'"blocks": {_join("[]", blocks, 3)}'
-        ], 2))
-    header = {"version": SCHEMA_VERSION, "v": d.params.v, "n": d.params.n,
-              "m": d.params.m, "r": d.r, "s": d.s}
-    empty = _join("{}", [f'"{key}": {json.dumps(value)}' for key, value in header.items()]
-                  + ['"classes": []'], 0)
-    if not classes:
-        return empty
-    # Put the class texts into the "[]" that empty ends with, in one join, so
-    # the file text is copied once and not once per nesting level.
-    classes[0] = empty[:-3] + "\n  " + classes[0]
-    classes[-1] += "\n ]\n}"
-    return ",\n  ".join(classes)
+        ], 2)
+        lead = ",\n  "
+    yield "\n ]\n}"
+
+
+def _text_pieces(d: Decomposition):
+    """The human-readable listing, one class at a time: the title line,
+    each class as a paragraph, then the final newline."""
+    yield (f"decomposition of K_{d.params.v} "
+           f"(v={d.params.v} n={d.params.n} m={d.params.m} r={d.r} s={d.s})")
+    name = _Rendered("({},{})".format, d.params.n + 1)
+    for ci, fc in enumerate(d.flat, start=1):
+        lines = [f"\n\nclass {ci}: {fc.kind}"]
+        for ids, star in zip(fc.blocks(), fc.stars):
+            if star:
+                lines.append(f"\n  center {name[ids[0]]}: {' '.join([name[k] for k in ids[1:]])}")
+            else:
+                a, b = ids
+                lines.append(f"\n  {name[a]}-{name[b]}")
+        yield "".join(lines)
+    yield "\n"
+
+
+def _emit(pieces, stream) -> str:
+    """The text of pieces, or, given a stream, the text written to it piece
+    by piece and its last character."""
+    if stream is None:
+        return "".join(pieces)
+    piece = ""
+    for piece in pieces:
+        stream.write(piece)
+    return piece[-1:]
+
+
+def dumps(d: Decomposition, stream=None) -> str:
+    """The text of json.dumps(to_dict(d), indent=1).  Given a stream, the
+    text is written to it one class at a time, never held whole, and its
+    last character is returned."""
+    return _emit(_json_pieces(d), stream)
+
+
+def to_text(d: Decomposition, stream=None) -> str:
+    """Human-readable listing, one class per paragraph.  Not machine-parsed.
+    Given a stream, it is written as dumps writes to one."""
+    return _emit(_text_pieces(d), stream)
 
 
 def _json(text: str):
@@ -322,23 +368,3 @@ def loads(text: str) -> Decomposition:
     finally:
         if enabled:
             gc.enable()
-
-
-def to_text(d: Decomposition) -> str:
-    """Human-readable listing, one class per paragraph.  Not machine-parsed."""
-    out = [
-        f"decomposition of K_{d.params.v} "
-        f"(v={d.params.v} n={d.params.n} m={d.params.m} r={d.r} s={d.s})"
-    ]
-    name = _Rendered("({},{})".format, d.params.n + 1)
-    for ci, fc in enumerate(d.flat, start=1):
-        out.append("")
-        out.append(f"class {ci}: {fc.kind}")
-        for ids, star in zip(fc.blocks(), fc.stars):
-            if star:
-                out.append(f"  center {name[ids[0]]}: {' '.join([name[k] for k in ids[1:]])}")
-            else:
-                a, b = ids
-                out.append(f"  {name[a]}-{name[b]}")
-    out.append("")
-    return "\n".join(out)

@@ -9,31 +9,36 @@ input.
 vertex ids base*(n+1)+level, as the JSON reader, the construction or a
 flattened FactorClass made them; it never reads the object view
 `Decomposition.classes`.  A class passes the clean-class test if it holds
-the ids 0..v-1, each once, in blocks flagged as its kind and of its kind's
-size, 2 ids for an edge and n+1 for a star: it has no fault to find, and
-only its edges and star centers are taken.  Any other class goes through
-the fault walk, which takes its blocks in order and reports each block of
-the wrong kind or size and the first vertex that an earlier block holds
-(blocks list their ids in the canonical order of Edge and StarBlock), then
-the vertices it fails to cover or holds outside the vertex set.  Ids that
-are not an int in 0..v-1 are outside it: the walk finds them from the ids,
-trusting no flag of whoever made the class, and keeps their edges as Edge
-objects.
+the ids 0..v-1, each once and each of type int, in blocks flagged as its
+kind and of its kind's size, 2 ids for an edge and n+1 for a star: it has
+no fault to find, and only its edges and star centers are taken.  Any
+other class goes through the fault walk, which takes its blocks in order
+and reports each block of the wrong kind or size and the first vertex
+that an earlier block holds (blocks list their ids in the canonical order
+of Edge and StarBlock), then the vertices it fails to cover or holds
+outside the vertex set.  Ids that are not an int in 0..v-1 are outside
+it, 1.0 and True among them though a set takes them for 1: the walk finds
+them from the ids, trusting no flag of whoever made the class, and keeps
+their edges as Edge objects.
 
 Together the classes must cover every pair of vertices exactly once,
-checked on integer pair ids without enumerating E(K_v): the uncovered
-pairs are v(v-1)/2 minus the distinct pairs covered, and the first is
-found by walking the pairs in order up to the first gap.  The vertex set
-and the clean shapes are built only if some class holds v ids, so time
-and memory are bounded by the size of the certificate, not by the v it
-claims.  Last, every vertex must be a star center in s/(n+1) classes: a
-valid decomposition forces it, and an edge count alone would miss it.
+checked on integer pair ids without enumerating E(K_v).  The one list of
+pair ids is sorted in place, so repeats are adjacent and no set of the
+pairs is built: the pairs covered more than once are read off it, the
+uncovered pairs are v(v-1)/2 minus the distinct pairs covered, and the
+first is found by walking the distinct pairs in order up to the first
+gap.  The vertex set and the clean shapes are built only if some class
+holds v ids, so time and memory are bounded by the size of the
+certificate, not by the v it claims.  Last, every vertex must be a star
+center in s/(n+1) classes: a valid decomposition forces it, and an edge
+count alone would miss it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import groupby, islice
+from operator import eq
 
 from .model import (
     COUNT_MISMATCH,
@@ -120,28 +125,33 @@ def _audit_flat_edges(pairs: list[int], extra: set[Edge], v: int, weight: int,
                       violations: list[tuple[str, str]]) -> None:
     """Audit the collected edges against E(K_v): edges outside it, pairs
     covered more than once, pairs never covered; each with a count and
-    its least sample."""
-    covered = set(pairs)
+    its least sample.  pairs is sorted in place, so equal pairs are
+    adjacent and no set of them is built."""
     if extra:
         violations.append((EXTRA_EDGE,
                            f"{len(extra)} edges outside the target, e.g. {min(extra)}"))
-    if len(covered) != len(pairs):
-        # sorted in place, equal ids are adjacent: the extra memory is the
-        # duplicates, not a second table of every pair
-        pairs.sort()
+    pairs.sort()
+    distinct = len(pairs) - sum(map(eq, pairs, islice(pairs, 1, None)))
+    if distinct != len(pairs):
+        # the extra memory is the duplicates, not a table of every pair
         dupes = {a for a, b in zip(pairs, islice(pairs, 1, None)) if a == b}
         sample = _pair_edge(min(dupes), v, weight)
         violations.append(
             (DUPLICATE_EDGE, f"{len(dupes)} edges covered more than once, e.g. {sample}")
         )
-    missing = v * (v - 1) // 2 - len(covered)
+    missing = v * (v - 1) // 2 - distinct
     if missing:
-        # the least uncovered pair: every pair passed over is covered, so
-        # this takes at most len(covered) + 1 steps, however large v is
-        gap = next(
-            a * v + b for a in range(v) for b in range(a + 1, v) if a * v + b not in covered
-        )
-        sample = _pair_edge(gap, v, weight)
+        # the least uncovered pair: walk the distinct pairs along the order
+        # a*v + b (a < b) to the first one out of step, so this takes at
+        # most distinct + 1 steps, however large v is
+        a, b = 0, 1
+        for pair, _ in groupby(pairs):
+            if pair != a * v + b:
+                break
+            b += 1
+            if b == v:
+                a, b = a + 1, a + 2
+        sample = _pair_edge(a * v + b, v, weight)
         violations.append(
             (MISSING_EDGE, f"{missing} target edges uncovered, e.g. {sample}")
         )
@@ -180,7 +190,8 @@ def verify(d: Decomposition) -> VerificationReport:
     centers: list[int] = []
     for index, fc in enumerate(classes):
         ids, bounds = fc.ids, fc.bounds
-        if len(ids) == v and (fc.kind, bounds, fc.stars) in shapes and set(ids) == vertices:
+        if (len(ids) == v and (fc.kind, bounds, fc.stars) in shapes and set(ids) == vertices
+                and set(map(type, ids)) == {int}):
             # a clean class: v distinct vertices in blocks of its kind, so
             # no fault to find; a block's edges join its first id to the rest
             pairs += [

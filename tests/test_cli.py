@@ -115,6 +115,75 @@ def test_build_text_format(capsys, tmp_path):
     assert "class 1: one_factor" in path.read_text()
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("v,args", [
+    (12, ["--ell", "0"]), (12, ["--ell", "1"]), (8, ["--r", "7", "--s", "0"]),
+], ids=["stars", "one-factors", "one-factorization"])
+def test_build_writes_the_rendered_text(capsys, tmp_path, fmt, v, args):
+    # the file holds the text as rendered whole; stdout ends it with a
+    # newline if it does not end with one
+    from starurd.assembler import BuildRequest, construct, construct_pair
+    from starurd.serialize import dumps, to_text
+
+    if "--r" in args:
+        d = construct_pair(v, 3, 7, 0)
+    else:
+        d = construct(BuildRequest(v, 3, int(args[1])))
+    text = dumps(d) if fmt == "json" else to_text(d)
+    argv = ["build", "--v", str(v), "--n", "3", *args, "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (text + "\n" if fmt == "json" else text)
+    path = tmp_path / "d"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_build_out_to_a_full_device_exits_two(capsys, fmt):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    code, out, err = run(capsys, *BUILD_64, "--format", fmt, "--out", "/dev/full")
+    assert code == 2
+    assert "cannot write /dev/full" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("to", ["out", "stdout"])
+def test_build_writes_in_less_than_the_size_of_its_text(monkeypatch, tmp_path, fmt, to):
+    # construction and self-verification are done before tracing starts, so
+    # the peak is that of the write path: one class rendered at a time, not
+    # the whole text, let alone a joined copy and its encoding
+    import tracemalloc
+
+    from starurd import assembler, serialize, verifier
+
+    d = assembler.construct(assembler.BuildRequest(144, 7, 0))  # 10296 edges
+    text = serialize.dumps(d) if fmt == "json" else serialize.to_text(d)
+    report = verifier.verify(d)
+    monkeypatch.setattr(assembler, "construct", lambda request: d)
+    monkeypatch.setattr(verifier, "verify", lambda d: report)
+    path = tmp_path / "d"
+    argv = ["build", "--v", "144", "--n", "7", "--ell", "0", "--format", fmt]
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        if to == "out":
+            argv += ["--out", str(path)]
+        else:
+            path = tmp_path / "stdout"
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    written = path.read_text(encoding="utf-8")
+    assert written == (text + "\n" if to == "stdout" and fmt == "json" else text)
+    assert peak < len(text)
+
+
 def test_build_by_pair_resolves_ell(capsys):
     code, out, _ = run(capsys, "build", "--v", "16", "--n", "3", "--r", "9", "--s", "4")
     assert code == 0

@@ -292,3 +292,44 @@ def test_the_fault_walk_passes_every_valid_class(monkeypatch):
         walked.clear()
         assert verify(Decomposition(d.params, flat, d.r, d.s)).passed, name
         assert len(walked) == len(flat), name
+
+
+def test_verify_peaks_under_64_bytes_a_pair():
+    # the pairs of K_144 as ints in one list, sorted in place: about 46
+    # bytes a pair; a set of them beside the list takes it past 100
+    import tracemalloc
+
+    d = construct(BuildRequest(144, 7, 0))
+    tracemalloc.start()
+    try:
+        assert verify(d).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * (144 * 143 // 2)
+
+
+def _k4(ids, bounds):
+    """The one-factorization of K_4 with class 0 written as ids in bounds."""
+    one = FlatClass(ONE_FACTOR, ids, bounds, b"\x00\x00")
+    two = FlatClass(ONE_FACTOR, (0, 2, 1, 3), (0, 2, 4), b"\x00\x00")
+    three = FlatClass(ONE_FACTOR, (0, 3, 1, 2), (0, 2, 4), b"\x00\x00")
+    return Decomposition(Params(4, 3, 1), (one, two, three), 3, 0)
+
+
+@pytest.mark.parametrize("bounds", [(0, 2, 4), [0, 2, 4]], ids=["clean-shape", "walked"])
+@pytest.mark.parametrize("ids,outside,extra", [
+    ((0.0, 1.0, 2.0, 3.0), 4, (2, Edge(Vertex(0.0, -1), Vertex(1.0, -1)))),
+    ((0, True, 2, 3), 1, (1, Edge(Vertex(0, 0), Vertex(True, -1)))),
+], ids=["floats", "true"])
+def test_ids_of_another_type_than_int_are_outside_the_vertex_set(ids, bounds, outside, extra):
+    # 1.0 and True equal 1 and hash as 1, so a set of such ids equals the
+    # vertex set; they name no vertex all the same.  Bounds as a list fail
+    # the clean-class test, so that class is walked: it must report the
+    # ids, named as written, and raise nothing
+    count, sample = extra
+    assert verify(_k4(ids, bounds)).violations == (
+        (NOT_SPANNING, f"class 0: {outside} vertices uncovered, {outside} outside the vertex set"),
+        (EXTRA_EDGE, f"{count} edges outside the target, e.g. {sample}"),
+        (MISSING_EDGE, f"{count} target edges uncovered, e.g. {Edge(Vertex(0, 0), Vertex(0, 1))}"),
+    )

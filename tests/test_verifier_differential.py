@@ -17,6 +17,8 @@ import json
 import random
 import time
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from test_acceptance import mutate as acceptance_mutate
 from starurd.assembler import BuildRequest, construct, construct_pair
 from starurd.model import (
     COUNT_MISMATCH,
+    DUPLICATE_EDGE,
     EXTRA_EDGE,
     MISSING_EDGE,
     NOT_SPANNING,
@@ -416,6 +419,27 @@ def test_ids_outside_the_vertex_set_never_pass(source, ci, position, t, everywhe
     assert not assert_same(forged).passed
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(built, args) for args in SMALL] + [(witness, args) for args in WITNESSES]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
+    st.sampled_from([float, Fraction, Decimal, bool]),
+    st.booleans(),
+)
+def test_ids_of_another_type_than_int_never_pass(source, ci, position, retype, everywhere):
+    # id k written as a number of another type that equals it and hashes as
+    # it does (True for 1, False for 0): no vertex, though a set of the ids
+    # is the vertex set.  The reference's object view may alias such an id
+    # with k itself, so only the verdict is checked, and that nothing raises
+    make, args = source
+    d = make(*args)
+    ci %= len(d.flat)
+    ids = d.flat[ci].ids
+    k = ids[position % len(ids)] if retype is not bool else min(ids)
+    assert not verify(renamed(d, k, retype(k), None if everywhere else ci)).passed
+
+
 def _written(d, rng):
     """d as compact JSON with each edge's endpoints reversed and each
     star's leaves shuffled: the reader must put them back in order."""
@@ -512,6 +536,63 @@ def test_hostile_claim_details_match_reference():
     assert_same(_hostile(96, 15))
     text = '{"version": "1", "v": 96, "n": 15, "m": 6, "r": 95, "s": 0, "classes": []}'
     assert_same(loads(text))
+
+
+# The pair audit on one sorted list: repeats of a pair are adjacent, and the
+# least uncovered pair is found by walking the distinct pairs in order.
+
+
+def _edge_dropped(d, edge):
+    """d with the one-factor block that is edge taken out."""
+    classes = list(d.classes)
+    ci = next(ci for ci, fc in enumerate(classes) if edge in fc.blocks)
+    classes[ci] = FactorClass(ONE_FACTOR, tuple(b for b in classes[ci].blocks if b != edge))
+    return with_classes(d, classes)
+
+
+def test_pair_covered_three_times_counts_once():
+    d = built(12, 3, 0)
+    ones = _ones(d.classes)
+    classes = list(d.classes) + [d.classes[ones[0]]] * 2 + [d.classes[ones[1]]]
+    report = assert_same(with_classes(d, classes, r=d.r + 3))
+    assert (DUPLICATE_EDGE, "12 edges covered more than once, e.g. "
+            f"{Edge(Vertex(0, 0), Vertex(0, 1))}") in report.violations
+
+
+@pytest.mark.parametrize("v", [8, 12])
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_uncovered_pair_at_either_end_of_the_order(v, end):
+    # the one-factorization of K_v with the edge (0,1), the first pair, or
+    # (v-2,v-1), the last, taken out
+    d = construct_pair(v, 3, v - 1, 0)
+    w = d.params.weight
+    a = 0 if end == "first" else v - 2
+    u, x = Vertex(*divmod(a, w)), Vertex(*divmod(a + 1, w))
+    report = assert_same(_edge_dropped(d, Edge(u, x)))
+    assert report.violations[-1] == (MISSING_EDGE, f"1 target edges uncovered, e.g. {Edge(u, x)}")
+
+
+@pytest.mark.parametrize("args", [(12, 3, 0), (20, 3, 1), (24, 5, 0)])
+def test_duplicates_and_gaps_in_one_certificate(args):
+    d = built(*args)
+    w = d.params.weight
+    last = Edge(Vertex(*divmod(d.params.v - 2, w)), Vertex(*divmod(d.params.v - 1, w)))
+    ones = _ones(d.classes)
+    for ci in ones[:2]:
+        # an edge of one class written again in place of an edge of another:
+        # one pair twice, one never
+        classes = list(d.classes)
+        other = ones[0] if ci != ones[0] else ones[1]
+        _replace_block(classes, ci, 0, classes[other].blocks[-1])
+        report = assert_same(with_classes(d, classes))
+        assert {DUPLICATE_EDGE, MISSING_EDGE} <= report.codes()
+    # a class three times over, a star class left out, and a class of the
+    # last pair alone
+    classes = list(d.classes)
+    classes += [classes[ones[0]]] * 2 + [FactorClass(ONE_FACTOR, (last,))]
+    del classes[_stars(classes)[0]]
+    report = assert_same(with_classes(d, classes))
+    assert {DUPLICATE_EDGE, MISSING_EDGE} <= report.codes()
 
 
 def test_forged_params_get_only_the_param_mismatch():
