@@ -7,13 +7,13 @@ r > 0 needs v even and s > 0 needs (n+1) | v.  The x of an admissible
 pair doubles as the number of star classes in which any fixed vertex is a
 center, which the verifier re-checks per vertex.
 
-The construction engine reaches every pair with v = m(n+1), m >= 3 and
+The construction engine reaches every pair with v = m(n+1), m >= 1 and
 r >= threshold = m+n-1 (odd m) resp. m+2n-1 (even m), as r = 2n*ell +
 threshold: r - threshold is n(m-1-2x) resp. n(m-2-2x), a multiple of 2n
-since m-1 resp. m-2 is even.  For m in {1, 2} it reaches only (v-1, 0),
-the one-factorization of K_v, which has no ell.  Pairs outside that range
-get the verdict ADMISSIBLE_UNRESOLVED, which deliberately does not claim
-nonexistence; the search module exists to probe such cases.
+since m-1 resp. m-2 is even (for m in {1, 2}, only (v-1, 0), at ell = 0).
+Pairs outside that range get the verdict ADMISSIBLE_UNRESOLVED, which
+deliberately does not claim nonexistence; the search module exists to
+probe such cases.
 """
 
 from __future__ import annotations
@@ -87,15 +87,6 @@ def check_pair(v: int, n: int, r: int, s: int) -> CoverageVerdict:
             f"v={v} is not a multiple of n+1={n + 1}; constructions need v = m(n+1)",
         )
     m = v // (n + 1)
-    if m < 3:
-        if s == 0:
-            return CoverageVerdict(
-                CONSTRUCTIVE, f"r = v-1 with m={m}: the one-factorization of K_{v}"
-            )
-        return CoverageVerdict(
-            ADMISSIBLE_UNRESOLVED,
-            f"m={m} < 3: orders n+1 and 2(n+1) are outside the constructions' reach",
-        )
     _, threshold = construction_range(m, n)
     if r < threshold:
         return CoverageVerdict(
@@ -112,16 +103,11 @@ def constructive_pairs(v: int, n: int) -> list[tuple[AdmissiblePair, int]]:
     """Every pair the ell-knob constructions realize on K_v, with its ell.
 
     One entry per ell in 0..t of `construction_range`, in increasing ell.
-    Needs m >= 3: the one-factorization that check_pair reports for
-    m in {1, 2} has no ell and is not listed.
     """
     _require_args(v, n)
     if v % (n + 1) != 0:
         raise ValueError(f"v={v} is not a multiple of n+1={n + 1}")
-    m = v // (n + 1)
-    if m < 3:
-        raise ValueError(f"need m >= 3, got m={m}")
-    t, threshold = construction_range(m, n)
+    t, threshold = construction_range(v // (n + 1), n)
     out = []
     for ell in range(t + 1):
         r = 2 * n * ell + threshold

@@ -11,7 +11,8 @@ The knob ell = number of cycles sent down the matching route gives
     odd  m: r = 2n*ell + m+n-1,   s = (n+1) * ((m-1)/2 - ell)
     even m: r = 2n*ell + m+2n-1,  s = (n+1) * ((m-2)/2 - ell)
 
-The first ell cycles in the deterministic seed order take the matching
+K_1 and K_2 have no cycle, so there ell = 0 gives the v-1 one-factors of
+K_v.  The first ell cycles in the deterministic seed order take the matching
 route; output classes are ordered one-factors first, then star factors.
 Equal requests produce structurally identical decompositions.
 """
@@ -21,11 +22,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import admissibility
-from .aurd import _output, matching_aurd, star_aurd, weighted_one_factor_aurd
+from .aurd import matching_aurd, star_aurd, weighted_one_factor_aurd
 from .blowup import WeightedCycle, WeightedOneFactor
 from .filling import fill_even, fill_odd
-from .model import ONE_FACTOR, Decomposition, Params
-from .seeds import hamiltonian_decomposition, one_factorization
+from .model import Decomposition, Params
+from .seeds import hamiltonian_decomposition
 
 
 class PairNotConstructive(ValueError):
@@ -37,15 +38,12 @@ class PairNotConstructive(ValueError):
 
 
 class BuildRequest(namedtuple("BuildRequest", "v n ell")):
-    """The ell-knob construction of K_v; needs m >= 3 (`construct_pair`
-    builds the one-factorization of K_v for m in {1, 2})."""
+    """The ell-knob construction of K_v, v = m(n+1) with m >= 1."""
 
     __slots__ = ()
 
     def __new__(cls, v: int, n: int, ell: int):
         params = Params.for_order(v, n)
-        if params.m < 3:
-            raise ValueError(f"need m >= 3, got m={params.m}")
         t, _ = admissibility.construction_range(params.m, n)
         if not 0 <= ell <= t:
             raise ValueError(f"ell={ell} out of range 0..{t} for m={params.m}")
@@ -91,24 +89,12 @@ def construct(req: BuildRequest) -> Decomposition:
     return Decomposition(params, classes, expected_r, expected_s)
 
 
-def _one_factorization(params: Params) -> Decomposition:
-    """K_v as its v-1 round-robin one-factors, made by `aurd._output` from
-    the flat ids 0..v-1: the (v-1, 0) pair for m < 3."""
-    factors = one_factorization(params.v).factors
-    out = _output(ONE_FACTOR, range(params.m), params.weight,
-                  ((f"F@j={j}", factor) for j, factor in enumerate(factors)))
-    return Decomposition.from_classes(params, out.flat)
-
-
 def construct_pair(v: int, n: int, r: int, s: int) -> Decomposition:
     """Build the decomposition realizing (r, s), if the engine covers it."""
     verdict = admissibility.check_pair(v, n, r, s)
     if verdict.status != admissibility.CONSTRUCTIVE:
         raise PairNotConstructive(verdict)
-    if verdict.ell is None:
-        built = _one_factorization(Params.for_order(v, n))
-    else:
-        built = construct(BuildRequest(v, n, verdict.ell))
+    built = construct(BuildRequest(v, n, verdict.ell))
     if (built.r, built.s) != (r, s):
         raise AssertionError(
             f"built (r,s)=({built.r},{built.s}) but requested ({r},{s})"

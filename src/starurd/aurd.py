@@ -52,13 +52,12 @@ non-aligned edge exactly once:
 Slots, stars and blown-up matchings give flat vertex ids base*(n+1)+level:
 an edge is a pair of ids, a star its center id and sorted leaf ids.
 `_output` is the one emitter that turns flat blocks into classes, for these
-stages, the filling, the one-factorization of K_v for m <= 2 and the search
-witness.  It sorts each class and checks it on those ids to be a perfect
-matching (or a spanning disjoint star set) the moment it is built; a
-failure raises ConstructionError with the family tag rather than being
-repaired.  A checked class is kept as the model.FlatClass of its sorted
-ids; Edge and StarBlock objects are made only when `AurdOutput.classes`
-is read.
+stages, the filling and the search witness.  It sorts each class and
+checks it on those ids to be a perfect matching (or a spanning disjoint
+star set) the moment it is built; a failure raises ConstructionError with
+the family tag rather than being repaired.  A checked class is kept as the
+model.FlatClass of its sorted ids; Edge and StarBlock objects are made
+only when `AurdOutput.classes` is read.
 """
 
 from __future__ import annotations
@@ -204,9 +203,7 @@ def matching_aurd(c: WeightedCycle) -> AurdOutput:
             elif d % 4 == 3:
                 plan += [("3", "low_anchor", d, 0), ("4", "high_anchor", d, 0)]
                 plan.append(("5", "split_anchor", d, 0))
-    else:
-        if c.weight % 4 != 0:
-            raise AssertionError("weight n+1 must be even for odd n")
+    else:  # weight 0 mod 4: _check_args has made it even
         for d in range(1, n + 1):
             if d == 2:
                 plan.append(("7", "mod4", d, 0))

@@ -6,7 +6,7 @@ their non-aligned edges, what is left of K_v is the graph made of
 * every aligned edge {(a,i),(b,i)} between distinct bases a, b, and
 * the m inner complete graphs on the n+1 levels of each base.
 
-Both parities of m admit exactly m+n-1 one-factors:
+Both parities of m >= 1 admit exactly m+n-1 one-factors:
 
 * odd m: for each base x, the aligned edges between the base pairs
   symmetric about x (x-j with x+j, j = 1..(m-1)/2; every base pair has a
@@ -35,8 +35,8 @@ from .model import ONE_FACTOR, _require_odd_n
 
 def _check_args(m: int, n: int, m_parity: int) -> None:
     _require_odd_n(n)
-    if m < 3 or m % 2 != m_parity:
-        want = "odd m >= 3" if m_parity == 1 else "even m >= 4"
+    if m < 1 or m % 2 != m_parity:
+        want = "odd m >= 1" if m_parity == 1 else "even m >= 2"
         raise ValueError(f"need {want}, got m={m}")
 
 

@@ -100,18 +100,21 @@ class Vertex(namedtuple("Vertex", "base level")):
     __slots__ = ()
 
 
-def vertex_key(k: int | tuple[int, int], weight: int) -> tuple[int, int]:
-    """The (base, level) pair a flat id names; a (base, level) pair, the id
+def vertex_key(k, weight: int) -> tuple:
+    """The (base, level) pair a flat id names; a pair of ints, the id
     FlatClass gives a vertex outside Z_m x Z_weight, names itself.  Ids
-    sort on it as their vertices do.  Any other id, such as 1.0 or True in
-    a hand-built class, names no vertex: it is named (k, -1), a pair that
-    names no vertex either, so it is reported as written, not raised on."""
+    sort on it as their vertices do.  Any other id, such as 1.0, 'x' or
+    [1] in a hand-built class, names no vertex: it is named (inf, its
+    repr), a pair that names no vertex either and hashes and sorts with
+    every other, so it is reported as written, not raised on."""
     if type(k) is int:
         return divmod(k, weight)
-    return k if type(k) is tuple else (k, -1)
+    if type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int:
+        return k
+    return (float("inf"), repr(k))
 
 
-def vertex_from_flat(index: int | tuple[int, int], weight: int) -> Vertex:
+def vertex_from_flat(index, weight: int) -> Vertex:
     """The Vertex a flat id names (vertex_key)."""
     return Vertex(*vertex_key(index, weight))
 

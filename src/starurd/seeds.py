@@ -7,7 +7,7 @@ Two deterministic schemes, both built around a fixed hub vertex:
   through the hub, is a Hamiltonian cycle.  For odd m = 2t+1 the rotations
   k = 0..t-1 partition E(K_m).  For even m = 2t the rotations k = 0..t-2
   miss the perfect matching {hub, t-1} together with the pairs symmetric
-  about t-1.
+  about t-1.  K_1 has no cycle; K_2 has none and the matching ((0, 1),).
 
 * Round-robin one-factorization of K_k (k even): vertex 0 is fixed and
   1..k-1 rotate, giving the k-1 factors F_j = {0, 1+j} plus the pairs
@@ -47,9 +47,9 @@ class OneFactorization(namedtuple("OneFactorization", "k factors")):
 
 def hamiltonian_decomposition(m: int) -> HamDecomposition:
     """Decompose K_m into (m-1)/2 Hamiltonian cycles (m odd), or into
-    (m-2)/2 Hamiltonian cycles plus a perfect matching (m even)."""
-    if m < 3:
-        raise ValueError(f"need m >= 3, got {m}")
+    (m-2)/2 Hamiltonian cycles plus a perfect matching (m even), m >= 1."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     hub = top = m - 1  # the other vertices rotate mod m-1
     # point j of rotation k is k + ceil(j/2), or k - ceil(j/2) for even j
     cycles = tuple(

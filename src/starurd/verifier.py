@@ -56,6 +56,7 @@ from .model import (
     FlatClass,
     VerificationReport,
     vertex_from_flat,
+    vertex_key,
 )
 
 
@@ -83,11 +84,13 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, pairs: list[int],
                                        f"expected {n}"))
         elif not star and len(block) != 2:
             faults.append((WRONG_KIND, f"{where}: edge with {len(block)} vertices"))
-        if disjoint and not walked.isdisjoint(block):
-            u = vertex_from_flat(next(k for k in block if k in walked), w)
+        # an id that is not an int is held by its name, which hashes
+        keys = [k if type(k) is int else vertex_key(k, w) for k in block]
+        if disjoint and not walked.isdisjoint(keys):
+            u = vertex_from_flat(next(k for k, key in zip(block, keys) if key in walked), w)
             faults.append((NOT_DISJOINT, f"{where}: vertex {u} in two blocks"))
             disjoint = False
-        walked.update(block)
+        walked.update(keys)
         if not block:  # it has no center and no edge
             continue
         # a block's edges join its first id to each of the others
@@ -190,8 +193,8 @@ def verify(d: Decomposition) -> VerificationReport:
     centers: list[int] = []
     for index, fc in enumerate(classes):
         ids, bounds = fc.ids, fc.bounds
-        if (len(ids) == v and (fc.kind, bounds, fc.stars) in shapes and set(ids) == vertices
-                and set(map(type, ids)) == {int}):
+        if (len(ids) == v and (fc.kind, bounds, fc.stars) in shapes
+                and set(map(type, ids)) == {int} and set(ids) == vertices):
             # a clean class: v distinct vertices in blocks of its kind, so
             # no fault to find; a block's edges join its first id to the rest
             pairs += [

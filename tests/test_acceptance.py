@@ -264,8 +264,6 @@ def test_criterion_6_fault_injection():
 def test_criterion_7_cross_oracle_agreement():
     results = []
     for v in (4, 8, 12):
-        if v // 4 < 3:
-            continue  # constructive pairs need m >= 3
         for pair, ell in constructive_pairs(v, 3):
             out = exhaustive_urd(v, 3, pair.r, pair.s, timeout=60)
             assert out.status == FOUND, (v, pair)
@@ -274,7 +272,7 @@ def test_criterion_7_cross_oracle_agreement():
             results.append((v, pair.r, pair.s, out.nodes_explored))
     report(
         7,
-        len(results) == 2,
+        len(results) == 4,
         f"every constructive pair at v<=12, n=3 re-found by exhaustive search: {results}",
     )
 

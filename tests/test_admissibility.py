@@ -63,10 +63,9 @@ def test_check_pair_small_m_unresolved():
 
 @pytest.mark.parametrize("v,n", [(4, 3), (8, 3), (12, 5)])
 def test_check_pair_small_m_one_factorization(v, n):
+    # m = v/(n+1) <= 2: (v-1, 0) is the ell-knob build at ell = 0
     verdict = check_pair(v, n, v - 1, 0)
-    assert verdict.status == CONSTRUCTIVE
-    assert verdict.ell is None
-    assert f"one-factorization of K_{v}" in verdict.reason
+    assert verdict == (CONSTRUCTIVE, f"r = 2n*0 + {v - 1} with m={v // (n + 1)}", 0)
 
 
 def test_check_pair_order_without_grid_unresolved():
@@ -113,9 +112,9 @@ def test_constructive_pairs_v20_n3():
     ]
 
 
-def test_constructive_pairs_rejects_small_m():
-    with pytest.raises(ValueError):
-        constructive_pairs(8, 3)
+def test_constructive_pairs_small_m():
+    assert constructive_pairs(4, 3) == [(AdmissiblePair(3, 0, 0), 0)]
+    assert constructive_pairs(8, 3) == [(AdmissiblePair(7, 0, 0), 0)]
     with pytest.raises(ValueError):
         constructive_pairs(9, 3)
 
@@ -161,14 +160,12 @@ def test_inadmissibility_reason_names_the_failed_condition(r, s, reason):
 @pytest.mark.parametrize("n", range(3, 16, 2))
 def test_admissible_pairs_are_constructive_exactly_above_threshold(n):
     # the converse of test_constructive_subset_of_admissible: on v = m(n+1)
-    # every admissible r is odd, and from m = 3 on every admissible pair
-    # with r >= threshold is built, with the ell that constructive_pairs lists
+    # every admissible r is odd, and every admissible pair with
+    # r >= threshold is built, with the ell that constructive_pairs lists
     for m in range(1, 13):
         v = m * (n + 1)
         pairs = admissible_pairs(v, n)
         assert all(pair.r >= 1 and pair.r % 2 == 1 for pair in pairs)
-        if m < 3:
-            continue
         _, threshold = construction_range(m, n)
         constructive = constructive_pairs(v, n)
         for pair in pairs:
@@ -176,3 +173,19 @@ def test_admissible_pairs_are_constructive_exactly_above_threshold(n):
             assert (verdict.status == CONSTRUCTIVE) == (pair.r >= threshold)
             if verdict.status == CONSTRUCTIVE:
                 assert (pair, verdict.ell) in constructive
+
+
+@pytest.mark.parametrize("n,unresolved", [(3, 24), (5, 16), (7, 13)])
+def test_frontier_counts(n, unresolved):
+    # the admissible pairs of K_{m(n+1)}, m = 1..16, by verdict: a new
+    # route or a catalogued witness moves pairs from unresolved to
+    # constructive, and every constructive verdict names its ell
+    verdicts = [
+        check_pair(m * (n + 1), n, pair.r, pair.s)
+        for m in range(1, 17) for pair in admissible_pairs(m * (n + 1), n)
+    ]
+    statuses = [verdict.status for verdict in verdicts]
+    assert statuses.count(CONSTRUCTIVE) == 72
+    assert statuses.count(ADMISSIBLE_UNRESOLVED) == unresolved
+    assert len(statuses) == 72 + unresolved
+    assert all(type(verdict.ell) is int for verdict in verdicts if verdict.status == CONSTRUCTIVE)

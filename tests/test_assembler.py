@@ -75,7 +75,7 @@ def test_bad_requests_rejected():
     with pytest.raises(ValueError):
         BuildRequest(13, 3, 0)  # not m(n+1)
     with pytest.raises(ValueError):
-        BuildRequest(8, 3, 0)  # m = 2
+        BuildRequest(8, 3, 1)  # ell beyond (m-1)/2 = 0 at m = 2
     with pytest.raises(ValueError):
         BuildRequest(12, 4, 0)
 

@@ -287,16 +287,21 @@ def test_build_pair_assertion_exits_five(capsys, monkeypatch, tmp_path):
     assert "built (r,s)=(0,0) but requested (5,4)" in err
 
 
-def test_build_aurd_weight_assertion_exits_five(capsys, monkeypatch, tmp_path):
-    # an odd weight reaches the assertion in matching_aurd for odd m
+def test_build_aurd_odd_weight_exits_five(capsys, monkeypatch, tmp_path):
+    # an odd weight let past _check_args builds classes that _output's
+    # check rejects, naming the family
     import starurd.assembler as assembler
     import starurd.aurd as aurd
     from starurd.blowup import WeightedCycle
 
     monkeypatch.setattr(aurd, "_check_args", lambda weight: weight - 1)
     monkeypatch.setattr(assembler, "WeightedCycle", lambda c, w: WeightedCycle(c, w + 1))
-    err = _build_exits_five(capsys, tmp_path, "--ell", "1")
-    assert "weight n+1 must be even for odd n" in err
+    path = tmp_path / "never.json"
+    code, _, err = run(capsys, "build", "--v", "12", "--n", "3", "--ell", "1",
+                       "--out", str(path))
+    assert code == 5
+    assert err == "construction failure: [B11a@d=1] not spanning: 12 of 15 vertices covered\n"
+    assert not path.exists()
 
 
 def test_search_invalid_witness_exits_five(capsys, monkeypatch, tmp_path):
@@ -694,20 +699,27 @@ def test_internal_failures_exit_five_when_stderr_cannot_be_written(
 
 @pytest.mark.parametrize("v,n", [(4, 3), (8, 3), (12, 5)])
 def test_small_m_one_factorization_is_built(capsys, tmp_path, v, n):
-    # m = v/(n+1) <= 2: (v-1, 0) is the one-factorization of K_v
+    # m = v/(n+1) <= 2: (v-1, 0) is the ell-knob build at ell = 0, the
+    # only ell there; --ell 0 and --r/--s give the same bytes
     pair = ("--r", str(v - 1), "--s", "0")
     code, out, _ = run(capsys, "check", "--v", str(v), "--n", str(n), *pair)
     assert code == 0
-    assert out.startswith("CONSTRUCTIVE: ") and "one-factorization of K_" in out
-    path = tmp_path / "d.json"
-    code, _, _ = run(
-        capsys,
-        "build", "--v", str(v), "--n", str(n), *pair, "--out", str(path),
-    )
-    assert code == 0
-    code, out, _ = run(capsys, "verify", "--in", str(path))
-    assert code == 0
-    assert f"r={v - 1}, s=0" in out
+    assert out.startswith(f"CONSTRUCTIVE ell=0: r = 2n*0 + {v - 1} with m=")
+    texts = []
+    for flags in (pair, ("--ell", "0")):
+        path = tmp_path / "d.json"
+        code, _, _ = run(
+            capsys, "build", "--v", str(v), "--n", str(n), *flags, "--out", str(path),
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "--in", str(path))
+        assert code == 0
+        assert f"r={v - 1}, s=0" in out
+        texts.append(path.read_text())
+    assert texts[0] == texts[1]
+    code, _, err = run(capsys, "build", "--v", str(v), "--n", str(n), "--ell", "1")
+    assert code == 3
+    assert "ell=1 out of range 0..0" in err
 
 
 def test_search_without_grid_is_usage_error(capsys):

@@ -141,7 +141,7 @@ def test_canonical_fields():
     (lambda: WeightedOneFactor(((0, 1), (1, 2)), 4), "base matching pairs are not disjoint"),
     (lambda: WeightedOneFactor((), 4), "base matching is empty"),
     (lambda: WeightedOneFactor(((0, 1),), 1), "weight must be >= 2, got 1"),
-    (lambda: BuildRequest(8, 3, 0), "need m >= 3, got m=2"),
+    (lambda: BuildRequest(8, 3, 1), "ell=1 out of range 0..0 for m=2"),
     (lambda: BuildRequest(12, 3, 2), "ell=2 out of range 0..1 for m=3"),
     (lambda: AurdOutput((FLAT,), (), 4), "one source tag per class required"),
 ])

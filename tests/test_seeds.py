@@ -65,8 +65,14 @@ def test_hamiltonian_partition(m):
 
 
 def test_hamiltonian_rejects_small_m():
-    with pytest.raises(ValueError):
-        hamiltonian_decomposition(2)
+    with pytest.raises(ValueError, match="need m >= 1, got 0"):
+        hamiltonian_decomposition(0)
+
+
+def test_hamiltonian_m1_m2():
+    # K_1 has no edge; K_2 is its one edge, the leftover matching
+    assert hamiltonian_decomposition(1) == (1, (), None)
+    assert hamiltonian_decomposition(2) == (2, (), ((0, 1),))
 
 
 def test_one_factorization_k2():

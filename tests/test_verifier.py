@@ -31,6 +31,8 @@ from starurd.search import exhaustive_urd
 from starurd.serialize import dumps, loads
 from starurd.verifier import verify
 
+INF = float("inf")
+
 
 def with_classes(d, classes):
     return Decomposition(d.params, tuple(classes), d.r, d.s)
@@ -319,14 +321,20 @@ def _k4(ids, bounds):
 
 @pytest.mark.parametrize("bounds", [(0, 2, 4), [0, 2, 4]], ids=["clean-shape", "walked"])
 @pytest.mark.parametrize("ids,outside,extra", [
-    ((0.0, 1.0, 2.0, 3.0), 4, (2, Edge(Vertex(0.0, -1), Vertex(1.0, -1)))),
-    ((0, True, 2, 3), 1, (1, Edge(Vertex(0, 0), Vertex(True, -1)))),
-], ids=["floats", "true"])
+    ((0.0, 1.0, 2.0, 3.0), 4, (2, Edge(Vertex(INF, "0.0"), Vertex(INF, "1.0")))),
+    ((0, True, 2, 3), 1, (1, Edge(Vertex(0, 0), Vertex(INF, "True")))),
+    ((0, "x", 2, 3), 1, (1, Edge(Vertex(0, 0), Vertex(INF, "'x'")))),
+    ((0, None, 2, 3), 1, (1, Edge(Vertex(0, 0), Vertex(INF, "None")))),
+    ((0, (1, 2, 3), 2, 3), 1, (1, Edge(Vertex(0, 0), Vertex(INF, "(1, 2, 3)")))),
+    ((0, [1], 2, 3), 1, (1, Edge(Vertex(0, 0), Vertex(INF, "[1]")))),
+], ids=["floats", "true", "str", "none", "triple", "list"])
 def test_ids_of_another_type_than_int_are_outside_the_vertex_set(ids, bounds, outside, extra):
     # 1.0 and True equal 1 and hash as 1, so a set of such ids equals the
-    # vertex set; they name no vertex all the same.  Bounds as a list fail
-    # the clean-class test, so that class is walked: it must report the
-    # ids, named as written, and raise nothing
+    # vertex set; they name no vertex all the same.  'x' and None do not
+    # sort with an int, (1, 2, 3) is no (base, level) pair and [1] has no
+    # hash.  Bounds as a list fail the clean-class test, so that class is
+    # walked: it must report the ids, named (inf, repr) as vertex_key
+    # names them, and raise nothing
     count, sample = extra
     assert verify(_k4(ids, bounds)).violations == (
         (NOT_SPANNING, f"class 0: {outside} vertices uncovered, {outside} outside the vertex set"),

@@ -424,14 +424,17 @@ def test_ids_outside_the_vertex_set_never_pass(source, ci, position, t, everywhe
     st.sampled_from([(built, args) for args in SMALL] + [(witness, args) for args in WITNESSES]),
     st.integers(0, 2**16),
     st.integers(0, 2**16),
-    st.sampled_from([float, Fraction, Decimal, bool]),
+    st.sampled_from([float, Fraction, Decimal, bool, str, lambda k: None,
+                     lambda k: (k, k, k), lambda k: [k]]),
     st.booleans(),
 )
 def test_ids_of_another_type_than_int_never_pass(source, ci, position, retype, everywhere):
     # id k written as a number of another type that equals it and hashes as
     # it does (True for 1, False for 0): no vertex, though a set of the ids
-    # is the vertex set.  The reference's object view may alias such an id
-    # with k itself, so only the verdict is checked, and that nothing raises
+    # is the vertex set; or as an id that does not sort with an int, is no
+    # (base, level) pair or has no hash.  The reference's object view may
+    # alias a number with k itself, so only the verdict is checked, and
+    # that nothing raises
     make, args = source
     d = make(*args)
     ci %= len(d.flat)
