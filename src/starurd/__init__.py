@@ -19,7 +19,6 @@ _EXPORTS = {
         "CoverageVerdict",
         "admissible_pairs",
         "check_pair",
-        "constructive_pairs",
     ),
     "assembler": ("BuildRequest", "PairNotConstructive", "construct", "construct_pair"),
     "model": (

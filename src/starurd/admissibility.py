@@ -98,19 +98,3 @@ def check_pair(v: int, n: int, r: int, s: int) -> CoverageVerdict:
         CONSTRUCTIVE, f"r = 2n*{ell} + {threshold} with m={m}", ell=ell
     )
 
-
-def constructive_pairs(v: int, n: int) -> list[tuple[AdmissiblePair, int]]:
-    """Every pair the ell-knob constructions realize on K_v, with its ell.
-
-    One entry per ell in 0..t of `construction_range`, in increasing ell.
-    """
-    _require_args(v, n)
-    if v % (n + 1) != 0:
-        raise ValueError(f"v={v} is not a multiple of n+1={n + 1}")
-    t, threshold = construction_range(v // (n + 1), n)
-    out = []
-    for ell in range(t + 1):
-        r = 2 * n * ell + threshold
-        s = (n + 1) * (t - ell)
-        out.append((AdmissiblePair(r, s, t - ell), ell))
-    return out

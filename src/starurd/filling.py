@@ -54,7 +54,7 @@ def fill_odd(m: int, n: int) -> AurdOutput:
     # one-factorization of K_{n+1} serves all of them: relabel the
     # round-robin one so that the j-th pair of its first factor becomes
     # (2j, 2j+1), the j-th pair of the level matching.
-    factors = seeds.one_factorization(w).factors
+    factors = seeds.one_factorization(w)
     label = {u: 2 * j + t for j, pair in enumerate(factors[0]) for t, u in enumerate(pair)}
     half = range(1, (m - 1) // 2 + 1)
     return _output(ONE_FACTOR, range(m), w, chain(
@@ -74,8 +74,8 @@ def fill_even(m: int, n: int) -> AurdOutput:
     """m+n-1 one-factors of the remainder for even m."""
     _check_args(m, n, 0)
     w = n + 1
-    base_factors = seeds.one_factorization(m).factors
-    inner_factors = seeds.one_factorization(w).factors
+    base_factors = seeds.one_factorization(m)
+    inner_factors = seeds.one_factorization(w)
     return _output(ONE_FACTOR, range(m), w, chain(
         ((f"Ak@k={k}", _blown(f, w)) for k, f in enumerate(base_factors, start=1)),
         ((f"Bk@k={k}", _pooled(range(m), f, w)) for k, f in enumerate(inner_factors, start=1)),

@@ -35,7 +35,7 @@ instance __dict__.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 
 ONE_FACTOR = "one_factor"
 STAR_FACTOR = "star_factor"
@@ -101,12 +101,17 @@ class Vertex(namedtuple("Vertex", "base level")):
 
 
 def vertex_key(k, weight: int) -> tuple:
-    """The (base, level) pair a flat id names; a pair of ints, the id
-    FlatClass gives a vertex outside Z_m x Z_weight, names itself.  Ids
-    sort on it as their vertices do.  Any other id, such as 1.0, 'x' or
-    [1] in a hand-built class, names no vertex: it is named (inf, its
-    repr), a pair that names no vertex either and hashes and sorts with
-    every other, so it is reported as written, not raised on."""
+    """The (base, level) pair a flat id names: the one rule for ids.
+
+    An int names divmod(id, weight), so on K_v exactly the ints 0..v-1
+    name vertices of Z_m x Z_weight, and v+3 names (m, 3) outside it.  A
+    pair of ints, the id FlatClass gives a vertex outside the grid, names
+    itself, so (1, 1) and 1*weight + 1 are two spellings of one vertex.
+    Ids sort on it as their vertices do.  Any other id, such as 1.0, True,
+    'x', None, (1, 2, 3) or [1] in a hand-built class, names no vertex:
+    it is named (inf, its repr), a pair that names no vertex either and
+    hashes and sorts with every other.  The verifier reports such an id as
+    written, and the writers refuse it."""
     if type(k) is int:
         return divmod(k, weight)
     if type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int:
@@ -183,8 +188,8 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
     StarBlock: an edge's endpoints, or a star's center and then its
     leaves, each in (base, level) order.  The id of a vertex of
     Z_m x Z_{n+1} is base*(n+1)+level; any other vertex keeps its
-    (base, level) pair as its id, so that (0, n+1) cannot alias (1, 0);
-    ids that are not an int in 0..v-1 are outside the vertex set.  One
+    (base, level) pair as its id, so that (0, n+1) cannot alias (1, 0).
+    vertex_key gives the vertex any id names.  One
     tuple per class, not one object per block, keeps it smaller than the
     Edge and StarBlock objects it stands for.  Like FactorClass, it is
     not checked for disjointness or spanning.
@@ -224,14 +229,18 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
 def factor_classes(flat, w: int) -> tuple[FactorClass, ...]:
     """The FactorClass of each FlatClass of weight w, with one Vertex per
     id for all of them: the view behind Decomposition.classes and
-    `aurd.AurdOutput.classes`."""
+    `aurd.AurdOutput.classes`.  A class holding an id with no hash gets a
+    Vertex per id, each named as vertex_key names it."""
     vertex: dict = {}
     classes = []
     for fc in flat:
-        vertex.update((k, vertex_from_flat(k, w)) for k in set(fc.ids) - vertex.keys())
+        get = vertex.__getitem__
+        try:
+            vertex.update((k, vertex_from_flat(k, w)) for k in set(fc.ids) - vertex.keys())
+        except TypeError:  # an id with no hash
+            get = partial(vertex_from_flat, weight=w)
         classes.append(FactorClass(fc.kind, tuple(
-            StarBlock(vertex[ids[0]], tuple(map(vertex.__getitem__, ids[1:]))) if star
-            else Edge(*map(vertex.__getitem__, ids))
+            StarBlock(get(ids[0]), tuple(map(get, ids[1:]))) if star else Edge(*map(get, ids))
             for ids, star in zip(fc.blocks(), fc.stars)
         )))
     return tuple(classes)

@@ -80,15 +80,10 @@ class SearchOutcome(namedtuple(
     "SearchOutcome", "status witness nodes_explored elapsed reason", defaults=(None,)
 )):
     """Result of one search run: status, witness (a Decomposition or None),
-    nodes_explored, elapsed seconds and reason (a str or None)."""
+    nodes_explored, elapsed seconds and reason (a str or None).  A budget
+    cut the run short exactly when status is BUDGET_EXCEEDED."""
 
     __slots__ = ()
-
-    @property
-    def complete(self) -> bool:
-        """True when the run was not cut short by a budget: either a witness
-        was found or the symmetry-reduced tree was fully exhausted."""
-        return self.status != BUDGET_EXCEEDED
 
 
 class _BudgetExceeded(Exception):

@@ -11,7 +11,7 @@ Two deterministic schemes, both built around a fixed hub vertex:
 
 * Round-robin one-factorization of K_k (k even): vertex 0 is fixed and
   1..k-1 rotate, giving the k-1 factors F_j = {0, 1+j} plus the pairs
-  symmetric about 1+j.
+  symmetric about 1+j, returned as the tuple of the factors.
 
 Everything returned is in canonical form: pairs sorted, factors sorted.
 """
@@ -32,15 +32,9 @@ def _canon_matching(pairs) -> Matching:
     return tuple(sorted(_pair(a, b) for a, b in pairs))
 
 
-class HamDecomposition(namedtuple("HamDecomposition", "m cycles leftover_matching")):
+class HamDecomposition(namedtuple("HamDecomposition", "cycles leftover_matching")):
     """Edge partition of K_m into Hamiltonian cycles (plus a perfect
     matching when m is even)."""
-
-    __slots__ = ()
-
-
-class OneFactorization(namedtuple("OneFactorization", "k factors")):
-    """Edge partition of K_k into k-1 perfect matchings."""
 
     __slots__ = ()
 
@@ -57,18 +51,18 @@ def hamiltonian_decomposition(m: int) -> HamDecomposition:
         for k in range(top // 2)
     )
     if m % 2 == 1:
-        return HamDecomposition(m, cycles, None)
+        return HamDecomposition(cycles, None)
     t = m // 2
     center = t - 1
     matching = [(hub, center)]
     for j in range(1, t):
         matching.append(_pair((center - j) % top, (center + j) % top))
-    return HamDecomposition(m, cycles, _canon_matching(matching))
+    return HamDecomposition(cycles, _canon_matching(matching))
 
 
-def one_factorization(k: int) -> OneFactorization:
-    """Round-robin one-factorization of K_k for even k >= 2 (for k = 2 the
-    loop gives the single factor ((0, 1),))."""
+def one_factorization(k: int) -> tuple[Matching, ...]:
+    """The k-1 factors of the round-robin one-factorization of K_k, for
+    even k >= 2 (for k = 2 the loop gives the single factor ((0, 1),))."""
     if k < 2 or k % 2 == 1:
         raise ValueError(f"need even k >= 2, got {k}")
     top = k - 1
@@ -78,5 +72,5 @@ def one_factorization(k: int) -> OneFactorization:
         for i in range(1, k // 2):
             pairs.append(_pair(1 + (j - i) % top, 1 + (j + i) % top))
         factors.append(_canon_matching(pairs))
-    return OneFactorization(k, tuple(factors))
+    return tuple(factors)
 

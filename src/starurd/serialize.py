@@ -36,7 +36,9 @@ first shared vertex in that order.
 `starurd verify` audits what it returns as it stands.
 
 The writers render from the same flat ids, each id as the (base, level)
-pair it names (model.vertex_key).  dumps is the one writer of the schema.
+pair it names (model.vertex_key); both refuse an id that names no vertex
+with a ValueError that names its class and the id, checked once per
+distinct id.  dumps is the one writer of the schema.
 It writes the text of json.dumps(to_dict(d), indent=1) without building
 the dict: each vertex is rendered once per indent depth it appears at,
 and the block and class texts are joined from those strings.  to_dict
@@ -194,7 +196,9 @@ def _join(brackets: str, items: list[str], depth: int) -> str:
 
 
 class _Rendered(dict):
-    """id -> render(base, level) of the vertex it names, made once."""
+    """id -> render(base, level) of the vertex it names, made once.  An id
+    that names no vertex (model.vertex_key) raises KeyError, and one with
+    no hash TypeError; the writers turn both into _raise_no_vertex's error."""
 
     def __init__(self, render, weight: int):
         super().__init__()
@@ -202,8 +206,19 @@ class _Rendered(dict):
         self.weight = weight
 
     def __missing__(self, k) -> str:
-        text = self[k] = self.render(*vertex_key(k, self.weight))
+        base, level = vertex_key(k, self.weight)
+        if type(base) is not int:
+            raise KeyError(k)
+        text = self[k] = self.render(base, level)
         return text
+
+
+def _raise_no_vertex(ci: int, fc: FlatClass, w: int) -> None:
+    """Raise the ValueError that names class ci and its first id that
+    names no vertex, if it has one."""
+    for k in fc.ids:
+        if type(vertex_key(k, w)[0]) is not int:
+            raise ValueError(f"class {ci}: id {k!r} names no vertex") from None
 
 
 def _pair_at(depth: int):
@@ -226,18 +241,22 @@ def _json_pieces(d: Decomposition):
     at5, at6 = _Rendered(_pair_at(5), w), _Rendered(_pair_at(6), w)
     # each class text goes into the "[]" that empty ends with
     lead = empty[:-3] + "\n  "
-    for fc in d.flat:
+    for ci, fc in enumerate(d.flat):
         blocks = []
-        for ids, star in zip(fc.blocks(), fc.stars):
-            if star:
-                leaves = [at6[k] for k in ids[1:]]
-                blocks.append(_join("{}", [
-                    f'"center": {at5[ids[0]]}', f'"leaves": {_join("[]", leaves, 5)}'
-                ], 4))
-            else:
-                a, b = ids
-                # _join("[]", [endpoint texts], 4), written out: the hot path
-                blocks.append(f"[\n     {at5[a]},\n     {at5[b]}\n    ]")
+        try:
+            for ids, star in zip(fc.blocks(), fc.stars):
+                if star:
+                    leaves = [at6[k] for k in ids[1:]]
+                    blocks.append(_join("{}", [
+                        f'"center": {at5[ids[0]]}', f'"leaves": {_join("[]", leaves, 5)}'
+                    ], 4))
+                else:
+                    a, b = ids
+                    # _join("[]", [endpoint texts], 4), written out: the hot path
+                    blocks.append(f"[\n     {at5[a]},\n     {at5[b]}\n    ]")
+        except (KeyError, TypeError):
+            _raise_no_vertex(ci, fc, w)
+            raise
         yield lead + _join("{}", [
             f'"kind": {json.dumps(fc.kind)}', f'"blocks": {_join("[]", blocks, 3)}'
         ], 2)
@@ -250,15 +269,21 @@ def _text_pieces(d: Decomposition):
     each class as a paragraph, then the final newline."""
     yield (f"decomposition of K_{d.params.v} "
            f"(v={d.params.v} n={d.params.n} m={d.params.m} r={d.r} s={d.s})")
-    name = _Rendered("({},{})".format, d.params.n + 1)
-    for ci, fc in enumerate(d.flat, start=1):
-        lines = [f"\n\nclass {ci}: {fc.kind}"]
-        for ids, star in zip(fc.blocks(), fc.stars):
-            if star:
-                lines.append(f"\n  center {name[ids[0]]}: {' '.join([name[k] for k in ids[1:]])}")
-            else:
-                a, b = ids
-                lines.append(f"\n  {name[a]}-{name[b]}")
+    w = d.params.n + 1
+    name = _Rendered("({},{})".format, w)
+    for ci, fc in enumerate(d.flat):
+        lines = [f"\n\nclass {ci + 1}: {fc.kind}"]
+        try:
+            for ids, star in zip(fc.blocks(), fc.stars):
+                if star:
+                    lines.append(f"\n  center {name[ids[0]]}: "
+                                 f"{' '.join([name[k] for k in ids[1:]])}")
+                else:
+                    a, b = ids
+                    lines.append(f"\n  {name[a]}-{name[b]}")
+        except (KeyError, TypeError):
+            _raise_no_vertex(ci, fc, w)
+            raise
         yield "".join(lines)
     yield "\n"
 

@@ -16,10 +16,11 @@ other class goes through the fault walk, which takes its blocks in order
 and reports each block of the wrong kind or size and the first vertex
 that an earlier block holds (blocks list their ids in the canonical order
 of Edge and StarBlock), then the vertices it fails to cover or holds
-outside the vertex set.  Ids that are not an int in 0..v-1 are outside
-it, 1.0 and True among them though a set takes them for 1: the walk finds
-them from the ids, trusting no flag of whoever made the class, and keeps
-their edges as Edge objects.
+outside the vertex set.  The walk takes each id as the vertex that
+model.vertex_key names, however it is spelled, trusting no flag of
+whoever made the class; it keeps the edges with an end outside the vertex
+set as Edge objects, and a block whose ids name one vertex is a loop,
+reported and not raised on.
 
 Together the classes must cover every pair of vertices exactly once,
 checked on integer pair ids without enumerating E(K_v).  The one list of
@@ -55,6 +56,7 @@ from .model import (
     Edge,
     FlatClass,
     VerificationReport,
+    Vertex,
     vertex_from_flat,
     vertex_key,
 )
@@ -68,8 +70,16 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, pairs: list[int],
     set, and a block count other than its kind's.  Collects the class's
     edges on the way: pairs of the vertex set as a*v + b with a < b into
     pairs, edges with an end outside it into extra, and, in a star class,
-    the star centers in the vertex set into centers."""
+    the star centers in the vertex set into centers.  Every id is taken
+    as the vertex model.vertex_key names, however it is spelled."""
     w = n + 1
+    m = v // w
+
+    def flat(name) -> int | None:
+        """The id in 0..v-1 of the vertex a name names, or None outside it."""
+        base, level = name
+        return base * w + level if 0 <= base < m and 0 <= level < w else None
+
     where = f"class {index}"
     stars = fc.kind == STAR_FACTOR
     faults: list[tuple[str, str]] = []
@@ -84,29 +94,27 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, pairs: list[int],
                                        f"expected {n}"))
         elif not star and len(block) != 2:
             faults.append((WRONG_KIND, f"{where}: edge with {len(block)} vertices"))
-        # an id that is not an int is held by its name, which hashes
-        keys = [k if type(k) is int else vertex_key(k, w) for k in block]
-        if disjoint and not walked.isdisjoint(keys):
-            u = vertex_from_flat(next(k for k, key in zip(block, keys) if key in walked), w)
+        names = [vertex_key(k, w) for k in block]
+        if disjoint and not walked.isdisjoint(names):
+            u = Vertex(*next(name for name in names if name in walked))
             faults.append((NOT_DISJOINT, f"{where}: vertex {u} in two blocks"))
             disjoint = False
-        walked.update(keys)
-        if not block:  # it has no center and no edge
+        walked.update(names)
+        if not names:  # it has no center and no edge
             continue
-        # a block's edges join its first id to each of the others
-        c = block[0]
-        inside = type(c) is int and 0 <= c < v
-        if inside and star and stars:
-            centers.append(c)
-        for k in block[1:]:
+        # a block's edges join its first vertex to each of the others
+        c = names[0]
+        a = flat(c)
+        if a is not None and star and stars:
+            centers.append(a)
+        for k in names[1:]:
             if k == c:  # a loop is no edge; its class misses a vertex
                 continue
-            if inside and type(k) is int and 0 <= k < v:
-                pairs.append(c * v + k if c < k else k * v + c)
+            if a is not None and (b := flat(k)) is not None:
+                pairs.append(a * v + b if a < b else b * v + a)
             else:
-                extra.add(Edge(vertex_from_flat(c, w), vertex_from_flat(k, w)))
-    # the ids that are not an int in 0..v-1, found from the ids alone
-    outside = sum(1 for k in walked if type(k) is not int or not 0 <= k < v)
+                extra.add(Edge(Vertex(*c), Vertex(*k)))
+    outside = sum(1 for name in walked if flat(name) is None)
     covered = len(walked) - outside
     if covered != v or outside:
         detail = f"{where}: {v - covered} vertices uncovered"

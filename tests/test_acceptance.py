@@ -13,7 +13,7 @@ from collections import Counter
 
 from reference_verifier import edges_of_block, verify_aurd
 
-from starurd.admissibility import admissible_pairs, constructive_pairs
+from starurd.admissibility import admissible_pairs, construction_range
 from starurd.assembler import BuildRequest, construct
 from starurd.aurd import matching_aurd, star_aurd, weighted_one_factor_aurd
 from starurd.blowup import WeightedCycle, WeightedOneFactor
@@ -263,13 +263,16 @@ def test_criterion_6_fault_injection():
 
 def test_criterion_7_cross_oracle_agreement():
     results = []
-    for v in (4, 8, 12):
-        for pair, ell in constructive_pairs(v, 3):
-            out = exhaustive_urd(v, 3, pair.r, pair.s, timeout=60)
-            assert out.status == FOUND, (v, pair)
+    for m in (1, 2, 3):
+        v = 4 * m
+        t, threshold = construction_range(m, 3)
+        for ell in range(t + 1):
+            r, s = 6 * ell + threshold, 4 * (t - ell)
+            out = exhaustive_urd(v, 3, r, s, timeout=60)
+            assert out.status == FOUND, (v, r, s)
             assert verify(out.witness).passed
-            assert (out.witness.r, out.witness.s) == (pair.r, pair.s)
-            results.append((v, pair.r, pair.s, out.nodes_explored))
+            assert (out.witness.r, out.witness.s) == (r, s)
+            results.append((v, r, s, out.nodes_explored))
     report(
         7,
         len(results) == 4,

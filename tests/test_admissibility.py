@@ -8,7 +8,6 @@ from starurd.admissibility import (
     admissible_pairs,
     check_pair,
     construction_range,
-    constructive_pairs,
     inadmissibility_reason,
 )
 
@@ -39,8 +38,6 @@ def test_even_n_rejected():
         admissible_pairs(12, 4)
     with pytest.raises(ValueError):
         check_pair(12, 4, 5, 4)
-    with pytest.raises(ValueError):
-        constructive_pairs(12, 1)
 
 
 def test_check_pair_constructive():
@@ -90,22 +87,37 @@ def test_check_pair_sub_threshold_unresolved():
     assert check_pair(16, 3, 3, 8).status == ADMISSIBLE_UNRESOLVED
 
 
+def constructive(v, n):
+    """(pair, ell) of every admissible pair that check_pair finds
+    constructive on K_v, in increasing ell."""
+    verdicts = [(pair, check_pair(v, n, pair.r, pair.s)) for pair in admissible_pairs(v, n)]
+    built = [(pair, verdict.ell) for pair, verdict in verdicts if verdict.status == CONSTRUCTIVE]
+    return sorted(built, key=lambda entry: entry[1])
+
+
+def range_pairs(m, n):
+    """(pair, ell) for each ell in 0..t of construction_range on K_{m(n+1)}."""
+    t, threshold = construction_range(m, n)
+    return [(AdmissiblePair(2 * n * ell + threshold, (n + 1) * (t - ell), t - ell), ell)
+            for ell in range(t + 1)]
+
+
 def test_constructive_pairs_v12_n3():
-    assert constructive_pairs(12, 3) == [
+    assert constructive(12, 3) == range_pairs(3, 3) == [
         (AdmissiblePair(5, 4, 1), 0),
         (AdmissiblePair(11, 0, 0), 1),
     ]
 
 
 def test_constructive_pairs_v16_n3():
-    assert constructive_pairs(16, 3) == [
+    assert constructive(16, 3) == range_pairs(4, 3) == [
         (AdmissiblePair(9, 4, 1), 0),
         (AdmissiblePair(15, 0, 0), 1),
     ]
 
 
 def test_constructive_pairs_v20_n3():
-    assert constructive_pairs(20, 3) == [
+    assert constructive(20, 3) == range_pairs(5, 3) == [
         (AdmissiblePair(7, 8, 2), 0),
         (AdmissiblePair(13, 4, 1), 1),
         (AdmissiblePair(19, 0, 0), 2),
@@ -113,10 +125,9 @@ def test_constructive_pairs_v20_n3():
 
 
 def test_constructive_pairs_small_m():
-    assert constructive_pairs(4, 3) == [(AdmissiblePair(3, 0, 0), 0)]
-    assert constructive_pairs(8, 3) == [(AdmissiblePair(7, 0, 0), 0)]
-    with pytest.raises(ValueError):
-        constructive_pairs(9, 3)
+    assert constructive(4, 3) == range_pairs(1, 3) == [(AdmissiblePair(3, 0, 0), 0)]
+    assert constructive(8, 3) == range_pairs(2, 3) == [(AdmissiblePair(7, 0, 0), 0)]
+    assert constructive(9, 3) == []
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -137,7 +148,7 @@ def test_constructive_subset_of_admissible(n):
     for m in range(3, 11):
         v = m * (n + 1)
         admissible = {(p.r, p.s) for p in admissible_pairs(v, n)}
-        for pair, ell in constructive_pairs(v, n):
+        for pair, ell in range_pairs(m, n):
             assert (pair.r, pair.s) in admissible
             verdict = check_pair(v, n, pair.r, pair.s)
             assert verdict.status == CONSTRUCTIVE
@@ -161,13 +172,13 @@ def test_inadmissibility_reason_names_the_failed_condition(r, s, reason):
 def test_admissible_pairs_are_constructive_exactly_above_threshold(n):
     # the converse of test_constructive_subset_of_admissible: on v = m(n+1)
     # every admissible r is odd, and every admissible pair with
-    # r >= threshold is built, with the ell that constructive_pairs lists
+    # r >= threshold is built, with an ell in 0..t of construction_range
     for m in range(1, 13):
         v = m * (n + 1)
         pairs = admissible_pairs(v, n)
         assert all(pair.r >= 1 and pair.r % 2 == 1 for pair in pairs)
         _, threshold = construction_range(m, n)
-        constructive = constructive_pairs(v, n)
+        constructive = range_pairs(m, n)
         for pair in pairs:
             verdict = check_pair(v, n, pair.r, pair.s)
             assert (verdict.status == CONSTRUCTIVE) == (pair.r >= threshold)

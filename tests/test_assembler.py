@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starurd.admissibility import ADMISSIBLE_UNRESOLVED, INADMISSIBLE, constructive_pairs
+from starurd.admissibility import ADMISSIBLE_UNRESOLVED, INADMISSIBLE, construction_range
 from starurd.assembler import (
     BuildRequest,
     PairNotConstructive,
@@ -124,7 +124,8 @@ def test_r_s_formulas_over_small_grid(n, m):
 def test_sweep_past_the_acceptance_grid(m, n, data):
     # reaches the matching families B1-B11 at orders past the acceptance grid
     v = m * (n + 1)
-    pair, ell = data.draw(st.sampled_from(constructive_pairs(v, n)))
+    t, threshold = construction_range(m, n)
+    ell = data.draw(st.integers(0, t))
     d = construct(BuildRequest(v, n, ell))
     assert verify(d).passed
-    assert (d.r, d.s) == (pair.r, pair.s)
+    assert (d.r, d.s) == (2 * n * ell + threshold, (n + 1) * (t - ell))

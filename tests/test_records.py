@@ -20,7 +20,7 @@ from starurd.model import (
     Vertex,
 )
 from starurd.search import SearchOutcome
-from starurd.seeds import HamDecomposition, OneFactorization
+from starurd.seeds import HamDecomposition
 
 EDGE = Edge(Vertex(0, 1), Vertex(0, 0))
 STAR = StarBlock(Vertex(0, 0), (Vertex(1, 3), Vertex(1, 1), Vertex(1, 2)))
@@ -38,8 +38,7 @@ RECORDS = [
     CoverageVerdict("CONSTRUCTIVE", "r = 2n*0 + 5 with m=3", 0),
     WeightedCycle([0, 1, 2], 4),
     WeightedOneFactor([(1, 0)], 4),
-    HamDecomposition(3, ((2, 0, 1),), None),
-    OneFactorization(2, (((0, 1),),)),
+    HamDecomposition(((2, 0, 1),), None),
     BuildRequest(12, 3, 0),
     AurdOutput((FLAT,), ("F@j=0",), 4),
     SearchOutcome("FOUND", None, 1, 0.5),
@@ -53,7 +52,7 @@ def _name(record):
 
 
 def test_every_record_class_is_sampled():
-    assert len({type(record) for record in RECORDS}) == 17
+    assert len({type(record) for record in RECORDS}) == 16
 
 
 def test_repr_text():

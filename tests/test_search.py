@@ -15,7 +15,7 @@ from starurd.verifier import verify
 
 def test_k4_one_factorization_found():
     out = exhaustive_urd(4, 3, 3, 0)
-    assert out.status == FOUND and out.complete
+    assert out.status == FOUND
     assert (out.witness.r, out.witness.s) == (3, 0)
     assert verify(out.witness).passed
 
@@ -28,7 +28,7 @@ def test_k12_one_factorization_found():
 
 def test_k12_mixed_pair_found():
     out = exhaustive_urd(12, 3, 5, 4, timeout=60)
-    assert out.status == FOUND and out.complete
+    assert out.status == FOUND
     assert (out.witness.r, out.witness.s) == (5, 4)
     assert verify(out.witness).passed
 
@@ -36,7 +36,6 @@ def test_k12_mixed_pair_found():
 def test_inadmissible_rejected_without_search():
     out = exhaustive_urd(12, 3, 4, 4)
     assert out.status == NOT_FOUND_EXHAUSTED
-    assert out.complete
     assert out.nodes_explored == 0
     assert out.witness is None
     assert "necessary conditions fail" in out.reason
@@ -46,7 +45,7 @@ def test_open_case_m2_exists():
     # regression fixture: the order-2(n+1) case the constructions skip does
     # exist for n=3; recorded as search output, not as a general claim
     out = exhaustive_urd(8, 3, 1, 4, timeout=60)
-    assert out.status == FOUND and out.complete
+    assert out.status == FOUND
     assert (out.witness.r, out.witness.s) == (1, 4)
     assert verify(out.witness).passed
 
@@ -60,7 +59,6 @@ def test_pure_matching_m2_exists():
 def test_budget_exceeded_reported():
     out = exhaustive_urd(20, 3, 1, 12, max_nodes=20000)
     assert out.status == BUDGET_EXCEEDED
-    assert not out.complete
     assert out.witness is None
     assert out.nodes_explored >= 20000
 
@@ -77,7 +75,6 @@ def test_recursion_limit_is_a_budget_stop():
     # default recursion limit: the run is cut short, not exhausted
     out = exhaustive_urd(64, 3, 63, 0)
     assert out.status == BUDGET_EXCEEDED
-    assert not out.complete
     assert out.witness is None
     assert out.nodes_explored > 0
     assert out.reason == f"stopped at Python's recursion limit ({sys.getrecursionlimit()} frames)"

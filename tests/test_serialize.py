@@ -92,17 +92,24 @@ def test_integer_literal_too_long_rejected():
         loads(TOO_LONG)
 
 
+def assert_rejected(obj, message):
+    """Both readers, from_dict of obj and loads of its compact text, raise
+    SchemaError(message)."""
+    for read in (from_dict, lambda obj: loads(json.dumps(obj))):
+        with pytest.raises(SchemaError) as info:
+            read(obj)
+        assert str(info.value) == message
+
+
 def test_missing_keys_rejected():
-    with pytest.raises(SchemaError):
-        from_dict({"version": "1", "v": 12})
+    assert_rejected({"version": "1", "v": 12}, "missing keys: ['classes', 'm', 'n', 'r', 's']")
 
 
 def test_wrong_version_rejected():
     d = construct(BuildRequest(12, 3, 0))
     obj = to_dict(d)
     obj["version"] = "2"
-    with pytest.raises(SchemaError):
-        from_dict(obj)
+    assert_rejected(obj, "unsupported version '2'")
 
 
 def test_inconsistent_order_rejected():
@@ -134,8 +141,7 @@ def test_unknown_kind_rejected():
     d = construct(BuildRequest(12, 3, 0))
     obj = json.loads(dumps(d))
     obj["classes"][0]["kind"] = "triangle_factor"
-    with pytest.raises(SchemaError):
-        from_dict(obj)
+    assert_rejected(obj, "class 0: unknown kind 'triangle_factor'")
 
 
 def test_bad_block_shape_rejected():
@@ -283,6 +289,20 @@ def test_dumps_of_a_search_witness_is_json_dumps_of_the_dict():
     outcome = exhaustive_urd(8, 3, 1, 4)
     assert outcome.status == FOUND
     assert dumps(outcome.witness) == json.dumps(to_dict(outcome.witness), indent=1)
+
+
+@pytest.mark.parametrize("x", ["x", 1.0, None, (1, 2, 3), [1]], ids=repr)
+def test_writers_refuse_an_id_that_names_no_vertex(x):
+    # K_4 with class 0 written as (0, x, 2, 3): x names no vertex, so no
+    # [base, level] pair can be written for it; the object view names it
+    # (inf, repr(x)), as model.vertex_key does
+    d = construct(BuildRequest(4, 3, 0))
+    d = Decomposition(d.params, (d.flat[0]._replace(ids=(0, x, 2, 3)),) + d.flat[1:], d.r, d.s)
+    for write in (dumps, to_text):
+        with pytest.raises(ValueError) as info:
+            write(d)
+        assert str(info.value) == f"class 0: id {x!r} names no vertex"
+    assert d.classes[0].blocks[0] == (Vertex(0, 0), Vertex(float("inf"), repr(x)))
 
 
 def _witness():

@@ -47,7 +47,7 @@ from starurd.model import (
 )
 from starurd.cli import main
 from starurd.search import exhaustive_urd
-from starurd.serialize import from_dict, loads, to_dict
+from starurd.serialize import dumps, from_dict, loads, to_dict
 from starurd.verifier import verify
 
 SMALL = [(12, 3, 0), (16, 3, 1), (24, 5, 1), (20, 3, 0)]
@@ -341,6 +341,36 @@ def test_star_center_past_v_fails():
     si = _stars(d.flat)[0]
     report = assert_same(renamed(d, d.flat[si].ids[0], d.flat[si].ids[0] + 12, si))
     assert report.codes() == {NOT_SPANNING, EXTRA_EDGE, MISSING_EDGE, COUNT_MISMATCH}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(12, 3, 0), (16, 3, 1), (24, 5, 1)]), st.booleans(), st.data())
+def test_respelled_ids_keep_the_verdict(key, moved, data):
+    # a valid build, or one with an endpoint moved outside the grid to the
+    # id v+3, with some ids written as the other spelling of their vertex:
+    # an int as the (base, level) pair it names, a pair as its int.  Both
+    # spellings name one vertex (model.vertex_key), so the verdict is that
+    # of the build as it was, and of the text the writer makes of it
+    d = built(*key)
+    v, w = d.params.v, d.params.n + 1
+    flat = [list(fc.ids) for fc in d.flat]
+    place = st.tuples(st.integers(0, len(flat) - 1), st.integers(0, v - 1))
+    if moved:
+        ci, i = data.draw(place)
+        flat[ci][i] = v + 3
+    for ci, i in data.draw(st.lists(place, min_size=1, max_size=12)):
+        k = flat[ci][i]
+        flat[ci][i] = divmod(k, w) if type(k) is int else k[0] * w + k[1]
+    plain = Decomposition(d.params, tuple(
+        fc._replace(ids=tuple(k if type(k) is int else k[0] * w + k[1] for k in ids))
+        for fc, ids in zip(d.flat, flat)
+    ), d.r, d.s)
+    respelled = Decomposition(
+        d.params, tuple(fc._replace(ids=tuple(ids)) for fc, ids in zip(d.flat, flat)), d.r, d.s
+    )
+    report = assert_same(respelled)
+    assert report == verify(plain) == verify(loads(dumps(respelled)))
+    assert report.passed != moved
 
 
 def _with_flat(d, ci, **fields):
