@@ -9,10 +9,11 @@ construction on flat ids, the JSON reader gives each class on them, and
 the verifier audits them as they stand, all as FlatClass.  Decomposition
 and `aurd.AurdOutput` keep FlatClass classes; their `classes` is a view
 of Vertex, Edge and StarBlock objects (`factor_classes`), built on
-request with one Vertex per id.  `vertex_key` is the one rule that turns
-a flat id back into its (base, level) pair, for the writers, the reader's
-sort and `vertex_from_flat`, which makes the Vertex; `FlatClass.of` turns
-a FactorClass into a FlatClass.
+request with one Vertex per id.  `vertex_key` is the one rule that
+turns a flat id back into its (base, level) pair, for the verifier's
+walk, the reader's sort and `vertex_from_flat`, which makes the Vertex;
+`id_keys` keys a class's ids by it for the writers and the object view.
+`FlatClass.of` turns a FactorClass into a FlatClass.
 
 Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
@@ -35,7 +36,8 @@ instance __dict__.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property, partial
+from functools import cached_property
+from operator import sub
 
 ONE_FACTOR = "one_factor"
 STAR_FACTOR = "star_factor"
@@ -202,7 +204,8 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
         """fc on the flat ids of Z_m x Z_w.  A block that is neither an Edge
         nor a StarBlock becomes a block of the other shape than the class
         kind with no vertices: the audit reports it as of the wrong kind
-        and nothing else."""
+        and nothing else, and the writers and the object view refuse it
+        as a block of the wrong size (id_keys)."""
         ids, bounds, stars = [], [0], bytearray()
         for b in fc.blocks:
             if isinstance(b, Edge):
@@ -226,22 +229,42 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
         return (ids[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
+def id_keys(ci: int, fc: FlatClass, w: int):
+    """The key of each id of class ci, by which every reader of a class
+    but the verifier looks its vertices up: fc.ids as they stand if each
+    is an int, else each id's vertex_key, so that two ids share a key
+    exactly when they name one vertex.  A key is thus an int id or the
+    pair vertex_key names.  Or the ValueError of a block of the wrong
+    size: an edge holds 2 ids, a star a center and at least one leaf."""
+    bounds, stars = fc.bounds, fc.stars
+    sizes = set(map(sub, bounds[1:], bounds))
+    if min(sizes, default=2) < 2 or (max(sizes, default=2) > 2 and 0 in stars):
+        for bi, (k, star) in enumerate(zip(map(sub, bounds[1:], bounds), stars)):
+            if k < 2 or (k > 2 and not star):
+                raise ValueError(f"class {ci}: block {bi} holds {k} ids")
+    ids = fc.ids
+    if set(map(type, ids)) <= {int}:
+        return ids
+    return [vertex_key(k, w) for k in ids]
+
+
 def factor_classes(flat, w: int) -> tuple[FactorClass, ...]:
     """The FactorClass of each FlatClass of weight w, with one Vertex per
-    id for all of them: the view behind Decomposition.classes and
-    `aurd.AurdOutput.classes`.  A class holding an id with no hash gets a
-    Vertex per id, each named as vertex_key names it."""
+    key (id_keys) for all of them: the view behind
+    Decomposition.classes and `aurd.AurdOutput.classes`.  An id that
+    names no vertex gets the Vertex of the pair vertex_key names it by,
+    and a block of the wrong size raises id_keys' ValueError."""
     vertex: dict = {}
+    get = vertex.__getitem__
     classes = []
-    for fc in flat:
-        get = vertex.__getitem__
-        try:
-            vertex.update((k, vertex_from_flat(k, w)) for k in set(fc.ids) - vertex.keys())
-        except TypeError:  # an id with no hash
-            get = partial(vertex_from_flat, weight=w)
+    for ci, fc in enumerate(flat):
+        keys, bounds = id_keys(ci, fc, w), fc.bounds
+        vertex.update((k, Vertex(*k) if type(k) is tuple else vertex_from_flat(k, w))
+                      for k in set(keys) - vertex.keys())
         classes.append(FactorClass(fc.kind, tuple(
-            StarBlock(get(ids[0]), tuple(map(get, ids[1:]))) if star else Edge(*map(get, ids))
-            for ids, star in zip(fc.blocks(), fc.stars)
+            StarBlock(get(keys[a]), tuple(map(get, keys[a + 1:b]))) if star
+            else Edge(get(keys[a]), get(keys[a + 1]))
+            for a, b, star in zip(bounds, bounds[1:], fc.stars)
         )))
     return tuple(classes)
 
@@ -251,10 +274,11 @@ class Decomposition(namedtuple("Decomposition", "params flat r s")):
 
     flat holds each class as a FlatClass; a FactorClass given in its place
     is flattened (FlatClass.of), hostile ones included.  classes is their
-    object view, built on the first request and kept; a class that held an
-    object that is no block has no view.  r and s are stored as claimed
-    (e.g. as read from a file); the verifier checks them against the
-    actual class kinds.
+    object view, built on the first request and kept; a class with a
+    block of the wrong size, such as one that held an object that is no
+    block, raises id_keys' ValueError instead.  r and s are stored as
+    claimed (e.g. as read from a file); the verifier checks them against
+    the actual class kinds.
     """
 
     def __new__(cls, params: Params, flat: tuple[FlatClass, ...], r: int, s: int):

@@ -36,9 +36,13 @@ first shared vertex in that order.
 `starurd verify` audits what it returns as it stands.
 
 The writers render from the same flat ids, each id as the (base, level)
-pair it names (model.vertex_key); both refuse an id that names no vertex
-with a ValueError that names its class and the id, checked once per
-distinct id.  dumps is the one writer of the schema.
+pair it names, looked up by its key (model.id_keys, on model.vertex_key).
+Each class is checked once, before it is rendered: both writers refuse
+a block of the wrong size (an edge holds 2 ids, a star a center and at
+least one leaf) and an id that names no vertex, with a ValueError that
+names the class and the block or the id.  A class of the wrong kind
+with well-sized blocks is written; the verifier reports it.  dumps is
+the one writer of the schema.
 It writes the text of json.dumps(to_dict(d), indent=1) without building
 the dict: each vertex is rendered once per indent depth it appears at,
 and the block and class texts are joined from those strings.  to_dict
@@ -54,7 +58,7 @@ from __future__ import annotations
 import gc
 import json
 
-from .model import KINDS, Decomposition, FlatClass, Params, vertex_from_flat, vertex_key
+from .model import KINDS, Decomposition, FlatClass, Params, id_keys, vertex_from_flat, vertex_key
 
 SCHEMA_VERSION = "1"
 
@@ -196,9 +200,9 @@ def _join(brackets: str, items: list[str], depth: int) -> str:
 
 
 class _Rendered(dict):
-    """id -> render(base, level) of the vertex it names, made once.  An id
-    that names no vertex (model.vertex_key) raises KeyError, and one with
-    no hash TypeError; the writers turn both into _raise_no_vertex's error."""
+    """key (model.id_keys) -> render(base, level) of the vertex it names,
+    made once.  The writers look up only the keys of a class they have
+    checked (_keys), so every key names a vertex."""
 
     def __init__(self, render, weight: int):
         super().__init__()
@@ -206,19 +210,19 @@ class _Rendered(dict):
         self.weight = weight
 
     def __missing__(self, k) -> str:
-        base, level = vertex_key(k, self.weight)
-        if type(base) is not int:
-            raise KeyError(k)
-        text = self[k] = self.render(base, level)
+        text = self[k] = self.render(*vertex_key(k, self.weight))
         return text
 
 
-def _raise_no_vertex(ci: int, fc: FlatClass, w: int) -> None:
-    """Raise the ValueError that names class ci and its first id that
-    names no vertex, if it has one."""
-    for k in fc.ids:
-        if type(vertex_key(k, w)[0]) is not int:
-            raise ValueError(f"class {ci}: id {k!r} names no vertex") from None
+def _keys(ci: int, fc: FlatClass, w: int):
+    """model.id_keys of class ci, or the ValueError that names its first
+    id that names no vertex."""
+    keys = id_keys(ci, fc, w)
+    if keys is not fc.ids:
+        for k, (base, _) in zip(fc.ids, keys):
+            if type(base) is not int:
+                raise ValueError(f"class {ci}: id {k!r} names no vertex")
+    return keys
 
 
 def _pair_at(depth: int):
@@ -242,21 +246,17 @@ def _json_pieces(d: Decomposition):
     # each class text goes into the "[]" that empty ends with
     lead = empty[:-3] + "\n  "
     for ci, fc in enumerate(d.flat):
+        keys, bounds = _keys(ci, fc, w), fc.bounds
         blocks = []
-        try:
-            for ids, star in zip(fc.blocks(), fc.stars):
-                if star:
-                    leaves = [at6[k] for k in ids[1:]]
-                    blocks.append(_join("{}", [
-                        f'"center": {at5[ids[0]]}', f'"leaves": {_join("[]", leaves, 5)}'
-                    ], 4))
-                else:
-                    a, b = ids
-                    # _join("[]", [endpoint texts], 4), written out: the hot path
-                    blocks.append(f"[\n     {at5[a]},\n     {at5[b]}\n    ]")
-        except (KeyError, TypeError):
-            _raise_no_vertex(ci, fc, w)
-            raise
+        for a, b, star in zip(bounds, bounds[1:], fc.stars):
+            if star:
+                leaves = [at6[k] for k in keys[a + 1:b]]
+                blocks.append(_join("{}", [
+                    f'"center": {at5[keys[a]]}', f'"leaves": {_join("[]", leaves, 5)}'
+                ], 4))
+            else:
+                # _join("[]", [endpoint texts], 4), written out: the hot path
+                blocks.append(f"[\n     {at5[keys[a]]},\n     {at5[keys[a + 1]]}\n    ]")
         yield lead + _join("{}", [
             f'"kind": {json.dumps(fc.kind)}', f'"blocks": {_join("[]", blocks, 3)}'
         ], 2)
@@ -272,18 +272,14 @@ def _text_pieces(d: Decomposition):
     w = d.params.n + 1
     name = _Rendered("({},{})".format, w)
     for ci, fc in enumerate(d.flat):
+        keys, bounds = _keys(ci, fc, w), fc.bounds
         lines = [f"\n\nclass {ci + 1}: {fc.kind}"]
-        try:
-            for ids, star in zip(fc.blocks(), fc.stars):
-                if star:
-                    lines.append(f"\n  center {name[ids[0]]}: "
-                                 f"{' '.join([name[k] for k in ids[1:]])}")
-                else:
-                    a, b = ids
-                    lines.append(f"\n  {name[a]}-{name[b]}")
-        except (KeyError, TypeError):
-            _raise_no_vertex(ci, fc, w)
-            raise
+        for a, b, star in zip(bounds, bounds[1:], fc.stars):
+            if star:
+                lines.append(f"\n  center {name[keys[a]]}: "
+                             f"{' '.join([name[k] for k in keys[a + 1:b]])}")
+            else:
+                lines.append(f"\n  {name[keys[a]]}-{name[keys[a + 1]]}")
         yield "".join(lines)
     yield "\n"
 

@@ -8,8 +8,18 @@ from hypothesis import strategies as st
 
 from reference_verifier import block_vertices
 from starurd.assembler import BuildRequest, construct
-from starurd.model import Decomposition, StarBlock, Vertex
+from starurd.model import (
+    ONE_FACTOR,
+    STAR_FACTOR,
+    WRONG_KIND,
+    Decomposition,
+    FactorClass,
+    FlatClass,
+    StarBlock,
+    Vertex,
+)
 from starurd.serialize import SchemaError, dumps, from_dict, loads, to_dict, to_text
+from starurd.verifier import verify
 
 
 @pytest.mark.parametrize("request_args", [
@@ -291,18 +301,61 @@ def test_dumps_of_a_search_witness_is_json_dumps_of_the_dict():
     assert dumps(outcome.witness) == json.dumps(to_dict(outcome.witness), indent=1)
 
 
-@pytest.mark.parametrize("x", ["x", 1.0, None, (1, 2, 3), [1]], ids=repr)
+@pytest.mark.parametrize("x", ["x", 1.0, None, (1, 2, 3), [1], True], ids=repr)
 def test_writers_refuse_an_id_that_names_no_vertex(x):
-    # K_4 with class 0 written as (0, x, 2, 3): x names no vertex, so no
-    # [base, level] pair can be written for it; the object view names it
-    # (inf, repr(x)), as model.vertex_key does
-    d = construct(BuildRequest(4, 3, 0))
-    d = Decomposition(d.params, (d.flat[0]._replace(ids=(0, x, 2, 3)),) + d.flat[1:], d.r, d.s)
-    for write in (dumps, to_text):
+    # K_4 with class 0 written as (0, x, 2, 3), or class 1 as (0, 2, x, 3),
+    # after class 0 has held the int 1: x names no vertex, so no
+    # [base, level] pair can be written for it, though 1.0 and True equal
+    # 1; the object view names it (inf, repr(x)), as model.vertex_key does
+    built = construct(BuildRequest(4, 3, 0))
+    named = Vertex(float("inf"), repr(x))
+    for ci, ids, bi, edge in ((0, (0, x, 2, 3), 0, (Vertex(0, 0), named)),
+                              (1, (0, 2, x, 3), 1, (Vertex(0, 3), named))):
+        flat = list(built.flat)
+        flat[ci] = flat[ci]._replace(ids=ids)
+        d = Decomposition(built.params, tuple(flat), built.r, built.s)
+        for write in (dumps, to_text):
+            with pytest.raises(ValueError) as info:
+                write(d)
+            assert str(info.value) == f"class {ci}: id {x!r} names no vertex"
+        assert d.classes[ci].blocks[bi] == edge
+
+
+# Class 1 of K_4 as a block of the wrong size for its flag (an object that
+# is no block, flattened to an empty star block; an edge of 3 ids; a star
+# of no leaf), or as an edge and a star of one leaf: blocks of the right
+# sizes in a class of the wrong kind
+BLOCK_SIZES = {
+    "no-block": (FactorClass(ONE_FACTOR, ("junk",)), "block 0 holds 0 ids"),
+    "edge-of-3": (FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 3, 4), b"\0\0"), "block 0 holds 3 ids"),
+    "leafless-star": (FlatClass(STAR_FACTOR, (0, 1, 2, 3), (0, 1, 4), b"\1\1"),
+                      "block 0 holds 1 ids"),
+    "mixed": (FlatClass(ONE_FACTOR, (0, 2, 1, 3), (0, 2, 4), b"\0\1"), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_SIZES))
+def test_readers_check_the_size_of_each_block(case):
+    # both writers and the object view refuse a block of the wrong size
+    # with one ValueError, and write or show a class of the wrong kind;
+    # the verifier reports the class either way
+    fc, message = BLOCK_SIZES[case]
+    built = construct(BuildRequest(4, 3, 0))
+    d = Decomposition(built.params, (built.flat[0], fc, built.flat[2]), built.r, built.s)
+    report = verify(d)
+    assert WRONG_KIND in report.codes()
+    if message is None:
+        assert json.loads(dumps(d))["classes"][1]["blocks"][1] == {
+            "center": [0, 1], "leaves": [[0, 3]]}
+        assert "\n  center (0,1): (0,3)\n" in to_text(d)
+        assert d.classes[1].blocks[1] == StarBlock(Vertex(0, 1), (Vertex(0, 3),))
+        assert verify(loads(dumps(d))) == report
+        return
+    for read in (dumps, to_text, lambda d: d.classes):
         with pytest.raises(ValueError) as info:
-            write(d)
-        assert str(info.value) == f"class 0: id {x!r} names no vertex"
-    assert d.classes[0].blocks[0] == (Vertex(0, 0), Vertex(float("inf"), repr(x)))
+            read(d)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"class 1: {message}"
 
 
 def _witness():

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_verifier import block_vertices
 from reference_verifier import verify as reference_verify
 from test_acceptance import mutate as acceptance_mutate
 
@@ -44,6 +45,7 @@ from starurd.model import (
     StarBlock,
     VerificationReport,
     Vertex,
+    vertex_key,
 )
 from starurd.cli import main
 from starurd.search import exhaustive_urd
@@ -350,7 +352,10 @@ def test_respelled_ids_keep_the_verdict(key, moved, data):
     # id v+3, with some ids written as the other spelling of their vertex:
     # an int as the (base, level) pair it names, a pair as its int.  Both
     # spellings name one vertex (model.vertex_key), so the verdict is that
-    # of the build as it was, and of the text the writer makes of it
+    # of the build as it was, and of the text the writer makes of it.  Some
+    # ints may be written as a number that equals them, float(k) or True
+    # for 1, which names no vertex: the class then fails, and the writer
+    # refuses it.  The object view names every id as vertex_key does
     d = built(*key)
     v, w = d.params.v, d.params.n + 1
     flat = [list(fc.ids) for fc in d.flat]
@@ -361,16 +366,32 @@ def test_respelled_ids_keep_the_verdict(key, moved, data):
     for ci, i in data.draw(st.lists(place, min_size=1, max_size=12)):
         k = flat[ci][i]
         flat[ci][i] = divmod(k, w) if type(k) is int else k[0] * w + k[1]
+    retyped = set()
+    for ci, i in data.draw(st.lists(place, max_size=2)):
+        k = flat[ci][i]
+        if type(k) is int and k < v:
+            flat[ci][i] = True if k == 1 and data.draw(st.booleans()) else float(k)
+            retyped.add(ci)
     plain = Decomposition(d.params, tuple(
-        fc._replace(ids=tuple(k if type(k) is int else k[0] * w + k[1] for k in ids))
+        fc._replace(ids=tuple(k[0] * w + k[1] if type(k) is tuple else k for k in ids))
         for fc, ids in zip(d.flat, flat)
     ), d.r, d.s)
     respelled = Decomposition(
         d.params, tuple(fc._replace(ids=tuple(ids)) for fc, ids in zip(d.flat, flat)), d.r, d.s
     )
     report = assert_same(respelled)
-    assert report == verify(plain) == verify(loads(dumps(respelled)))
-    assert report.passed != moved
+    assert report == verify(plain)
+    assert report.passed == (not moved and not retyped)
+    if retyped:
+        with pytest.raises(ValueError) as info:
+            dumps(respelled)
+        assert str(info.value).startswith(f"class {min(retyped)}: id ")
+    else:
+        assert verify(loads(dumps(respelled))) == report
+    assert [[sorted(block_vertices(b)) for b in fc.blocks] for fc in respelled.classes] == [
+        [sorted(Vertex(*vertex_key(k, w)) for k in block) for block in fc.blocks()]
+        for fc in respelled.flat
+    ]
 
 
 def _with_flat(d, ci, **fields):
@@ -462,15 +483,15 @@ def test_ids_of_another_type_than_int_never_pass(source, ci, position, retype, e
     # id k written as a number of another type that equals it and hashes as
     # it does (True for 1, False for 0): no vertex, though a set of the ids
     # is the vertex set; or as an id that does not sort with an int, is no
-    # (base, level) pair or has no hash.  The reference's object view may
-    # alias a number with k itself, so only the verdict is checked, and
-    # that nothing raises
+    # (base, level) pair or has no hash.  The object view names it as
+    # model.vertex_key does, never as k, so the reference judges it as
+    # verify does, and nothing raises
     make, args = source
     d = make(*args)
     ci %= len(d.flat)
     ids = d.flat[ci].ids
     k = ids[position % len(ids)] if retype is not bool else min(ids)
-    assert not verify(renamed(d, k, retype(k), None if everywhere else ci)).passed
+    assert not assert_same(renamed(d, k, retype(k), None if everywhere else ci)).passed
 
 
 def _written(d, rng):
