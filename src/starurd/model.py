@@ -234,15 +234,18 @@ def id_keys(ci: int, fc: FlatClass, w: int):
     but the verifier looks its vertices up: fc.ids as they stand if each
     is an int, else each id's vertex_key, so that two ids share a key
     exactly when they name one vertex.  A key is thus an int id or the
-    pair vertex_key names.  Or the ValueError of a block of the wrong
-    size: an edge holds 2 ids, a star a center and at least one leaf."""
-    bounds, stars = fc.bounds, fc.stars
+    pair vertex_key names.  Or a ValueError: of blocks that run outside
+    the ids, or of a block of the wrong size: an edge holds 2 ids, a star
+    a center and at least one leaf."""
+    bounds, stars, ids = fc.bounds, fc.stars, fc.ids
+    if bounds and (bounds[0] < 0 or bounds[-1] > len(ids)):
+        raise ValueError(f"class {ci}: blocks span ids[{bounds[0]}:{bounds[-1]}] "
+                         f"of {len(ids)} ids")
     sizes = set(map(sub, bounds[1:], bounds))
     if min(sizes, default=2) < 2 or (max(sizes, default=2) > 2 and 0 in stars):
         for bi, (k, star) in enumerate(zip(map(sub, bounds[1:], bounds), stars)):
             if k < 2 or (k > 2 and not star):
                 raise ValueError(f"class {ci}: block {bi} holds {k} ids")
-    ids = fc.ids
     if set(map(type, ids)) <= {int}:
         return ids
     return [vertex_key(k, w) for k in ids]
@@ -253,7 +256,8 @@ def factor_classes(flat, w: int) -> tuple[FactorClass, ...]:
     key (id_keys) for all of them: the view behind
     Decomposition.classes and `aurd.AurdOutput.classes`.  An id that
     names no vertex gets the Vertex of the pair vertex_key names it by,
-    and a block of the wrong size raises id_keys' ValueError."""
+    and blocks outside the ids or of the wrong size raise id_keys'
+    ValueError."""
     vertex: dict = {}
     get = vertex.__getitem__
     classes = []
@@ -274,11 +278,11 @@ class Decomposition(namedtuple("Decomposition", "params flat r s")):
 
     flat holds each class as a FlatClass; a FactorClass given in its place
     is flattened (FlatClass.of), hostile ones included.  classes is their
-    object view, built on the first request and kept; a class with a
-    block of the wrong size, such as one that held an object that is no
-    block, raises id_keys' ValueError instead.  r and s are stored as
-    claimed (e.g. as read from a file); the verifier checks them against
-    the actual class kinds.
+    object view, built on the first request and kept; a class with
+    blocks outside its ids or a block of the wrong size, such as one that
+    held an object that is no block, raises id_keys' ValueError instead.
+    r and s are stored as claimed (e.g. as read from a file); the
+    verifier checks them against the actual class kinds.
     """
 
     def __new__(cls, params: Params, flat: tuple[FlatClass, ...], r: int, s: int):

@@ -38,11 +38,12 @@ first shared vertex in that order.
 The writers render from the same flat ids, each id as the (base, level)
 pair it names, looked up by its key (model.id_keys, on model.vertex_key).
 Each class is checked once, before it is rendered: both writers refuse
-a block of the wrong size (an edge holds 2 ids, a star a center and at
-least one leaf) and an id that names no vertex, with a ValueError that
-names the class and the block or the id.  A class of the wrong kind
-with well-sized blocks is written; the verifier reports it.  dumps is
-the one writer of the schema.
+blocks whose bounds run outside the class's ids, a block of the wrong
+size (an edge holds 2 ids, a star a center and at least one leaf) and an
+id that names no vertex, with a ValueError that names the class, and
+the block or the id.  A class of the wrong kind with well-sized blocks
+is written; the verifier reports it.  dumps is the one writer of the
+schema.
 It writes the text of json.dumps(to_dict(d), indent=1) without building
 the dict: each vertex is rendered once per indent depth it appears at,
 and the block and class texts are joined from those strings.  to_dict

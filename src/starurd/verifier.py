@@ -23,21 +23,27 @@ set as Edge objects, and a block whose ids name one vertex is a loop,
 reported and not raised on.
 
 Together the classes must cover every pair of vertices exactly once,
-checked on integer pair ids without enumerating E(K_v).  The one list of
-pair ids is sorted in place, so repeats are adjacent and no set of the
-pairs is built: the pairs covered more than once are read off it, the
-uncovered pairs are v(v-1)/2 minus the distinct pairs covered, and the
-first is found by walking the distinct pairs in order up to the first
-gap.  The vertex set and the clean shapes are built only if some class
-holds v ids, so time and memory are bounded by the size of the
-certificate, not by the v it claims.  Last, every vertex must be a star
-center in s/(n+1) classes: a valid decomposition forces it, and an edge
-count alone would miss it.
+checked on integer ids without enumerating E(K_v).  A pair a < b is kept
+as b in row a: a C array of 8-byte ints made on the first pair with that
+smaller end (a list when v > 2**63, for ids past what 8 bytes hold), so
+the rows take 8 bytes a pair and one row per distinct a, not an int
+object a pair.  The audit walks the rows in order of a and sorts one row
+at a time, so repeats are adjacent and no set of the pairs is built: the
+pairs covered more than once are read off each row, the uncovered pairs
+are v(v-1)/2 minus the distinct pairs covered, and the first lies in
+the least row a that lacks one of a+1..v-1: it is (a, a+1) if that row
+is absent, and else the least b missing from it.  The vertex set and the
+clean shapes are built only if some class holds v ids, so time and
+memory are bounded by the size of the certificate, not by the v it
+claims.  Last, every vertex must be a star center in s/(n+1) classes: a
+valid decomposition forces it, and an edge count alone would miss it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
+from functools import partial
 from itertools import groupby, islice
 from operator import eq
 
@@ -62,16 +68,17 @@ from .model import (
 )
 
 
-def _walk_class(index: int, fc: FlatClass, n: int, v: int, pairs: list[int],
+def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
                 extra: set[Edge], centers: list[int]) -> list[tuple[str, str]]:
     """The faults of one class, found block by block: in block order, each
     block of the wrong kind or size and the first vertex in two blocks;
     then the vertices the class fails to cover or holds outside the vertex
     set, and a block count other than its kind's.  Collects the class's
-    edges on the way: pairs of the vertex set as a*v + b with a < b into
-    pairs, edges with an end outside it into extra, and, in a star class,
-    the star centers in the vertex set into centers.  Every id is taken
-    as the vertex model.vertex_key names, however it is spelled."""
+    edges on the way: a pair a < b of the vertex set as b in rows[a],
+    the row verify fills with the clean classes, an edge with an end
+    outside it into extra, and, in a star class, the star centers in the
+    vertex set into centers.  Every id is taken as the vertex
+    model.vertex_key names, however it is spelled."""
     w = n + 1
     m = v // w
 
@@ -111,7 +118,10 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, pairs: list[int],
             if k == c:  # a loop is no edge; its class misses a vertex
                 continue
             if a is not None and (b := flat(k)) is not None:
-                pairs.append(a * v + b if a < b else b * v + a)
+                if a < b:
+                    rows[a].append(b)
+                else:
+                    rows[b].append(a)
             else:
                 extra.add(Edge(Vertex(*c), Vertex(*k)))
     outside = sum(1 for name in walked if flat(name) is None)
@@ -127,42 +137,56 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, pairs: list[int],
     return faults
 
 
-def _pair_edge(pair: int, v: int, weight: int) -> Edge:
-    a, b = divmod(pair, v)
+def _pair_edge(a: int, b: int, weight: int) -> Edge:
     return Edge(vertex_from_flat(a, weight), vertex_from_flat(b, weight))
 
 
-def _audit_flat_edges(pairs: list[int], extra: set[Edge], v: int, weight: int,
+def _audit_flat_edges(rows: defaultdict, extra: set[Edge], v: int, weight: int,
                       violations: list[tuple[str, str]]) -> None:
     """Audit the collected edges against E(K_v): edges outside it, pairs
     covered more than once, pairs never covered; each with a count and
-    its least sample.  pairs is sorted in place, so equal pairs are
-    adjacent and no set of them is built."""
+    its least sample.  rows[a] holds b for each pair a < b covered, so the
+    rows are walked in order of a and each is sorted on its own: equal
+    pairs are adjacent, no set of them is built, and the scratch is one
+    row.  The least uncovered pair lies in the first row out of step, the
+    least a whose row lacks one of a+1..v-1, so finding it takes at most
+    one step a row, however large v is."""
     if extra:
         violations.append((EXTRA_EDGE,
                            f"{len(extra)} edges outside the target, e.g. {min(extra)}"))
-    pairs.sort()
-    distinct = len(pairs) - sum(map(eq, pairs, islice(pairs, 1, None)))
-    if distinct != len(pairs):
-        # the extra memory is the duplicates, not a table of every pair
-        dupes = {a for a, b in zip(pairs, islice(pairs, 1, None)) if a == b}
-        sample = _pair_edge(min(dupes), v, weight)
+    distinct = dupes = 0
+    first_dupe = gap = None
+    full = 0  # the rows before it hold all their pairs
+    for a in sorted(rows):
+        row = sorted(rows[a])
+        repeats = sum(map(eq, row, islice(row, 1, None)))
+        if repeats:
+            # the extra memory is the duplicates, not a table of every pair
+            twice = {b for b, c in zip(row, islice(row, 1, None)) if b == c}
+            dupes += len(twice)
+            first_dupe = first_dupe or (a, min(twice))
+        distinct += len(row) - repeats
+        if gap is not None:
+            continue
+        if a != full:  # row full is absent
+            gap = (full, full + 1)
+        elif len(row) - repeats == v - 1 - a:
+            full = a + 1
+        else:
+            b = a + 1
+            for k, _ in groupby(row):
+                if k != b:
+                    break
+                b += 1
+            gap = (a, b)
+    if dupes:
+        sample = _pair_edge(*first_dupe, weight)
         violations.append(
-            (DUPLICATE_EDGE, f"{len(dupes)} edges covered more than once, e.g. {sample}")
+            (DUPLICATE_EDGE, f"{dupes} edges covered more than once, e.g. {sample}")
         )
     missing = v * (v - 1) // 2 - distinct
     if missing:
-        # the least uncovered pair: walk the distinct pairs along the order
-        # a*v + b (a < b) to the first one out of step, so this takes at
-        # most distinct + 1 steps, however large v is
-        a, b = 0, 1
-        for pair, _ in groupby(pairs):
-            if pair != a * v + b:
-                break
-            b += 1
-            if b == v:
-                a, b = a + 1, a + 2
-        sample = _pair_edge(a * v + b, v, weight)
+        sample = _pair_edge(*(gap or (full, full + 1)), weight)
         violations.append(
             (MISSING_EDGE, f"{missing} target edges uncovered, e.g. {sample}")
         )
@@ -196,7 +220,8 @@ def verify(d: Decomposition) -> VerificationReport:
         shapes = ((ONE_FACTOR, tuple(range(0, v + 1, 2)), bytes(v // 2)),
                   (STAR_FACTOR, tuple(range(0, v + 1, n + 1)), b"\x01" * (v // (n + 1))))
         vertices = set(range(v))
-    pairs: list[int] = []
+    # a row of 8-byte ints holds every id below 2**63
+    rows = defaultdict(partial(array, "q") if v <= 2**63 else list)
     extra: set[Edge] = set()
     centers: list[int] = []
     for index, fc in enumerate(classes):
@@ -205,17 +230,25 @@ def verify(d: Decomposition) -> VerificationReport:
                 and set(map(type, ids)) == {int} and set(ids) == vertices):
             # a clean class: v distinct vertices in blocks of its kind, so
             # no fault to find; a block's edges join its first id to the rest
-            pairs += [
-                c * v + k if c < k else k * v + c
-                for a, b in zip(bounds, bounds[1:])
-                for c in (ids[a],) for k in ids[a + 1:b]
-            ]
-            if fc.kind == STAR_FACTOR:
+            if fc.kind == ONE_FACTOR:
+                for c, k in zip(ids[::2], ids[1::2]):
+                    if c < k:
+                        rows[c].append(k)
+                    else:
+                        rows[k].append(c)
+            else:
+                for a in range(0, v, n + 1):
+                    c = ids[a]
+                    for k in ids[a + 1:a + n + 1]:
+                        if c < k:
+                            rows[c].append(k)
+                        else:
+                            rows[k].append(c)
                 centers += ids[::n + 1]
         else:
-            violations += _walk_class(index, fc, n, v, pairs, extra, centers)
+            violations += _walk_class(index, fc, n, v, rows, extra, centers)
 
-    _audit_flat_edges(pairs, extra, v, n + 1, violations)
+    _audit_flat_edges(rows, extra, v, n + 1, violations)
 
     if actual_s > 0:
         if actual_s % (n + 1) != 0:

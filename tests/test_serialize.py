@@ -9,10 +9,14 @@ from hypothesis import strategies as st
 from reference_verifier import block_vertices
 from starurd.assembler import BuildRequest, construct
 from starurd.model import (
+    DUPLICATE_EDGE,
+    MISSING_EDGE,
+    NOT_SPANNING,
     ONE_FACTOR,
     STAR_FACTOR,
     WRONG_KIND,
     Decomposition,
+    Edge,
     FactorClass,
     FlatClass,
     StarBlock,
@@ -323,13 +327,18 @@ def test_writers_refuse_an_id_that_names_no_vertex(x):
 
 # Class 1 of K_4 as a block of the wrong size for its flag (an object that
 # is no block, flattened to an empty star block; an edge of 3 ids; a star
-# of no leaf), or as an edge and a star of one leaf: blocks of the right
-# sizes in a class of the wrong kind
+# of no leaf), as blocks whose bounds run past the ids at either end, or as
+# an edge and a star of one leaf: blocks of the right sizes in a class of
+# the wrong kind
 BLOCK_SIZES = {
     "no-block": (FactorClass(ONE_FACTOR, ("junk",)), "block 0 holds 0 ids"),
     "edge-of-3": (FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 3, 4), b"\0\0"), "block 0 holds 3 ids"),
     "leafless-star": (FlatClass(STAR_FACTOR, (0, 1, 2, 3), (0, 1, 4), b"\1\1"),
                       "block 0 holds 1 ids"),
+    "bounds-past-the-last-id": (FlatClass(ONE_FACTOR, (0, 1, 2), (0, 2, 4), b"\0\0"),
+                                "blocks span ids[0:4] of 3 ids"),
+    "bounds-before-the-first-id": (FlatClass(ONE_FACTOR, (0, 2, 1, 3), (-2, 0, 2), b"\0\0"),
+                                   "blocks span ids[-2:2] of 4 ids"),
     "mixed": (FlatClass(ONE_FACTOR, (0, 2, 1, 3), (0, 2, 4), b"\0\1"), None),
 }
 
@@ -356,6 +365,31 @@ def test_readers_check_the_size_of_each_block(case):
             read(d)
         assert type(info.value) is ValueError
         assert str(info.value) == f"class 1: {message}"
+
+
+def test_verify_reads_blocks_that_run_past_the_ids_by_their_slices():
+    # the readers refuse these bounds; the verifier takes each block as the
+    # slice of the ids its bounds name, and reports what it finds there
+    built = construct(BuildRequest(4, 3, 0))
+    reports = {}
+    for case in ("bounds-past-the-last-id", "bounds-before-the-first-id"):
+        fc = BLOCK_SIZES[case][0]
+        d = Decomposition(built.params, (built.flat[0], fc, built.flat[2]), built.r, built.s)
+        reports[case] = verify(d).violations
+    first, third = Edge(Vertex(0, 0), Vertex(0, 1)), Edge(Vertex(0, 1), Vertex(0, 3))
+    assert reports == {
+        "bounds-past-the-last-id": (
+            (WRONG_KIND, "class 1: edge with 1 vertices"),
+            (NOT_SPANNING, "class 1: 1 vertices uncovered"),
+            (DUPLICATE_EDGE, f"1 edges covered more than once, e.g. {first}"),
+            (MISSING_EDGE, f"2 target edges uncovered, e.g. {Edge(Vertex(0, 0), Vertex(0, 2))}"),
+        ),
+        "bounds-before-the-first-id": (
+            (WRONG_KIND, "class 1: edge with 0 vertices"),
+            (NOT_SPANNING, "class 1: 2 vertices uncovered"),
+            (MISSING_EDGE, f"1 target edges uncovered, e.g. {third}"),
+        ),
+    }
 
 
 def _witness():

@@ -296,9 +296,10 @@ def test_the_fault_walk_passes_every_valid_class(monkeypatch):
         assert len(walked) == len(flat), name
 
 
-def test_verify_peaks_under_64_bytes_a_pair():
-    # the pairs of K_144 as ints in one list, sorted in place: about 46
-    # bytes a pair; a set of them beside the list takes it past 100
+def test_verify_peaks_under_20_bytes_a_pair():
+    # the pairs of K_144 as 8-byte ints in one row per smaller end, each
+    # row sorted on its own: about 13 bytes a pair; an int object a pair in
+    # one sorted list took 46, and a set of them beside it more than 100
     import tracemalloc
 
     d = construct(BuildRequest(144, 7, 0))
@@ -308,7 +309,23 @@ def test_verify_peaks_under_64_bytes_a_pair():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * (144 * 143 // 2)
+    assert peak < 20 * (144 * 143 // 2)
+
+
+@pytest.mark.parametrize("v,far", [(2**72, 2**69), (2**64, 2**64 - 1), (2**63, 2**63 - 1)])
+def test_ids_past_8_bytes_are_audited_not_raised_on(v, far):
+    # v > 2**63 puts in-set ids past 2**63 - 1, which no row of 8-byte ints
+    # holds, and 2**63 - 1 is the last id such a row holds: the one edge
+    # (0, far) is audited as any other pair
+    d = Decomposition(Params(v, 3, v // 4), (FactorClass(ONE_FACTOR, (
+        Edge(Vertex(0, 0), Vertex(*divmod(far, 4))),)),), 1, 0)
+    assert verify(d).violations == (
+        (PARAM_MISMATCH, f"(n+1)r + 2ns = 4 != (n+1)(v-1) = {4 * (v - 1)}"),
+        (NOT_SPANNING, f"class 0: {v - 2} vertices uncovered"),
+        (COUNT_MISMATCH, f"class 0: 1 blocks, expected {v // 2}"),
+        (MISSING_EDGE, f"{v * (v - 1) // 2 - 1} target edges uncovered, "
+                       f"e.g. {Edge(Vertex(0, 0), Vertex(0, 1))}"),
+    )
 
 
 def _k4(ids, bounds):

@@ -592,8 +592,9 @@ def test_hostile_claim_details_match_reference():
     assert_same(loads(text))
 
 
-# The pair audit on one sorted list: repeats of a pair are adjacent, and the
-# least uncovered pair is found by walking the distinct pairs in order.
+# The pair audit row by row: a pair a < b is kept as b in row a, and each row
+# is sorted on its own, so repeats of a pair are adjacent and the least
+# uncovered pair lies in the first row out of step.
 
 
 def _edge_dropped(d, edge):
@@ -624,6 +625,53 @@ def test_uncovered_pair_at_either_end_of_the_order(v, end):
     u, x = Vertex(*divmod(a, w)), Vertex(*divmod(a + 1, w))
     report = assert_same(_edge_dropped(d, Edge(u, x)))
     assert report.violations[-1] == (MISSING_EDGE, f"1 target edges uncovered, e.g. {Edge(u, x)}")
+
+
+def _flat_edge(a, b, w=4):
+    return Edge(Vertex(*divmod(a, w)), Vertex(*divmod(b, w)))
+
+
+def _one_factorization_without(v, drop):
+    """The one-factorization of K_v (n = 3), with each edge whose flat ids
+    a < b satisfy drop(a, b) taken out."""
+    d = construct_pair(v, 3, v - 1, 0)
+    classes = [
+        FactorClass(ONE_FACTOR, tuple(
+            e for e in fc.blocks if not drop(*(u.base * 4 + u.level for u in e))
+        ))
+        for fc in d.classes
+    ]
+    return with_classes(d, classes)
+
+
+# Each case drops pairs of the one-factorization of K_12 and pins the
+# uncovered count and least sample: row 0 or a middle row absent as a whole,
+# or a row short only at its end (b = v-1).  The last pair alone is
+# test_uncovered_pair_at_either_end_of_the_order.
+ROW_GAPS = {
+    "row-0-absent": (lambda a, b: a == 0, 11, _flat_edge(0, 1)),
+    "row-5-absent": (lambda a, b: a == 5, 6, _flat_edge(5, 6)),
+    "row-0-short-at-its-end": (lambda a, b: (a, b) == (0, 11), 1, _flat_edge(0, 11)),
+    "row-4-short-at-its-end": (lambda a, b: (a, b) == (4, 11), 1, _flat_edge(4, 11)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_GAPS))
+def test_uncovered_rows_and_row_ends(case):
+    drop, count, sample = ROW_GAPS[case]
+    report = assert_same(_one_factorization_without(12, drop))
+    assert report.violations[-1] == (
+        MISSING_EDGE, f"{count} target edges uncovered, e.g. {sample}")
+
+
+def test_duplicates_in_two_rows_count_each_pair_once_and_name_the_least():
+    # (3, 4) and, in the lower row, (2, 9) covered twice, (3, 4) written
+    # first: the least sample is (2, 9), however the pairs were met
+    d = construct_pair(12, 3, 11, 0)
+    extra = FactorClass(ONE_FACTOR, (_flat_edge(3, 4), _flat_edge(2, 9)))
+    report = assert_same(with_classes(d, list(d.classes) + [extra], r=12))
+    assert (DUPLICATE_EDGE, f"2 edges covered more than once, e.g. {_flat_edge(2, 9)}"
+            ) in report.violations
 
 
 @pytest.mark.parametrize("args", [(12, 3, 0), (20, 3, 1), (24, 5, 0)])
