@@ -228,6 +228,15 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
         ids, bounds = self.ids, self.bounds
         return (ids[a:b] for a, b in zip(bounds, bounds[1:]))
 
+    def bound_fault(self) -> str | None:
+        """The first bound that is not an int, said as a fault, or None.
+        Such a bound (2.0 and False among them, though they equal ints)
+        names no position in the ids, so no block can be read."""
+        if set(map(type, self.bounds)) <= {int}:
+            return None
+        bi, bound = next((bi, b) for bi, b in enumerate(self.bounds) if type(b) is not int)
+        return f"bound {bi} is {bound!r}, not an int"
+
 
 def id_keys(ci: int, fc: FlatClass, w: int):
     """The key of each id of class ci, by which every reader of a class
@@ -236,8 +245,10 @@ def id_keys(ci: int, fc: FlatClass, w: int):
     exactly when they name one vertex.  A key is thus an int id or the
     pair vertex_key names.  Or a ValueError: of blocks that run outside
     the ids, or of a block of the wrong size: an edge holds 2 ids, a star
-    a center and at least one leaf."""
+    a center and at least one leaf, or of a bound that is not an int."""
     bounds, stars, ids = fc.bounds, fc.stars, fc.ids
+    if fault := fc.bound_fault():
+        raise ValueError(f"class {ci}: {fault}")
     if bounds and (bounds[0] < 0 or bounds[-1] > len(ids)):
         raise ValueError(f"class {ci}: blocks span ids[{bounds[0]}:{bounds[-1]}] "
                          f"of {len(ids)} ids")

@@ -1,9 +1,9 @@
 """Exhaustive backtracking search for desk-scale decompositions.
 
 An independent existence oracle: given (v, n, r, s), build the classes
-depth-first, always extending the current class at its lexicographically
-least uncovered vertex.  The first class is always the canonical
-perfect matching {0,1}, {2,3}, ...: v = m(n+1) is even, so every
+depth-first, each node extending the current class at one uncovered
+vertex u by every block that can hold u.  The first class is always the
+canonical perfect matching {0,1}, {2,3}, ...: v = m(n+1) is even, so every
 admissible r = v-1-2nx is odd and at least 1, and there is always a
 one-factor to fix.  Fixing it is sound symmetry reduction: any solution
 can be relabeled to start with it.  No deeper isomorph rejection is
@@ -20,6 +20,21 @@ witness is reported with its one-factor classes first regardless.  Blocks
 are placed as flat vertex ids; `aurd._output`, the emitter of the
 construction classes, packages the witness, and the independent verifier
 re-checks it before it is returned.
+
+The branch vertex u depends on the kind of the class:
+
+* a one-factor class branches on the uncovered vertex with the fewest
+  uncovered partners left, the least such vertex on a tie; the scan stops
+  at a vertex with at most one, and a vertex with none ends the node.
+  Every uncovered vertex must be matched in any completion of the class,
+  so trying each partner of any one of them misses no completion: the
+  choice of u is free, and taking the most constrained one (Knuth's rule
+  for exact cover, arXiv:cs/0011047) keeps the search from stranding the
+  high vertices that the least-vertex rule leaves to last.  It reads only
+  rows of uncovered vertices, which the deferred edges below leave exact.
+* a star class branches on its least uncovered vertex u.  Every star
+  through u is tried once: u is its center, or a leaf of a center above
+  u, and every other member of that star is above u too.
 
 Bookkeeping is in bitmasks over the vertices: the covered set of the
 current class, each vertex's row of still-unused edges (`adj`), and
@@ -43,9 +58,13 @@ solution:
   classes, and each class makes a center of every vertex that needs one
   in all the classes left.
 
-* within a star class (one-factor classes skip it), every uncovered
-  vertex must still be joinable to some other uncovered vertex; a vertex
-  isolated inside the remaining uncovered set kills the branch at once.
+* within a star class, every uncovered vertex must still be joinable to
+  some other uncovered vertex; a vertex isolated inside the remaining
+  uncovered set kills the branch at once.  A star node is counted and
+  given this test where its star is placed, before any bookkeeping, so
+  the half or so of star nodes that fail it cost no call and no undo.
+  One-factor classes skip it: their scan for the branch vertex ends the
+  node on a vertex with no partner.
 
 The search recurses at every node.  A tree deeper than Python's
 recursion limit (K_64 into 63 one-factors is about 2000 levels deep) is
@@ -159,18 +178,36 @@ def exhaustive_urd(
                 adj[a] ^= 1 << b
                 adj[b] ^= 1 << a
 
-    def place_star(ci: int, covered: int, center: int, leaves: tuple[int, ...]) -> bool:
+    def place_star(ci: int, uncovered: int, center: int, leaves: tuple[int, ...]) -> bool:
+        # The child node is counted and its isolation test run here, before
+        # any bookkeeping: about half of all star children fail that test,
+        # and then cost no call and no undo.
+        nonlocal nodes
         cbit = 1 << center
         mask = cbit
         for leaf in leaves:
             mask |= 1 << leaf
+        uncovered ^= mask
+        if uncovered:
+            nodes += 1
+            if nodes > limit:
+                raise _BudgetExceeded
+            if not nodes & 255 and deadline is not None and time.perf_counter() > deadline:
+                raise _BudgetExceeded
+            scan = uncovered
+            while scan:
+                bit = scan & -scan
+                scan ^= bit
+                if not adj[bit.bit_length() - 1] & uncovered:
+                    return False
         k = centers_used[center]
         centers_used[center] = k + 1
         used_by[k] ^= cbit
         used_by[k + 1] |= cbit
         blocks = placed[ci]
         blocks.append((center, leaves))
-        if extend(ci, covered | mask):
+        found = star_node(ci, uncovered) if uncovered else extend(ci, full)
+        if found:
             return True
         blocks.pop()
         used_by[k + 1] ^= cbit
@@ -188,39 +225,58 @@ def exhaustive_urd(
                 return True
             toggle(ci)
             return False
-        uncovered = full ^ covered
-        low = uncovered & -uncovered
-        u = low.bit_length() - 1
         nodes += 1
         if nodes > limit:
             raise _BudgetExceeded
         if not nodes & 255 and deadline is not None and time.perf_counter() > deadline:
             raise _BudgetExceeded
-        avail = adj[u] & uncovered
-        if ci > s:  # one-factor class
-            blocks = placed[ci]
-            while avail:
-                bw = avail & -avail
-                avail ^= bw
-                blocks.append((u, bw.bit_length() - 1))
-                if extend(ci, covered | low | bw):
-                    return True
-                blocks.pop()
-            return False
+        if ci <= s:
+            # The first node of a star class; place_star counts the others.
+            # It needs no isolation test: each vertex has used 1 + j*n +
+            # (ci-1-j) of its v-1 = r + x*n + (s-x) edges (j <= x = quota
+            # centers so far), which leaves at least s + 1 - ci >= 1.
+            return star_node(ci, full)
 
-        # Star class.  left = s + 1 - ci star classes are still open, current
+        # One-factor class: branch on the uncovered vertex with the fewest
+        # uncovered partners, the least such vertex on a tie.
+        uncovered = full ^ covered
+        best = v
+        scan = uncovered
+        while scan:
+            bit = scan & -scan
+            scan ^= bit
+            count = (adj[bit.bit_length() - 1] & uncovered).bit_count()
+            if count < best:
+                best, low = count, bit
+                if count <= 1:
+                    break
+        if not best:
+            return False
+        u = low.bit_length() - 1
+        avail = adj[u] & uncovered
+        blocks = placed[ci]
+        while avail:
+            bw = avail & -avail
+            avail ^= bw
+            blocks.append((u, bw.bit_length() - 1))
+            if extend(ci, covered | low | bw):
+                return True
+            blocks.pop()
+        return False
+
+    def star_node(ci: int, uncovered: int) -> bool:
+        """Branch a counted star-class node that has no isolated vertex on
+        its least uncovered vertex u."""
+        low = uncovered & -uncovered
+        u = low.bit_length() - 1
+        avail = adj[u] & uncovered
+        # left = s + 1 - ci star classes are still open, current
         # included.  A vertex that is the center of j stars needs quota - j
         # more: with j == k = quota - left it must be a center in every open
         # class.  None has j < k (module docstring): k < 0 at the first star
         # class, and must is never a leaf, so each class makes it a center.
         k = quota - (s + 1 - ci)
         must = used_by[k] & uncovered if k >= 0 else 0
-        scan = uncovered
-        while scan:
-            bit = scan & -scan
-            scan ^= bit
-            if not adj[bit.bit_length() - 1] & uncovered:
-                return False
         if must.bit_count() > uncovered.bit_count() // (n + 1):
             return False
         leaf_ok = uncovered ^ must
@@ -230,13 +286,13 @@ def exhaustive_urd(
         # every other member of that star is > u, so each star is tried once.
         if not spent & low:
             for leaves in combinations(_bits(avail & leaf_ok), n):
-                if place_star(ci, covered, u, leaves):
+                if place_star(ci, uncovered, u, leaves):
                     return True
         if leaf_ok & low:
             for center in _bits(avail & ~spent):
                 rest = (adj[center] & leaf_ok) ^ low  # u is in both
                 for others in combinations(_bits(rest), n - 1):
-                    if place_star(ci, covered, center, (u, *others)):
+                    if place_star(ci, uncovered, center, (u, *others)):
                         return True
         return False
 

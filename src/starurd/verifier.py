@@ -10,9 +10,11 @@ vertex ids base*(n+1)+level, as the JSON reader, the construction or a
 flattened FactorClass made them; it never reads the object view
 `Decomposition.classes`.  A class passes the clean-class test if it holds
 the ids 0..v-1, each once and each of type int, in blocks flagged as its
-kind and of its kind's size, 2 ids for an edge and n+1 for a star: it has
-no fault to find, and only its edges and star centers are taken.  Any
-other class goes through the fault walk, which takes its blocks in order
+kind and of its kind's size, 2 ids for an edge and n+1 for a star, with
+bounds of type int: it has no fault to find, and only its edges and star
+centers are taken.  Any other class goes through the fault walk, which
+reports a bound that is not an int and then reads no block of the class
+(no position in the ids is named by it), or else takes its blocks in order
 and reports each block of the wrong kind or size and the first vertex
 that an earlier block holds (blocks list their ids in the canonical order
 of Edge and StarBlock), then the vertices it fails to cover or holds
@@ -70,7 +72,8 @@ from .model import (
 
 def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
                 extra: set[Edge], centers: list[int]) -> list[tuple[str, str]]:
-    """The faults of one class, found block by block: in block order, each
+    """The faults of one class, found block by block: a bound that is not
+    an int, after which no block is read; in block order, each
     block of the wrong kind or size and the first vertex in two blocks;
     then the vertices the class fails to cover or holds outside the vertex
     set, and a block count other than its kind's.  Collects the class's
@@ -90,9 +93,13 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
     where = f"class {index}"
     stars = fc.kind == STAR_FACTOR
     faults: list[tuple[str, str]] = []
+    blocks = fc.blocks()
+    if fault := fc.bound_fault():
+        faults.append((WRONG_KIND, f"{where}: {fault}"))
+        blocks = ()
     walked: set = set()
     disjoint = True
-    for block, star in zip(fc.blocks(), fc.stars):
+    for block, star in zip(blocks, fc.stars):
         if star != stars:
             kind = "edge block in a star factor" if stars else "star block in a one-factor"
             faults.append((WRONG_KIND, f"{where}: {kind}"))
@@ -227,7 +234,8 @@ def verify(d: Decomposition) -> VerificationReport:
     for index, fc in enumerate(classes):
         ids, bounds = fc.ids, fc.bounds
         if (len(ids) == v and (fc.kind, bounds, fc.stars) in shapes
-                and set(map(type, ids)) == {int} and set(ids) == vertices):
+                and set(map(type, bounds)) == set(map(type, ids)) == {int}
+                and set(ids) == vertices):
             # a clean class: v distinct vertices in blocks of its kind, so
             # no fault to find; a block's edges join its first id to the rest
             if fc.kind == ONE_FACTOR:

@@ -8,6 +8,9 @@ nodes each search takes.  Both make their classes through `aurd._output`;
 a digest that changes means the output changed.  The rows but (4, 3) of
 ONE_FACTORIZATIONS were re-pinned when that route replaced the round-robin
 one-factorization of K_v at m in {1, 2}; (4, 3) came out the same.
+The WITNESSES rows (12, 3, 11, 0), (12, 5, 11, 0) and (16, 3, 15, 0) were
+re-pinned when the search's one-factor classes began to branch on their
+most constrained vertex.
 """
 
 import hashlib
@@ -57,9 +60,9 @@ ONE_FACTORIZATIONS = {
 # (v, n, r, s): (nodes explored, sha256 of dumps of the witness)
 WITNESSES = {
     (8, 3, 1, 4): (1273, "259504a7135d3763cbcdafbd6a774a37331e46e9b40297d68224536b9e002de4"),
-    (12, 3, 11, 0): (212, "e36f8257ddf0703ec7bd10d17db4a258dfeec9dd4896406bb58f1432051542dd"),
-    (16, 3, 15, 0): (112, "bb223e7ade01290440e7e7e3330a5637c7051f6126f211401ea8a1c94b43ff6f"),
-    (12, 5, 11, 0): (212, "93225676a8f03d7c4db948c0056a1592b93e04b8f944346bc59bba1533d81a98"),
+    (12, 3, 11, 0): (63, "11e8c2b2de926bb342951d147d1e4bf1e86ec36e1d7780159410a64497aabdde"),
+    (16, 3, 15, 0): (114, "89d933453a9154649097cec00200af60de836a6c3cdea0925b2bb55686d4fbd7"),
+    (12, 5, 11, 0): (63, "73e9840baa27e7ca66f7cabf094d496e1ce443cf3dbb969dbe439d8e85b577e8"),
 }
 
 

@@ -117,6 +117,25 @@ def test_all_star_requests_fail_arithmetic():
     assert out.status == NOT_FOUND_EXHAUSTED and out.nodes_explored == 0
 
 
+def test_one_factor_classes_branch_on_the_most_constrained_vertex():
+    # the found instance of the benchmark's search workload: branched on
+    # their least uncovered vertex, its one-factor classes take 395,644 nodes
+    out = exhaustive_urd(24, 3, 17, 4, max_nodes=1000)
+    assert out.status == FOUND
+    assert verify(out.witness).passed
+
+
+@pytest.mark.parametrize("v,n,r,s", [(24, 3, 23, 0), (24, 3, 17, 4), (24, 5, 23, 0),
+                                     (24, 7, 23, 0), (24, 11, 23, 0)])
+def test_pairs_settled_within_twenty_thousand_nodes(v, n, r, s):
+    # branched on their least uncovered vertex, the one-factor classes of
+    # these pairs do not end within 20000 nodes
+    out = exhaustive_urd(v, n, r, s, max_nodes=20000)
+    assert out.status == FOUND
+    assert (out.witness.r, out.witness.s) == (r, s)
+    assert verify(out.witness).passed
+
+
 @pytest.mark.parametrize("v,n", [(8, 3), (12, 3), (16, 3), (20, 3), (12, 5), (18, 5), (16, 7)])
 def test_search_never_exhausts_a_pair_the_package_realizes(v, n):
     # a node budget may stop the search, but an exhausted verdict on a pair

@@ -327,9 +327,10 @@ def test_writers_refuse_an_id_that_names_no_vertex(x):
 
 # Class 1 of K_4 as a block of the wrong size for its flag (an object that
 # is no block, flattened to an empty star block; an edge of 3 ids; a star
-# of no leaf), as blocks whose bounds run past the ids at either end, or as
-# an edge and a star of one leaf: blocks of the right sizes in a class of
-# the wrong kind
+# of no leaf), as blocks whose bounds run past the ids at either end, as
+# bounds that are not ints (2.0 and False equal ints, but name no position
+# in the ids), or as an edge and a star of one leaf: blocks of the right
+# sizes in a class of the wrong kind
 BLOCK_SIZES = {
     "no-block": (FactorClass(ONE_FACTOR, ("junk",)), "block 0 holds 0 ids"),
     "edge-of-3": (FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 3, 4), b"\0\0"), "block 0 holds 3 ids"),
@@ -339,6 +340,12 @@ BLOCK_SIZES = {
                                 "blocks span ids[0:4] of 3 ids"),
     "bounds-before-the-first-id": (FlatClass(ONE_FACTOR, (0, 2, 1, 3), (-2, 0, 2), b"\0\0"),
                                    "blocks span ids[-2:2] of 4 ids"),
+    "float-bound": (FlatClass(ONE_FACTOR, (0, 2, 1, 3), (0, 2.0, 4), b"\0\0"),
+                    "bound 1 is 2.0, not an int"),
+    "float-bound-off-the-ids": (FlatClass(ONE_FACTOR, (0, 2, 1, 9), (0, 2.0, 4), b"\0\0"),
+                                "bound 1 is 2.0, not an int"),
+    "bool-bound": (FlatClass(ONE_FACTOR, (0, 2, 1, 3), (False, 2, 4), b"\0\0"),
+                   "bound 0 is False, not an int"),
     "mixed": (FlatClass(ONE_FACTOR, (0, 2, 1, 3), (0, 2, 4), b"\0\1"), None),
 }
 

@@ -358,3 +358,24 @@ def test_ids_of_another_type_than_int_are_outside_the_vertex_set(ids, bounds, ou
         (EXTRA_EDGE, f"{count} edges outside the target, e.g. {sample}"),
         (MISSING_EDGE, f"{count} target edges uncovered, e.g. {Edge(Vertex(0, 0), Vertex(0, 1))}"),
     )
+
+
+@pytest.mark.parametrize("ids,bounds,detail", [
+    ((0, 2, 1, 3), (0, 2.0, 4), "bound 1 is 2.0, not an int"),
+    ((0, 2, 1, 9), (0, 2.0, 4), "bound 1 is 2.0, not an int"),
+    ((0, 2, 1, 3), (False, 2, 4), "bound 0 is False, not an int"),
+    ((0, 2, 1, 3), [0, "2", 4], "bound 1 is '2', not an int"),
+], ids=["float-clean-shape", "float-walked", "false", "str"])
+def test_bounds_of_another_type_than_int_are_reported_not_raised(ids, bounds, detail):
+    # 2.0 and False equal ints, so (0, 2.0, 4) equals the clean shape of a
+    # one-factor; no bound that is not an int names a position in the ids,
+    # so the class is walked, reported and none of its blocks is read
+    one = FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 2, 4), b"\x00\x00")
+    two = FlatClass(ONE_FACTOR, ids, bounds, b"\x00\x00")
+    three = FlatClass(ONE_FACTOR, (0, 3, 1, 2), (0, 2, 4), b"\x00\x00")
+    d = Decomposition(Params(4, 3, 1), (one, two, three), 3, 0)
+    assert verify(d).violations == (
+        (WRONG_KIND, f"class 1: {detail}"),
+        (NOT_SPANNING, "class 1: 4 vertices uncovered"),
+        (MISSING_EDGE, f"2 target edges uncovered, e.g. {Edge(Vertex(0, 0), Vertex(0, 2))}"),
+    )
