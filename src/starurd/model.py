@@ -9,11 +9,14 @@ construction on flat ids, the JSON reader gives each class on them, and
 the verifier audits them as they stand, all as FlatClass.  Decomposition
 and `aurd.AurdOutput` keep FlatClass classes; their `classes` is a view
 of Vertex, Edge and StarBlock objects (`factor_classes`), built on
-request with one Vertex per id.  `vertex_key` is the one rule that
-turns a flat id back into its (base, level) pair, for the verifier's
-walk, the reader's sort and `vertex_from_flat`, which makes the Vertex;
-`id_keys` keys a class's ids by it for the writers and the object view.
-`FlatClass.of` turns a FactorClass into a FlatClass.
+request with one Vertex per id.  `FlatClass.shape_fault` is the one
+rule for the shape of a class: int bounds within its ids, one 0 or 1
+flag per block, blocks of their flag's size, and ids that are ints or
+pairs of ints.  The verifier's walk reports a class that breaks it, and
+`id_keys` raises it for the writers and the object view.  `vertex_key`
+is the one rule that turns a flat id back into its (base, level) pair,
+for the verifier's walk, the reader's sort and `vertex_from_flat`, which
+makes the Vertex.  `FlatClass.of` turns a FactorClass into a FlatClass.
 
 Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
@@ -25,8 +28,11 @@ factors forces (n+1)*r + 2*n*s = (n+1)*(v-1).  It is checked exactly,
 never with a tolerance.
 
 All types are immutable after construction and safe to share between
-threads.  Each record is a namedtuple subclass that checks or
-canonicalizes its fields in __new__.  Its repr is Name(field=value, ...);
+threads.  Each record is a namedtuple subclass.  Params, Edge, StarBlock
+and FactorClass check or canonicalize their fields in __new__, and
+Decomposition flattens a FactorClass; Vertex, FlatClass and
+VerificationReport keep their fields as given, so that a hand-built
+class can be audited.  A record's repr is Name(field=value, ...);
 its hash and its order are those of the tuple of its fields, and it
 equals that plain tuple (and so any record with equal fields).  All but
 Decomposition, whose `classes` view is cached on the instance, have no
@@ -109,16 +115,10 @@ def vertex_key(k, weight: int) -> tuple:
     name vertices of Z_m x Z_weight, and v+3 names (m, 3) outside it.  A
     pair of ints, the id FlatClass gives a vertex outside the grid, names
     itself, so (1, 1) and 1*weight + 1 are two spellings of one vertex.
-    Ids sort on it as their vertices do.  Any other id, such as 1.0, True,
-    'x', None, (1, 2, 3) or [1] in a hand-built class, names no vertex:
-    it is named (inf, its repr), a pair that names no vertex either and
-    hashes and sorts with every other.  The verifier reports such an id as
-    written, and the writers refuse it."""
-    if type(k) is int:
-        return divmod(k, weight)
-    if type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int:
-        return k
-    return (float("inf"), repr(k))
+    Ids sort on it as their vertices do.  No other id names a vertex: a
+    class that holds one has a shape fault (FlatClass.shape_fault), and
+    no reader takes its ids to this rule."""
+    return divmod(k, weight) if type(k) is int else k
 
 
 def vertex_from_flat(index, weight: int) -> Vertex:
@@ -191,10 +191,12 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
     leaves, each in (base, level) order.  The id of a vertex of
     Z_m x Z_{n+1} is base*(n+1)+level; any other vertex keeps its
     (base, level) pair as its id, so that (0, n+1) cannot alias (1, 0).
-    vertex_key gives the vertex any id names.  One
-    tuple per class, not one object per block, keeps it smaller than the
-    Edge and StarBlock objects it stands for.  Like FactorClass, it is
-    not checked for disjointness or spanning.
+    vertex_key gives the vertex an id names.  One tuple per class, not
+    one object per block, keeps it smaller than the Edge and StarBlock
+    objects it stands for.  It is not checked when made, so that a
+    hand-built class can be audited: shape_fault states the one rule for
+    its shape, and like FactorClass it is not checked for disjointness
+    or spanning.
     """
 
     __slots__ = ()
@@ -202,18 +204,11 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
     @classmethod
     def of(cls, fc: FactorClass, m: int, w: int) -> "FlatClass":
         """fc on the flat ids of Z_m x Z_w.  A block that is neither an Edge
-        nor a StarBlock becomes a block of the other shape than the class
-        kind with no vertices: the audit reports it as of the wrong kind
-        and nothing else, and the writers and the object view refuse it
-        as a block of the wrong size (id_keys)."""
+        nor a StarBlock becomes an edge block with no ids: a shape fault."""
         ids, bounds, stars = [], [0], bytearray()
         for b in fc.blocks:
-            if isinstance(b, Edge):
-                ends, star = (b.u, b.v), 0
-            elif isinstance(b, StarBlock):
-                ends, star = (b.center, *b.leaves), 1
-            else:
-                ends, star = (), int(fc.kind == ONE_FACTOR)
+            star = isinstance(b, StarBlock)
+            ends = (b.center, *b.leaves) if star else (b.u, b.v) if isinstance(b, Edge) else ()
             ids += [
                 u.base * w + u.level if 0 <= u.base < m and 0 <= u.level < w
                 else (u.base, u.level)
@@ -228,54 +223,63 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
         ids, bounds = self.ids, self.bounds
         return (ids[a:b] for a, b in zip(bounds, bounds[1:]))
 
-    def bound_fault(self) -> str | None:
-        """The first bound that is not an int, said as a fault, or None.
-        Such a bound (2.0 and False among them, though they equal ints)
-        names no position in the ids, so no block can be read."""
-        if set(map(type, self.bounds)) <= {int}:
-            return None
-        bi, bound = next((bi, b) for bi, b in enumerate(self.bounds) if type(b) is not int)
-        return f"bound {bi} is {bound!r}, not an int"
+    def shape_fault(self) -> str | None:
+        """The first fault of the class's shape, said as a fault, or None:
+        a bound that is not an int (2.0 and False among them, though they
+        equal ints, name no position in the ids); bounds that run outside
+        the ids; flags other than one 0 or 1 per block; a block of the
+        wrong size for its flag (an edge holds 2 ids, a star a center and
+        at least one leaf); an id that is neither an int nor a pair of
+        ints, and so names no vertex (vertex_key).  It is the one shape
+        rule: no reader reads a block of a class that has a fault, and in
+        a class that has none each block is the slice its bounds name."""
+        ids, bounds, stars = self.ids, self.bounds, self.stars
+        if not set(map(type, bounds)) <= {int}:
+            bi, bound = next((bi, b) for bi, b in enumerate(bounds) if type(b) is not int)
+            return f"bound {bi} is {bound!r}, not an int"
+        if bounds and (bounds[0] < 0 or bounds[-1] > len(ids)):
+            return f"blocks span ids[{bounds[0]}:{bounds[-1]}] of {len(ids)} ids"
+        if len(stars) != len(bounds[1:]):
+            return f"{len(stars)} flags for {len(bounds[1:])} blocks"
+        if not (set(map(type, stars)) <= {int} and set(stars) <= {0, 1}):
+            bi, flag = next((bi, f) for bi, f in enumerate(stars)
+                            if type(f) is not int or f not in (0, 1))
+            return f"block {bi} is flagged {flag!r}, not 0 or 1"
+        sizes = set(map(sub, bounds[1:], bounds))
+        if min(sizes, default=2) < 2 or (max(sizes, default=2) > 2 and 0 in stars):
+            for bi, (k, star) in enumerate(zip(map(sub, bounds[1:], bounds), stars)):
+                if k < 2 or (k > 2 and not star):
+                    return f"block {bi} holds {k} ids"
+        if not set(map(type, ids)) <= {int}:
+            for k in ids:
+                if type(k) is not int and not (
+                        type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int):
+                    return f"id {k!r} names no vertex"
+        return None
 
 
-def id_keys(ci: int, fc: FlatClass, w: int):
-    """The key of each id of class ci, by which every reader of a class
-    but the verifier looks its vertices up: fc.ids as they stand if each
-    is an int, else each id's vertex_key, so that two ids share a key
-    exactly when they name one vertex.  A key is thus an int id or the
-    pair vertex_key names.  Or a ValueError: of blocks that run outside
-    the ids, or of a block of the wrong size: an edge holds 2 ids, a star
-    a center and at least one leaf, or of a bound that is not an int."""
-    bounds, stars, ids = fc.bounds, fc.stars, fc.ids
-    if fault := fc.bound_fault():
+def id_keys(ci: int, fc: FlatClass):
+    """The ids of class ci, by which every reader of a class but the
+    verifier looks its vertices up: fc.ids as they stand, or the
+    ValueError of its shape fault (FlatClass.shape_fault), which names the
+    class.  So each key is an int or a pair of ints, and keys equal only
+    if they name one vertex."""
+    if fault := fc.shape_fault():
         raise ValueError(f"class {ci}: {fault}")
-    if bounds and (bounds[0] < 0 or bounds[-1] > len(ids)):
-        raise ValueError(f"class {ci}: blocks span ids[{bounds[0]}:{bounds[-1]}] "
-                         f"of {len(ids)} ids")
-    sizes = set(map(sub, bounds[1:], bounds))
-    if min(sizes, default=2) < 2 or (max(sizes, default=2) > 2 and 0 in stars):
-        for bi, (k, star) in enumerate(zip(map(sub, bounds[1:], bounds), stars)):
-            if k < 2 or (k > 2 and not star):
-                raise ValueError(f"class {ci}: block {bi} holds {k} ids")
-    if set(map(type, ids)) <= {int}:
-        return ids
-    return [vertex_key(k, w) for k in ids]
+    return fc.ids
 
 
 def factor_classes(flat, w: int) -> tuple[FactorClass, ...]:
     """The FactorClass of each FlatClass of weight w, with one Vertex per
     key (id_keys) for all of them: the view behind
-    Decomposition.classes and `aurd.AurdOutput.classes`.  An id that
-    names no vertex gets the Vertex of the pair vertex_key names it by,
-    and blocks outside the ids or of the wrong size raise id_keys'
-    ValueError."""
+    Decomposition.classes and `aurd.AurdOutput.classes`.  A class with a
+    shape fault raises id_keys' ValueError."""
     vertex: dict = {}
     get = vertex.__getitem__
     classes = []
     for ci, fc in enumerate(flat):
-        keys, bounds = id_keys(ci, fc, w), fc.bounds
-        vertex.update((k, Vertex(*k) if type(k) is tuple else vertex_from_flat(k, w))
-                      for k in set(keys) - vertex.keys())
+        keys, bounds = id_keys(ci, fc), fc.bounds
+        vertex.update((k, vertex_from_flat(k, w)) for k in set(keys) - vertex.keys())
         classes.append(FactorClass(fc.kind, tuple(
             StarBlock(get(keys[a]), tuple(map(get, keys[a + 1:b]))) if star
             else Edge(get(keys[a]), get(keys[a + 1]))
@@ -289,9 +293,9 @@ class Decomposition(namedtuple("Decomposition", "params flat r s")):
 
     flat holds each class as a FlatClass; a FactorClass given in its place
     is flattened (FlatClass.of), hostile ones included.  classes is their
-    object view, built on the first request and kept; a class with
-    blocks outside its ids or a block of the wrong size, such as one that
-    held an object that is no block, raises id_keys' ValueError instead.
+    object view, built on the first request and kept; a class with a
+    shape fault (FlatClass.shape_fault), such as one that held an object
+    that is no block, raises id_keys' ValueError instead.
     r and s are stored as claimed (e.g. as read from a file); the
     verifier checks them against the actual class kinds.
     """

@@ -36,14 +36,14 @@ first shared vertex in that order.
 `starurd verify` audits what it returns as it stands.
 
 The writers render from the same flat ids, each id as the (base, level)
-pair it names, looked up by its key (model.id_keys, on model.vertex_key).
-Each class is checked once, before it is rendered: both writers refuse
-blocks whose bounds run outside the class's ids, a block of the wrong
-size (an edge holds 2 ids, a star a center and at least one leaf) and an
-id that names no vertex, with a ValueError that names the class, and
-the block or the id.  A class of the wrong kind with well-sized blocks
-is written; the verifier reports it.  dumps is the one writer of the
-schema.
+pair it names (model.vertex_key).  Each class is checked once, before it
+is rendered: both writers, as the object view does, refuse a class with
+a shape fault (model.FlatClass.shape_fault: bounds that are not ints or
+run outside the ids, flags other than one 0 or 1 per block, a block of
+the wrong size, an id that names no vertex) with the ValueError of
+model.id_keys, which names the class and the fault.  A class of the
+wrong kind with well-sized blocks is written; the verifier reports it.
+dumps is the one writer of the schema.
 It writes the text of json.dumps(to_dict(d), indent=1) without building
 the dict: each vertex is rendered once per indent depth it appears at,
 and the block and class texts are joined from those strings.  to_dict
@@ -201,9 +201,9 @@ def _join(brackets: str, items: list[str], depth: int) -> str:
 
 
 class _Rendered(dict):
-    """key (model.id_keys) -> render(base, level) of the vertex it names,
-    made once.  The writers look up only the keys of a class they have
-    checked (_keys), so every key names a vertex."""
+    """id -> render(base, level) of the vertex it names (vertex_key), made
+    once.  The writers look up only the ids of a class that has no shape
+    fault (model.id_keys), so every id names a vertex."""
 
     def __init__(self, render, weight: int):
         super().__init__()
@@ -213,17 +213,6 @@ class _Rendered(dict):
     def __missing__(self, k) -> str:
         text = self[k] = self.render(*vertex_key(k, self.weight))
         return text
-
-
-def _keys(ci: int, fc: FlatClass, w: int):
-    """model.id_keys of class ci, or the ValueError that names its first
-    id that names no vertex."""
-    keys = id_keys(ci, fc, w)
-    if keys is not fc.ids:
-        for k, (base, _) in zip(fc.ids, keys):
-            if type(base) is not int:
-                raise ValueError(f"class {ci}: id {k!r} names no vertex")
-    return keys
 
 
 def _pair_at(depth: int):
@@ -247,7 +236,7 @@ def _json_pieces(d: Decomposition):
     # each class text goes into the "[]" that empty ends with
     lead = empty[:-3] + "\n  "
     for ci, fc in enumerate(d.flat):
-        keys, bounds = _keys(ci, fc, w), fc.bounds
+        keys, bounds = id_keys(ci, fc), fc.bounds
         blocks = []
         for a, b, star in zip(bounds, bounds[1:], fc.stars):
             if star:
@@ -273,7 +262,7 @@ def _text_pieces(d: Decomposition):
     w = d.params.n + 1
     name = _Rendered("({},{})".format, w)
     for ci, fc in enumerate(d.flat):
-        keys, bounds = _keys(ci, fc, w), fc.bounds
+        keys, bounds = id_keys(ci, fc), fc.bounds
         lines = [f"\n\nclass {ci + 1}: {fc.kind}"]
         for a, b, star in zip(bounds, bounds[1:], fc.stars):
             if star:

@@ -12,17 +12,19 @@ flattened FactorClass made them; it never reads the object view
 the ids 0..v-1, each once and each of type int, in blocks flagged as its
 kind and of its kind's size, 2 ids for an edge and n+1 for a star, with
 bounds of type int: it has no fault to find, and only its edges and star
-centers are taken.  Any other class goes through the fault walk, which
-reports a bound that is not an int and then reads no block of the class
-(no position in the ids is named by it), or else takes its blocks in order
-and reports each block of the wrong kind or size and the first vertex
-that an earlier block holds (blocks list their ids in the canonical order
-of Edge and StarBlock), then the vertices it fails to cover or holds
-outside the vertex set.  The walk takes each id as the vertex that
-model.vertex_key names, however it is spelled, trusting no flag of
-whoever made the class; it keeps the edges with an end outside the vertex
-set as Edge objects, and a block whose ids name one vertex is a loop,
-reported and not raised on.
+centers are taken.  Any other class goes through the fault walk.  A
+class with a shape fault (model.FlatClass.shape_fault: the one rule, by
+which the writers and the object view refuse a class) is reported as one
+WRONG_KIND with the fault's text, and no block of it is read.  Else the
+walk takes its blocks in order and reports each block of the wrong kind
+and each star of the wrong size, and the first vertex that an earlier
+block holds (blocks list their ids in the canonical order of Edge and
+StarBlock), then the vertices it fails to cover or holds outside the
+vertex set.  The walk takes each id as the vertex that model.vertex_key
+names, however it is spelled, trusting no flag of whoever made the
+class; it keeps the edges with an end outside the vertex set as Edge
+objects, and a block whose ids name one vertex is a loop, reported and
+not raised on.
 
 Together the classes must cover every pair of vertices exactly once,
 checked on integer ids without enumerating E(K_v).  A pair a < b is kept
@@ -72,16 +74,16 @@ from .model import (
 
 def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
                 extra: set[Edge], centers: list[int]) -> list[tuple[str, str]]:
-    """The faults of one class, found block by block: a bound that is not
-    an int, after which no block is read; in block order, each
-    block of the wrong kind or size and the first vertex in two blocks;
-    then the vertices the class fails to cover or holds outside the vertex
-    set, and a block count other than its kind's.  Collects the class's
-    edges on the way: a pair a < b of the vertex set as b in rows[a],
-    the row verify fills with the clean classes, an edge with an end
-    outside it into extra, and, in a star class, the star centers in the
-    vertex set into centers.  Every id is taken as the vertex
-    model.vertex_key names, however it is spelled."""
+    """The faults of one class, found block by block: its shape fault
+    (FlatClass.shape_fault), after which no block is read; else, in block
+    order, each block of the wrong kind, each star of the wrong size and
+    the first vertex in two blocks; then the vertices the class fails to
+    cover or holds outside the vertex set, and a block count other than
+    its kind's.  Collects the class's edges on the way: a pair a < b of
+    the vertex set as b in rows[a], the row verify fills with the clean
+    classes, an edge with an end outside it into extra, and, in a star
+    class, the star centers in the vertex set into centers.  Every id is
+    taken as the vertex model.vertex_key names, however it is spelled."""
     w = n + 1
     m = v // w
 
@@ -94,7 +96,7 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
     stars = fc.kind == STAR_FACTOR
     faults: list[tuple[str, str]] = []
     blocks = fc.blocks()
-    if fault := fc.bound_fault():
+    if fault := fc.shape_fault():
         faults.append((WRONG_KIND, f"{where}: {fault}"))
         blocks = ()
     walked: set = set()
@@ -106,16 +108,12 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
         elif star and len(block) != w:
             faults.append((WRONG_KIND, f"{where}: star with {len(block) - 1} leaves, "
                                        f"expected {n}"))
-        elif not star and len(block) != 2:
-            faults.append((WRONG_KIND, f"{where}: edge with {len(block)} vertices"))
         names = [vertex_key(k, w) for k in block]
         if disjoint and not walked.isdisjoint(names):
             u = Vertex(*next(name for name in names if name in walked))
             faults.append((NOT_DISJOINT, f"{where}: vertex {u} in two blocks"))
             disjoint = False
         walked.update(names)
-        if not names:  # it has no center and no edge
-            continue
         # a block's edges join its first vertex to each of the others
         c = names[0]
         a = flat(c)
@@ -139,8 +137,8 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
             detail += f", {outside} outside the vertex set"
         faults.append((NOT_SPANNING, detail))
     want = v // 2 if fc.kind == ONE_FACTOR else v // w
-    if len(fc.stars) != want:
-        faults.append((COUNT_MISMATCH, f"{where}: {len(fc.stars)} blocks, expected {want}"))
+    if len(fc.bounds[1:]) != want:
+        faults.append((COUNT_MISMATCH, f"{where}: {len(fc.bounds[1:])} blocks, expected {want}"))
     return faults
 
 

@@ -1,15 +1,15 @@
 import gc
 import json
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference_verifier import block_vertices
 from starurd.assembler import BuildRequest, construct
 from starurd.model import (
-    DUPLICATE_EDGE,
     MISSING_EDGE,
     NOT_SPANNING,
     ONE_FACTOR,
@@ -310,19 +310,20 @@ def test_writers_refuse_an_id_that_names_no_vertex(x):
     # K_4 with class 0 written as (0, x, 2, 3), or class 1 as (0, 2, x, 3),
     # after class 0 has held the int 1: x names no vertex, so no
     # [base, level] pair can be written for it, though 1.0 and True equal
-    # 1; the object view names it (inf, repr(x)), as model.vertex_key does
+    # 1.  The object view refuses it with the writers' error, and the
+    # verifier reports it as the shape fault of its class
     built = construct(BuildRequest(4, 3, 0))
-    named = Vertex(float("inf"), repr(x))
-    for ci, ids, bi, edge in ((0, (0, x, 2, 3), 0, (Vertex(0, 0), named)),
-                              (1, (0, 2, x, 3), 1, (Vertex(0, 3), named))):
+    for ci, ids in ((0, (0, x, 2, 3)), (1, (0, 2, x, 3))):
         flat = list(built.flat)
         flat[ci] = flat[ci]._replace(ids=ids)
         d = Decomposition(built.params, tuple(flat), built.r, built.s)
-        for write in (dumps, to_text):
+        fault = f"class {ci}: id {x!r} names no vertex"
+        for read in (dumps, to_text, lambda d: d.classes):
             with pytest.raises(ValueError) as info:
-                write(d)
-            assert str(info.value) == f"class {ci}: id {x!r} names no vertex"
-        assert d.classes[ci].blocks[bi] == edge
+                read(d)
+            assert type(info.value) is ValueError
+            assert str(info.value) == fault
+        assert (WRONG_KIND, fault) in verify(d).violations
 
 
 # Class 1 of K_4 as a block of the wrong size for its flag (an object that
@@ -375,28 +376,88 @@ def test_readers_check_the_size_of_each_block(case):
 
 
 def test_verify_reads_blocks_that_run_past_the_ids_by_their_slices():
-    # the readers refuse these bounds; the verifier takes each block as the
-    # slice of the ids its bounds name, and reports what it finds there
+    # the readers refuse these bounds, and the verifier reports the same
+    # shape fault and reads no block of the class: no slice of the ids
+    # stands for a block whose bounds run outside them
     built = construct(BuildRequest(4, 3, 0))
     reports = {}
     for case in ("bounds-past-the-last-id", "bounds-before-the-first-id"):
         fc = BLOCK_SIZES[case][0]
         d = Decomposition(built.params, (built.flat[0], fc, built.flat[2]), built.r, built.s)
         reports[case] = verify(d).violations
-    first, third = Edge(Vertex(0, 0), Vertex(0, 1)), Edge(Vertex(0, 1), Vertex(0, 3))
+    missing = f"2 target edges uncovered, e.g. {Edge(Vertex(0, 0), Vertex(0, 2))}"
     assert reports == {
         "bounds-past-the-last-id": (
-            (WRONG_KIND, "class 1: edge with 1 vertices"),
-            (NOT_SPANNING, "class 1: 1 vertices uncovered"),
-            (DUPLICATE_EDGE, f"1 edges covered more than once, e.g. {first}"),
-            (MISSING_EDGE, f"2 target edges uncovered, e.g. {Edge(Vertex(0, 0), Vertex(0, 2))}"),
+            (WRONG_KIND, "class 1: blocks span ids[0:4] of 3 ids"),
+            (NOT_SPANNING, "class 1: 4 vertices uncovered"),
+            (MISSING_EDGE, missing),
         ),
         "bounds-before-the-first-id": (
-            (WRONG_KIND, "class 1: edge with 0 vertices"),
-            (NOT_SPANNING, "class 1: 2 vertices uncovered"),
-            (MISSING_EDGE, f"1 target edges uncovered, e.g. {third}"),
+            (WRONG_KIND, "class 1: blocks span ids[-2:2] of 4 ids"),
+            (NOT_SPANNING, "class 1: 4 vertices uncovered"),
+            (MISSING_EDGE, missing),
         ),
     }
+
+
+# Class 0 of the one-factorization of K_4 as no reader makes it: ids that
+# are ints in and outside 0..3, int pairs or no vertex at all; bounds that
+# are not ints, negative or past the ids; flags of 0, 1 and 2, too few or
+# too many.  Well-formed bounds and flags are drawn too, so that some
+# classes have no shape fault
+HOSTILE_IDS = st.one_of(
+    st.integers(0, 3), st.integers(-2, 9), st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
+    st.sampled_from([1.0, True, "x", None, (1, 2, 3), [1]]),
+)
+SHAPE_FAULT = re.compile(r"class 0: (bound \d+ is |blocks span |\d+ flags for "
+                         r"|block \d+ is flagged |block \d+ holds |id .* names no vertex)")
+
+
+@st.composite
+def hostile_classes(draw):
+    ids = draw(st.lists(HOSTILE_IDS, max_size=9))
+    sizes = st.lists(st.sampled_from([2, 2, 3]), max_size=3)
+    bounds = draw(st.one_of(
+        sizes.map(lambda ks: [sum(ks[:i]) for i in range(len(ks) + 1)]),
+        st.lists(st.one_of(st.integers(-2, 9), st.sampled_from([2.0, 0.5, False])), max_size=4),
+    ))
+    blocks = len(bounds[1:])
+    flags = draw(st.one_of(
+        st.lists(st.sampled_from([0, 0, 1]), min_size=blocks, max_size=blocks),
+        st.lists(st.sampled_from([0, 1, 2]), min_size=blocks, max_size=blocks),
+        st.lists(st.sampled_from([0, 1]), max_size=4),
+    ))
+    return FlatClass(ONE_FACTOR, tuple(ids), tuple(bounds), bytes(flags))
+
+
+@settings(max_examples=300, deadline=None)
+@example(FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 2, 4), b"\x00\x00\x00"))
+@given(hostile_classes())
+def test_the_verifier_the_writers_and_the_view_agree_on_the_shape_of_a_class(fc):
+    # verify reports a shape fault exactly when both writers and the object
+    # view raise it, with the same text, and never raises; a class with no
+    # shape fault is written, and its view raises only a ValueError, as
+    # Edge does on a loop
+    built = construct(BuildRequest(4, 3, 0))
+    d = Decomposition(built.params, (fc,) + built.flat[1:], built.r, built.s)
+    report = verify(d)
+    faults = [detail for code, detail in report.violations if SHAPE_FAULT.match(detail)]
+    fault = fc.shape_fault()
+    if fault is None:
+        assert faults == []
+        assert dumps(d).startswith("{") and to_text(d).startswith("decomposition of K_4")
+        try:
+            d.classes
+        except ValueError as exc:
+            assert type(exc) is ValueError
+        return
+    assert faults == [f"class 0: {fault}"]
+    assert (WRONG_KIND, f"class 0: {fault}") in report.violations
+    for read in (dumps, to_text, lambda d: d.classes):
+        with pytest.raises(ValueError) as info:
+            read(d)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"class 0: {fault}"
 
 
 def _witness():

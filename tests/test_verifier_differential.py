@@ -38,6 +38,7 @@ from starurd.model import (
     ONE_FACTOR,
     PARAM_MISMATCH,
     STAR_FACTOR,
+    WRONG_KIND,
     Decomposition,
     Edge,
     FactorClass,
@@ -49,7 +50,7 @@ from starurd.model import (
 )
 from starurd.cli import main
 from starurd.search import exhaustive_urd
-from starurd.serialize import dumps, from_dict, loads, to_dict
+from starurd.serialize import dumps, from_dict, loads, to_dict, to_text
 from starurd.verifier import verify
 
 SMALL = [(12, 3, 0), (16, 3, 1), (24, 5, 1), (20, 3, 0)]
@@ -352,10 +353,11 @@ def test_respelled_ids_keep_the_verdict(key, moved, data):
     # id v+3, with some ids written as the other spelling of their vertex:
     # an int as the (base, level) pair it names, a pair as its int.  Both
     # spellings name one vertex (model.vertex_key), so the verdict is that
-    # of the build as it was, and of the text the writer makes of it.  Some
-    # ints may be written as a number that equals them, float(k) or True
-    # for 1, which names no vertex: the class then fails, and the writer
-    # refuses it.  The object view names every id as vertex_key does
+    # of the build as it was, and of the text the writer makes of it, and
+    # the object view names every id as vertex_key does.  Some ints may be
+    # written as a number that equals them, float(k) or True for 1, which
+    # names no vertex: the first class that holds one has a shape fault,
+    # which verify reports and the writers and the object view raise
     d = built(*key)
     v, w = d.params.v, d.params.n + 1
     flat = [list(fc.ids) for fc in d.flat]
@@ -379,15 +381,20 @@ def test_respelled_ids_keep_the_verdict(key, moved, data):
     respelled = Decomposition(
         d.params, tuple(fc._replace(ids=tuple(ids)) for fc, ids in zip(d.flat, flat)), d.r, d.s
     )
+    if retyped:
+        report = verify(respelled)
+        assert not report.passed
+        for read in (dumps, to_text, lambda d: d.classes):
+            with pytest.raises(ValueError) as info:
+                read(respelled)
+            assert type(info.value) is ValueError
+            assert str(info.value).startswith(f"class {min(retyped)}: id ")
+            assert (WRONG_KIND, str(info.value)) in report.violations
+        return
     report = assert_same(respelled)
     assert report == verify(plain)
-    assert report.passed == (not moved and not retyped)
-    if retyped:
-        with pytest.raises(ValueError) as info:
-            dumps(respelled)
-        assert str(info.value).startswith(f"class {min(retyped)}: id ")
-    else:
-        assert verify(loads(dumps(respelled))) == report
+    assert report.passed == (not moved)
+    assert verify(loads(dumps(respelled))) == report
     assert [[sorted(block_vertices(b)) for b in fc.blocks] for fc in respelled.classes] == [
         [sorted(Vertex(*vertex_key(k, w)) for k in block) for block in fc.blocks()]
         for fc in respelled.flat
@@ -483,15 +490,19 @@ def test_ids_of_another_type_than_int_never_pass(source, ci, position, retype, e
     # id k written as a number of another type that equals it and hashes as
     # it does (True for 1, False for 0): no vertex, though a set of the ids
     # is the vertex set; or as an id that does not sort with an int, is no
-    # (base, level) pair or has no hash.  The object view names it as
-    # model.vertex_key does, never as k, so the reference judges it as
-    # verify does, and nothing raises
+    # (base, level) pair or has no hash.  The first class that holds it,
+    # class 0 if every class does, has a shape fault: the object view
+    # refuses it, so the reference cannot judge it, and verify reports it
+    # and raises nothing
     make, args = source
     d = make(*args)
     ci %= len(d.flat)
     ids = d.flat[ci].ids
     k = ids[position % len(ids)] if retype is not bool else min(ids)
-    assert not assert_same(renamed(d, k, retype(k), None if everywhere else ci)).passed
+    report = verify(renamed(d, k, retype(k), None if everywhere else ci))
+    assert not report.passed
+    fault = f"class {0 if everywhere else ci}: id {retype(k)!r} names no vertex"
+    assert (WRONG_KIND, fault) in report.violations
 
 
 def _written(d, rng):
