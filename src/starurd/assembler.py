@@ -57,7 +57,7 @@ class BuildRequest(namedtuple("BuildRequest", "v n ell")):
 def construct(req: BuildRequest) -> Decomposition:
     """Build the decomposition of K_v for the requested ell."""
     params = req.params
-    m, n, w = params.m, params.n, params.weight
+    m, n, w = params.m, params.n, params.n + 1
     seed = hamiltonian_decomposition(m)
 
     one_classes = []

@@ -84,11 +84,6 @@ class AurdOutput(namedtuple("AurdOutput", "flat sources weight")):
     the construction family that produced each; classes is their object
     view, built on request and cached on the instance."""
 
-    def __new__(cls, flat: tuple[FlatClass, ...], sources: tuple[str, ...], weight: int):
-        if len(flat) != len(sources):
-            raise ValueError("one source tag per class required")
-        return tuple.__new__(cls, (flat, sources, weight))
-
     @cached_property
     def classes(self) -> tuple[FactorClass, ...]:
         return factor_classes(self.flat, self.weight)

@@ -5,18 +5,19 @@ vertex is addressed as a pair (base, level): base in Z_m names one of the m
 "groups" and level in Z_{n+1} names the copy inside the group.  The flat
 index base*(n+1) + level orders vertices as Vertex does.  It is the one
 stored form of a class: `aurd._output` makes and checks each class of the
-construction on flat ids, the JSON reader gives each class on them, and
-the verifier audits them as they stand, all as FlatClass.  Decomposition
-and `aurd.AurdOutput` keep FlatClass classes; their `classes` is a view
-of Vertex, Edge and StarBlock objects (`factor_classes`), built on
-request with one Vertex per id.  `FlatClass.shape_fault` is the one
-rule for the shape of a class: int bounds within its ids, one 0 or 1
-flag per block, blocks of their flag's size, and ids that are ints or
-pairs of ints.  The verifier's walk reports a class that breaks it, and
-`id_keys` raises it for the writers and the object view.  `vertex_key`
-is the one rule that turns a flat id back into its (base, level) pair,
-for the verifier's walk, the reader's sort and `vertex_from_flat`, which
-makes the Vertex.  `FlatClass.of` turns a FactorClass into a FlatClass.
+construction on flat ids, the JSON reader gives each class on them, and the
+verifier audits them as they stand, all as FlatClass.  Decomposition and
+`aurd.AurdOutput` keep FlatClass classes; their `classes` is a view of
+Vertex, Edge and StarBlock objects (`factor_classes`), built on request
+with one Vertex per id.  `FlatClass.shape_fault` is the one rule for the
+shape of a class: fields that are sequences (SEQUENCES), a kind of KINDS,
+int bounds within its ids, one 0 or 1 flag per block, blocks of their
+flag's size, and ids that are ints or pairs of ints.  The verifier's walk
+reports a class that breaks it, and `id_keys` raises it for the writers and
+the object view.  `vertex_key` is the one rule that turns a flat id back
+into its (base, level) pair, for the verifier's walk, the reader's sort and
+`vertex_from_flat`, which makes the Vertex.  `FlatClass.of` turns a
+FactorClass into a FlatClass.
 
 Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
@@ -30,13 +31,14 @@ never with a tolerance.
 All types are immutable after construction and safe to share between
 threads.  Each record is a namedtuple subclass.  Params, Edge, StarBlock
 and FactorClass check or canonicalize their fields in __new__, and
-Decomposition flattens a FactorClass; Vertex, FlatClass and
-VerificationReport keep their fields as given, so that a hand-built
-class can be audited.  A record's repr is Name(field=value, ...);
-its hash and its order are those of the tuple of its fields, and it
-equals that plain tuple (and so any record with equal fields).  All but
-Decomposition, whose `classes` view is cached on the instance, have no
-instance __dict__.
+Decomposition flattens a FactorClass; Vertex and FlatClass keep their
+fields as given, so that a hand-built class can be audited.
+VerificationReport keeps only its violations and derives passed from
+them, so a report cannot pass with a violation.  A record's repr is
+Name(field=value, ...); its hash and its order are those of the tuple of
+its fields, and it equals that plain tuple (and so any record with equal
+fields).  All but Decomposition, whose `classes` view is cached on the
+instance, have no instance __dict__.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ from operator import sub
 ONE_FACTOR = "one_factor"
 STAR_FACTOR = "star_factor"
 KINDS = (ONE_FACTOR, STAR_FACTOR)
+# the types a FlatClass field may have: a field of any other type is a
+# shape fault (FlatClass.shape_fault), read by no reader
+SEQUENCES = (tuple, list, bytes, bytearray)
 
 # Violation codes emitted by the verifier.
 DUPLICATE_EDGE = "DUPLICATE_EDGE"
@@ -99,10 +104,6 @@ class Params(namedtuple("Params", "v n m")):
             raise ValueError(f"v={v} is not a multiple of n+1={n + 1}")
         return cls(v, n, v // (n + 1))
 
-    @property
-    def weight(self) -> int:
-        return self.n + 1
-
 
 class Vertex(namedtuple("Vertex", "base level")):
     __slots__ = ()
@@ -137,9 +138,6 @@ class Edge(namedtuple("Edge", "u v")):
                 raise ValueError(f"loop edge at {u}")
             u, v = v, u
         return tuple.__new__(cls, (u, v))
-
-    def endpoints(self) -> tuple[Vertex, Vertex]:
-        return (self.u, self.v)
 
 
 class StarBlock(namedtuple("StarBlock", "center leaves")):
@@ -194,9 +192,9 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
     vertex_key gives the vertex an id names.  One tuple per class, not
     one object per block, keeps it smaller than the Edge and StarBlock
     objects it stands for.  It is not checked when made, so that a
-    hand-built class can be audited: shape_fault states the one rule for
-    its shape, and like FactorClass it is not checked for disjointness
-    or spanning.
+    hand-built class can be audited, whatever its kind and the types of
+    its fields: shape_fault states the one rule for its shape, and like
+    FactorClass it is not checked for disjointness or spanning.
     """
 
     __slots__ = ()
@@ -218,22 +216,24 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
             stars.append(star)
         return cls(fc.kind, tuple(ids), tuple(bounds), bytes(stars))
 
-    def blocks(self):
-        """Each block's ids, as a tuple, in block order."""
-        ids, bounds = self.ids, self.bounds
-        return (ids[a:b] for a, b in zip(bounds, bounds[1:]))
-
     def shape_fault(self) -> str | None:
         """The first fault of the class's shape, said as a fault, or None:
-        a bound that is not an int (2.0 and False among them, though they
-        equal ints, name no position in the ids); bounds that run outside
-        the ids; flags other than one 0 or 1 per block; a block of the
-        wrong size for its flag (an edge holds 2 ids, a star a center and
-        at least one leaf); an id that is neither an int nor a pair of
-        ints, and so names no vertex (vertex_key).  It is the one shape
-        rule: no reader reads a block of a class that has a fault, and in
-        a class that has none each block is the slice its bounds name."""
+        an ids, bounds or stars that is not a sequence (SEQUENCES); a kind
+        other than ONE_FACTOR and STAR_FACTOR; a bound that is not an int
+        (2.0 and False among them, though they equal ints, name no
+        position in the ids); bounds that run outside the ids; flags other
+        than one 0 or 1 per block; a block of the wrong size for its flag
+        (an edge holds 2 ids, a star a center and at least one leaf); an
+        id that is neither an int nor a pair of ints, and so names no
+        vertex (vertex_key).  It is the one shape rule: no reader reads a
+        block of a class that has a fault, and in a class that has none
+        each block is the slice its bounds name."""
         ids, bounds, stars = self.ids, self.bounds, self.stars
+        for name, field in ("ids", ids), ("bounds", bounds), ("stars", stars):
+            if not isinstance(field, SEQUENCES):
+                return f"{name} is {field!r}, not a sequence"
+        if self.kind not in KINDS:
+            return f"kind {self.kind!r} is not {ONE_FACTOR} or {STAR_FACTOR}"
         if not set(map(type, bounds)) <= {int}:
             bi, bound = next((bi, b) for bi, b in enumerate(bounds) if type(b) is not int)
             return f"bound {bi} is {bound!r}, not an int"
@@ -262,7 +262,8 @@ def id_keys(ci: int, fc: FlatClass):
     """The ids of class ci, by which every reader of a class but the
     verifier looks its vertices up: fc.ids as they stand, or the
     ValueError of its shape fault (FlatClass.shape_fault), which names the
-    class.  So each key is an int or a pair of ints, and keys equal only
+    class.  So the class's kind is one of KINDS, its fields are
+    sequences, each key is an int or a pair of ints, and keys equal only
     if they name one vertex."""
     if fault := fc.shape_fault():
         raise ValueError(f"class {ci}: {fault}")
@@ -309,21 +310,16 @@ class Decomposition(namedtuple("Decomposition", "params flat r s")):
     def classes(self) -> tuple[FactorClass, ...]:
         return factor_classes(self.flat, self.params.n + 1)
 
-    @classmethod
-    def from_classes(cls, params: Params, classes) -> "Decomposition":
-        classes = tuple(classes)
-        r = sum(1 for c in classes if c.kind == ONE_FACTOR)
-        s = sum(1 for c in classes if c.kind == STAR_FACTOR)
-        return cls(params, classes, r, s)
 
+class VerificationReport(namedtuple("VerificationReport", "violations")):
+    """The verifier's (code, detail) violations, in the order found; a
+    certificate passes exactly when there are none."""
 
-class VerificationReport(namedtuple("VerificationReport", "passed violations")):
     __slots__ = ()
 
-    @classmethod
-    def from_violations(cls, violations) -> "VerificationReport":
-        violations = tuple(violations)
-        return cls(not violations, violations)
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def codes(self) -> set[str]:
         return {code for code, _ in self.violations}

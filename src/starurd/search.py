@@ -16,10 +16,12 @@ binding constraints (center quotas, leaf arity); one-factor classes are
 the flexible filler, and building them first was measured to defer every
 conflict into an enormous star subtree (tens of millions of nodes for
 v=12) while stars-early resolves the same instances in hundreds.  The
-witness is reported with its one-factor classes first regardless.  Blocks
-are placed as flat vertex ids; `aurd._output`, the emitter of the
-construction classes, packages the witness, and the independent verifier
-re-checks it before it is returned.
+witness is reported with its one-factor classes first regardless: class
+0 and classes s+1..r+s-1, then the star classes 1..s, as a Decomposition
+that claims the r and s searched for.  Blocks are placed as flat vertex
+ids; `aurd._output`, the emitter of the construction classes, packages
+each kind's classes, and the independent verifier re-checks the witness
+before it is returned.
 
 The branch vertex u depends on the kind of the class:
 
@@ -155,16 +157,15 @@ def exhaustive_urd(
     adj = [full ^ (1 << u) for u in range(v)]
     # r >= 1 (module docstring), and r + s >= 2 since s = 0 means r = v-1 >= 3.
     # Classes 1..s are the star classes.
-    kinds = [ONE_FACTOR] + [STAR_FACTOR] * s + [ONE_FACTOR] * (r - 1)
-    last = len(kinds) - 1
-    placed: list[list[tuple]] = [[] for _ in kinds]
+    last = r + s - 1
+    placed: list[list[tuple]] = [[] for _ in range(r + s)]
     quota = s // (n + 1)  # forced per-vertex center count
     centers_used = [0] * v
     # used_by[k]: the vertices that are already the center of k stars
     used_by = [full] + [0] * quota
     nodes = 0
     limit = max_nodes if max_nodes is not None else math.inf
-    deadline = start + timeout if timeout is not None else None
+    deadline = start + timeout if timeout is not None else math.inf
 
     def toggle(ci: int) -> None:
         """Take the edges of class ci out of adj, or give them back."""
@@ -192,7 +193,7 @@ def exhaustive_urd(
             nodes += 1
             if nodes > limit:
                 raise _BudgetExceeded
-            if not nodes & 255 and deadline is not None and time.perf_counter() > deadline:
+            if not nodes & 255 and time.perf_counter() > deadline:
                 raise _BudgetExceeded
             scan = uncovered
             while scan:
@@ -228,7 +229,7 @@ def exhaustive_urd(
         nodes += 1
         if nodes > limit:
             raise _BudgetExceeded
-        if not nodes & 255 and deadline is not None and time.perf_counter() > deadline:
+        if not nodes & 255 and time.perf_counter() > deadline:
             raise _BudgetExceeded
         if ci <= s:
             # The first node of a star class; place_star counts the others.
@@ -322,12 +323,12 @@ def exhaustive_urd(
             reason="symmetry-reduced search tree exhausted",
         )
 
-    def classes(kind: str) -> tuple:
-        tagged = ((f"search@class={ci}", blocks)
-                  for ci, blocks in enumerate(placed) if kinds[ci] == kind)
+    def classes(kind: str, cis) -> tuple:
+        tagged = ((f"search@class={ci}", placed[ci]) for ci in cis)
         return _output(kind, range(params.m), n + 1, tagged).flat
 
-    witness = Decomposition.from_classes(params, classes(ONE_FACTOR) + classes(STAR_FACTOR))
+    ones = classes(ONE_FACTOR, [0, *range(s + 1, r + s)])
+    witness = Decomposition(params, ones + classes(STAR_FACTOR, range(1, s + 1)), r, s)
     report = verify(witness)
     if not report.passed:
         raise AssertionError(f"search produced an invalid witness: {report.violations}")

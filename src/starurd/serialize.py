@@ -38,11 +38,12 @@ first shared vertex in that order.
 The writers render from the same flat ids, each id as the (base, level)
 pair it names (model.vertex_key).  Each class is checked once, before it
 is rendered: both writers, as the object view does, refuse a class with
-a shape fault (model.FlatClass.shape_fault: bounds that are not ints or
-run outside the ids, flags other than one 0 or 1 per block, a block of
-the wrong size, an id that names no vertex) with the ValueError of
-model.id_keys, which names the class and the fault.  A class of the
-wrong kind with well-sized blocks is written; the verifier reports it.
+a shape fault (model.FlatClass.shape_fault: a field that is no
+sequence, an unknown kind, bounds that are not ints or run outside the
+ids, flags other than one 0 or 1 per block, a block of the wrong size,
+an id that names no vertex) with the ValueError of model.id_keys, which
+names the class and the fault.  A class whose well-sized blocks are
+flagged as the other kind's is written; the verifier reports it.
 dumps is the one writer of the schema.
 It writes the text of json.dumps(to_dict(d), indent=1) without building
 the dict: each vertex is rendered once per indent depth it appears at,
@@ -186,7 +187,7 @@ def from_dict(obj) -> Decomposition:
     params, r, s = _checked_header(obj)
     if not isinstance(obj["classes"], list):
         raise SchemaError("classes must be a list")
-    m, w = params.m, params.weight
+    m, w = params.m, params.n + 1
     classes = tuple(_checked_class(cobj, ci, m, w) for ci, cobj in enumerate(obj["classes"]))
     return Decomposition(params, classes, r, s)
 
@@ -340,7 +341,7 @@ def _read_in_order(text: str) -> Decomposition | None:
     params, r, s = _checked_header(header)
     if text[at:at + 1] != "[":
         return None
-    m, w = params.m, params.weight
+    m, w = params.m, params.n + 1
     at = _SKIP(text, at + 1).end()
     if text[at:at + 1] != "]":
         while True:

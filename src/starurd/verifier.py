@@ -9,22 +9,21 @@ input.
 vertex ids base*(n+1)+level, as the JSON reader, the construction or a
 flattened FactorClass made them; it never reads the object view
 `Decomposition.classes`.  A class passes the clean-class test if it holds
-the ids 0..v-1, each once and each of type int, in blocks flagged as its
-kind and of its kind's size, 2 ids for an edge and n+1 for a star, with
-bounds of type int: it has no fault to find, and only its edges and star
-centers are taken.  Any other class goes through the fault walk.  A
-class with a shape fault (model.FlatClass.shape_fault: the one rule, by
-which the writers and the object view refuse a class) is reported as one
-WRONG_KIND with the fault's text, and no block of it is read.  Else the
-walk takes its blocks in order and reports each block of the wrong kind
-and each star of the wrong size, and the first vertex that an earlier
+the ids 0..v-1 in a tuple, each once and each of type int, in blocks
+flagged as its kind and of its kind's size, 2 ids for an edge and n+1 for
+a star, with bounds of type int: it has no fault to find, and only its
+edges and star centers are taken.  Any other class goes through the fault
+walk.  A class with a shape fault (model.FlatClass.shape_fault: the one
+rule, by which the writers and the object view refuse a class) is reported
+as one WRONG_KIND with the fault's text, and no block of it is read.  Else
+the walk takes its blocks in order and reports each block of the wrong
+kind and each star of the wrong size, and the first vertex that an earlier
 block holds (blocks list their ids in the canonical order of Edge and
 StarBlock), then the vertices it fails to cover or holds outside the
 vertex set.  The walk takes each id as the vertex that model.vertex_key
-names, however it is spelled, trusting no flag of whoever made the
-class; it keeps the edges with an end outside the vertex set as Edge
-objects, and a block whose ids name one vertex is a loop, reported and
-not raised on.
+names, however it is spelled, trusting no flag of whoever made the class;
+it keeps the edges with an end outside the vertex set as Edge objects, and
+a block whose ids name one vertex is a loop, reported and not raised on.
 
 Together the classes must cover every pair of vertices exactly once,
 checked on integer ids without enumerating E(K_v).  A pair a < b is kept
@@ -60,6 +59,7 @@ from .model import (
     NOT_SPANNING,
     ONE_FACTOR,
     PARAM_MISMATCH,
+    SEQUENCES,
     STAR_FACTOR,
     WRONG_KIND,
     Decomposition,
@@ -75,11 +75,13 @@ from .model import (
 def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
                 extra: set[Edge], centers: list[int]) -> list[tuple[str, str]]:
     """The faults of one class, found block by block: its shape fault
-    (FlatClass.shape_fault), after which no block is read; else, in block
-    order, each block of the wrong kind, each star of the wrong size and
-    the first vertex in two blocks; then the vertices the class fails to
-    cover or holds outside the vertex set, and a block count other than
-    its kind's.  Collects the class's edges on the way: a pair a < b of
+    (FlatClass.shape_fault), after which no block is read and no field
+    that is no sequence is sized or sliced (bounds that are none bound no
+    block); else each block is the slice of the ids its bounds name, and,
+    in block order, each block of the wrong kind, each star of the wrong
+    size and the first vertex in two blocks; then the vertices the class
+    fails to cover or holds outside the vertex set, and a block count
+    other than its kind's.  Collects the class's edges on the way: a pair a < b of
     the vertex set as b in rows[a], the row verify fills with the clean
     classes, an edge with an end outside it into extra, and, in a star
     class, the star centers in the vertex set into centers.  Every id is
@@ -95,13 +97,14 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
     where = f"class {index}"
     stars = fc.kind == STAR_FACTOR
     faults: list[tuple[str, str]] = []
-    blocks = fc.blocks()
+    ids, bounds, flags = fc.ids, fc.bounds, fc.stars
     if fault := fc.shape_fault():
         faults.append((WRONG_KIND, f"{where}: {fault}"))
-        blocks = ()
+        bounds = flags = ()
     walked: set = set()
     disjoint = True
-    for block, star in zip(blocks, fc.stars):
+    for lo, hi, star in zip(bounds, bounds[1:], flags):
+        block = ids[lo:hi]
         if star != stars:
             kind = "edge block in a star factor" if stars else "star block in a one-factor"
             faults.append((WRONG_KIND, f"{where}: {kind}"))
@@ -137,8 +140,9 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
             detail += f", {outside} outside the vertex set"
         faults.append((NOT_SPANNING, detail))
     want = v // 2 if fc.kind == ONE_FACTOR else v // w
-    if len(fc.bounds[1:]) != want:
-        faults.append((COUNT_MISMATCH, f"{where}: {len(fc.bounds[1:])} blocks, expected {want}"))
+    count = len(fc.bounds[1:]) if isinstance(fc.bounds, SEQUENCES) else 0
+    if count != want:
+        faults.append((COUNT_MISMATCH, f"{where}: {count} blocks, expected {want}"))
     return faults
 
 
@@ -205,7 +209,7 @@ def verify(d: Decomposition) -> VerificationReport:
 
     if p.v != p.m * (n + 1) or n % 2 == 0 or n < 3 or p.m < 1:
         violations.append((PARAM_MISMATCH, f"invalid parameters v={p.v}, n={n}, m={p.m}"))
-        return VerificationReport.from_violations(violations)
+        return VerificationReport(tuple(violations))
 
     if (n + 1) * r + 2 * n * s != (n + 1) * (v - 1):
         violations.append((PARAM_MISMATCH, f"(n+1)r + 2ns = {(n + 1) * r + 2 * n * s} "
@@ -221,7 +225,7 @@ def verify(d: Decomposition) -> VerificationReport:
     # kind and size: built only if some class holds v ids, and so is the
     # vertex set, at no cost beyond the input
     shapes, vertices = (), None
-    if any(len(fc.ids) == v for fc in classes):
+    if any(type(fc.ids) is tuple and len(fc.ids) == v for fc in classes):
         shapes = ((ONE_FACTOR, tuple(range(0, v + 1, 2)), bytes(v // 2)),
                   (STAR_FACTOR, tuple(range(0, v + 1, n + 1)), b"\x01" * (v // (n + 1))))
         vertices = set(range(v))
@@ -231,7 +235,7 @@ def verify(d: Decomposition) -> VerificationReport:
     centers: list[int] = []
     for index, fc in enumerate(classes):
         ids, bounds = fc.ids, fc.bounds
-        if (len(ids) == v and (fc.kind, bounds, fc.stars) in shapes
+        if (type(ids) is tuple and len(ids) == v and (fc.kind, bounds, fc.stars) in shapes
                 and set(map(type, bounds)) == set(map(type, ids)) == {int}
                 and set(ids) == vertices):
             # a clean class: v distinct vertices in blocks of its kind, so
@@ -277,5 +281,5 @@ def verify(d: Decomposition) -> VerificationReport:
                     )
                 )
 
-    return VerificationReport.from_violations(violations)
+    return VerificationReport(tuple(violations))
 

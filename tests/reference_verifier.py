@@ -39,7 +39,7 @@ from starurd.model import (
 
 def all_vertices(params: Params) -> list[Vertex]:
     """All v vertices of K_v in flat (lexicographic) order."""
-    return [Vertex(b, i) for b in range(params.m) for i in range(params.weight)]
+    return [Vertex(b, i) for b in range(params.m) for i in range(params.n + 1)]
 
 
 def edges_of_block(block) -> frozenset[Edge]:
@@ -50,7 +50,7 @@ def edges_of_block(block) -> frozenset[Edge]:
 
 def block_vertices(b) -> tuple[Vertex, ...]:
     if isinstance(b, Edge):
-        return b.endpoints()
+        return (b.u, b.v)
     if isinstance(b, StarBlock):
         return (b.center, *b.leaves)
     return ()
@@ -130,7 +130,7 @@ def verify(d: Decomposition) -> VerificationReport:
 
     if p.v != p.m * (n + 1) or n % 2 == 0 or n < 3:
         violations.append((PARAM_MISMATCH, f"invalid parameters v={p.v}, n={n}, m={p.m}"))
-        return VerificationReport.from_violations(violations)
+        return VerificationReport(tuple(violations))
 
     if (n + 1) * d.r + 2 * n * d.s != (n + 1) * (v - 1):
         violations.append(
@@ -191,7 +191,7 @@ def verify(d: Decomposition) -> VerificationReport:
                     )
                 )
 
-    return VerificationReport.from_violations(violations)
+    return VerificationReport(tuple(violations))
 
 
 def verify_aurd(classes, host_edges: set[Edge]) -> VerificationReport:
@@ -202,7 +202,7 @@ def verify_aurd(classes, host_edges: set[Edge]) -> VerificationReport:
     together must cover every target edge exactly once.
     """
     violations: list[tuple[str, str]] = []
-    vertex_set = {u for e in host_edges for u in e.endpoints()}
+    vertex_set = {u for e in host_edges for u in e}
     classes = tuple(classes)
 
     for index, fc in enumerate(classes):
@@ -215,4 +215,4 @@ def verify_aurd(classes, host_edges: set[Edge]) -> VerificationReport:
 
     _audit_edge_multiset(classes, host_edges, violations)
 
-    return VerificationReport.from_violations(violations)
+    return VerificationReport(tuple(violations))

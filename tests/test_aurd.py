@@ -49,7 +49,7 @@ def assert_exact_partition(classes, host):
 
 
 def is_perfect_matching(fc, vertices):
-    seen = [u for b in fc.blocks for u in b.endpoints()]
+    seen = [u for b in fc.blocks for u in b]
     return fc.kind == ONE_FACTOR and len(seen) == len(set(seen)) and set(seen) == vertices
 
 
@@ -195,7 +195,7 @@ def test_star_aurd_partitions_host(m, n):
         # m centers of degree n, m*n leaves of degree 1
         degrees = Counter()
         for e in class_edges(fc):
-            degrees.update(e.endpoints())
+            degrees.update(e)
         values = sorted(degrees.values())
         assert values.count(n) == m and values.count(1) == m * n
     assert_exact_partition(out.classes, host_of_cycle(base, n + 1))

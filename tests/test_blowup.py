@@ -121,7 +121,7 @@ def test_edge_difference_round_trip(base):
         here, after = base[p], base[(p + 1) % c.m]
         for i in range(4):
             for d in range(4):
-                level = {u.base: u.level for u in pos_edge(c, p, i, i + d).endpoints()}
+                level = {u.base: u.level for u in pos_edge(c, p, i, i + d)}
                 assert set(level) == {here, after}
                 assert level[here] == i
                 assert (level[after] - level[here]) % 4 == d

@@ -241,7 +241,7 @@ def test_build_self_verify_failure_exits_five(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(
         verifier,
         "verify",
-        lambda d: VerificationReport(False, (("MISSING_EDGE", "induced"),)),
+        lambda d: VerificationReport((("MISSING_EDGE", "induced"),)),
     )
     path = tmp_path / "never.json"
     code, _, err = run(
@@ -308,7 +308,7 @@ def test_search_invalid_witness_exits_five(capsys, monkeypatch, tmp_path):
     import starurd.search as search
     from starurd.model import VerificationReport
 
-    failed = VerificationReport(False, (("MISSING_EDGE", "induced"),))
+    failed = VerificationReport((("MISSING_EDGE", "induced"),))
     monkeypatch.setattr(search, "verify", lambda d: failed)
     path = tmp_path / "never.json"
     code, out, err = run(
@@ -683,7 +683,7 @@ def _construction_error(*args, **kwargs):
 @pytest.mark.parametrize("module,name,replacement,argv", [
     ("starurd.assembler", "construct", _construction_error, BUILD_12),
     ("starurd.verifier", "verify",
-     lambda d: VerificationReport(False, (("MISSING_EDGE", "induced"),)), BUILD_12),
+     lambda d: VerificationReport((("MISSING_EDGE", "induced"),)), BUILD_12),
     ("starurd.search", "exhaustive_urd", _construction_error, SEARCH_8),
 ], ids=["build-construction", "build-self-verify", "search"])
 def test_internal_failures_exit_five_when_stderr_cannot_be_written(

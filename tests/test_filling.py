@@ -34,7 +34,7 @@ def assert_all_perfect_matchings(classes, m, n):
     vertices = {Vertex(x, i) for x in range(m) for i in range(n + 1)}
     for fc in classes:
         assert fc.kind == ONE_FACTOR
-        seen = [u for b in fc.blocks for u in b.endpoints()]
+        seen = [u for b in fc.blocks for u in b]
         assert len(seen) == len(set(seen))
         assert set(seen) == vertices
 

@@ -4,12 +4,9 @@ import pytest
 # checked here too
 from reference_verifier import all_vertices, block_vertices, edges_of_block
 from starurd.model import (
-    Decomposition,
     Edge,
     FactorClass,
-    ONE_FACTOR,
     Params,
-    STAR_FACTOR,
     StarBlock,
     Vertex,
     vertex_from_flat,
@@ -80,7 +77,7 @@ def test_block_vertices():
 
 def test_params_validation():
     p = Params.for_order(12, 3)
-    assert (p.v, p.n, p.m, p.weight) == (12, 3, 3, 4)
+    assert (p.v, p.n, p.m) == (12, 3, 3)
     with pytest.raises(ValueError):
         Params.for_order(13, 3)
     with pytest.raises(ValueError):
@@ -112,14 +109,6 @@ def test_all_vertices_order():
 def test_factor_class_kind_checked():
     with pytest.raises(ValueError):
         FactorClass("matching", ())
-
-
-def test_decomposition_from_classes_counts():
-    p = Params.for_order(12, 3)
-    one = FactorClass(ONE_FACTOR, ())
-    star = FactorClass(STAR_FACTOR, ())
-    d = Decomposition.from_classes(p, [one, star, star])
-    assert (d.r, d.s) == (1, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, -3])

@@ -33,7 +33,7 @@ RECORDS = [
     FactorClass(ONE_FACTOR, [EDGE]),
     FLAT,
     Decomposition(Params(4, 3, 1), (FLAT,), 1, 0),
-    VerificationReport(True, ()),
+    VerificationReport(()),
     AdmissiblePair(5, 4, 1),
     CoverageVerdict("CONSTRUCTIVE", "r = 2n*0 + 5 with m=3", 0),
     WeightedCycle([0, 1, 2], 4),
@@ -142,7 +142,6 @@ def test_canonical_fields():
     (lambda: WeightedOneFactor(((0, 1),), 1), "weight must be >= 2, got 1"),
     (lambda: BuildRequest(8, 3, 1), "ell=1 out of range 0..0 for m=2"),
     (lambda: BuildRequest(12, 3, 2), "ell=2 out of range 0..1 for m=3"),
-    (lambda: AurdOutput((FLAT,), (), 4), "one source tag per class required"),
 ])
 def test_validation_messages(make, message):
     with pytest.raises(ValueError) as info:

@@ -400,17 +400,20 @@ def test_verify_reads_blocks_that_run_past_the_ids_by_their_slices():
     }
 
 
-# Class 0 of the one-factorization of K_4 as no reader makes it: ids that
-# are ints in and outside 0..3, int pairs or no vertex at all; bounds that
-# are not ints, negative or past the ids; flags of 0, 1 and 2, too few or
-# too many.  Well-formed bounds and flags are drawn too, so that some
-# classes have no shape fault
+# Class 0 of the one-factorization of K_4 as no reader makes it: a kind
+# that is none of the two; ids, bounds or flags that are no sequence; ids
+# that are ints in and outside 0..3, int pairs or no vertex at all; bounds
+# that are not ints, negative or past the ids; flags of 0, 1 and 2, too few
+# or too many.  Real kinds and well-formed fields are drawn most, so that
+# some classes have no shape fault
 HOSTILE_IDS = st.one_of(
     st.integers(0, 3), st.integers(-2, 9), st.tuples(st.integers(-1, 5), st.integers(-1, 5)),
     st.sampled_from([1.0, True, "x", None, (1, 2, 3), [1]]),
 )
 SHAPE_FAULT = re.compile(r"class 0: (bound \d+ is |blocks span |\d+ flags for "
-                         r"|block \d+ is flagged |block \d+ holds |id .* names no vertex)")
+                         r"|block \d+ is flagged |block \d+ holds |id .* names no vertex"
+                         r"|(ids|bounds|stars) is .*, not a sequence$"
+                         r"|kind .* is not one_factor or star_factor$)")
 
 
 @st.composite
@@ -427,11 +430,18 @@ def hostile_classes(draw):
         st.lists(st.sampled_from([0, 1, 2]), min_size=blocks, max_size=blocks),
         st.lists(st.sampled_from([0, 1]), max_size=4),
     ))
-    return FlatClass(ONE_FACTOR, tuple(ids), tuple(bounds), bytes(flags))
+    kind = draw(st.sampled_from([ONE_FACTOR] * 3 + [STAR_FACTOR] * 2 + ["foo", None]))
+    fields = [draw(st.sampled_from([field] * 9 + [None, 2, {0, 2}]))
+              for field in (tuple(ids), tuple(bounds), bytes(flags))]
+    return FlatClass(kind, *fields)
 
 
 @settings(max_examples=300, deadline=None)
 @example(FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 2, 4), b"\x00\x00\x00"))
+@example(FlatClass("foo", (0, 1, 2, 3), (0, 2, 4), b"\x00\x00"))
+@example(FlatClass(ONE_FACTOR, None, (0, 2, 4), b"\x00\x00"))
+@example(FlatClass(ONE_FACTOR, (0, 1, 2, 3), None, b"\x00\x00"))
+@example(FlatClass(ONE_FACTOR, (0, 1, 2, 3), (0, 2, 4), None))
 @given(hostile_classes())
 def test_the_verifier_the_writers_and_the_view_agree_on_the_shape_of_a_class(fc):
     # verify reports a shape fault exactly when both writers and the object

@@ -397,3 +397,31 @@ def test_bounds_of_another_type_than_int_are_reported_not_raised(ids, bounds, de
         (NOT_SPANNING, "class 1: 4 vertices uncovered"),
         (MISSING_EDGE, f"2 target edges uncovered, e.g. {Edge(Vertex(0, 0), Vertex(0, 2))}"),
     )
+
+
+@pytest.mark.parametrize("field,value,fault,counts", [
+    ("kind", "foo", "kind 'foo' is not one_factor or star_factor", [
+        (COUNT_MISMATCH, "recorded (r,s)=(3,0) but classes give (2,0)"),
+        (COUNT_MISMATCH, "class 0: 2 blocks, expected 1"),
+    ]),
+    ("ids", None, "ids is None, not a sequence", []),
+    ("bounds", None, "bounds is None, not a sequence", [
+        (COUNT_MISMATCH, "class 0: 0 blocks, expected 2"),
+    ]),
+    ("stars", None, "stars is None, not a sequence", []),
+], ids=["kind", "ids", "bounds", "stars"])
+def test_a_kind_or_a_field_outside_the_shape_rule_is_reported_not_raised(
+        field, value, fault, counts):
+    # class 0 of K_4 with a kind that is none of the two, or a field that is
+    # no sequence: a shape fault, so no block of it is read and no field of
+    # it is sized, sliced or iterated; a class of no kind has a star
+    # class's count, and bounds that are no sequence bound no block
+    b = construct(BuildRequest(4, 3, 0))
+    d = Decomposition(b.params, (b.flat[0]._replace(**{field: value}),) + b.flat[1:], b.r, b.s)
+    report = assert_shape_fault(d, 0, fault)
+    assert [found for found in report.violations if found[0] != COUNT_MISMATCH] == [
+        (WRONG_KIND, f"class 0: {fault}"),
+        (NOT_SPANNING, "class 0: 4 vertices uncovered"),
+        (MISSING_EDGE, f"2 target edges uncovered, e.g. {Edge(Vertex(0, 0), Vertex(0, 1))}"),
+    ]
+    assert [found for found in report.violations if found[0] == COUNT_MISMATCH] == counts

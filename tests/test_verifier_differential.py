@@ -104,8 +104,8 @@ def _endpoint_move(d, rng):
         i, j = rng.sample(_ones(classes), 2)
         bi = rng.randrange(len(classes[i].blocks))
         bj = rng.randrange(len(classes[j].blocks))
-        (a, b) = classes[i].blocks[bi].endpoints()
-        (x, y) = classes[j].blocks[bj].endpoints()
+        (a, b) = classes[i].blocks[bi]
+        (x, y) = classes[j].blocks[bj]
         if len({a, b, x, y}) == 4:
             break
     _replace_block(classes, i, bi, Edge(a, y))
@@ -163,7 +163,7 @@ def _foreign_vertex(d, rng):
     classes = list(d.classes)
     ci = rng.choice(_ones(classes))
     bi = rng.randrange(len(classes[ci].blocks))
-    ends = list(classes[ci].blocks[bi].endpoints())
+    ends = list(classes[ci].blocks[bi])
     ends[rng.randrange(2)] = Vertex(d.params.m, rng.randrange(d.params.n + 1))
     _replace_block(classes, ci, bi, Edge(*ends))
     return with_classes(d, classes)
@@ -241,15 +241,21 @@ def test_empty_extra_and_relabelled_classes_agree():
     d = built(20, 3, 1)
     classes = list(d.classes)
     rng = random.Random(5)
+
+    def counted(classes):
+        """d with classes, claiming the r and s their kinds give."""
+        kinds = [fc.kind for fc in classes]
+        return with_classes(d, classes, kinds.count(ONE_FACTOR), kinds.count(STAR_FACTOR))
+
     for kind in (ONE_FACTOR, STAR_FACTOR):
         empty = FactorClass(kind, ())
         assert_same(with_classes(d, classes + [empty]))
-        assert_same(Decomposition.from_classes(d.params, classes + [empty]))
+        assert_same(counted(classes + [empty]))
     for ci in (0, len(classes) - 1):
         assert_same(with_classes(d, classes + [classes[ci]]))
-        assert_same(Decomposition.from_classes(d.params, classes + [classes[ci]]))
+        assert_same(counted(classes + [classes[ci]]))
     assert_same(with_classes(d, []))
-    assert_same(Decomposition.from_classes(d.params, []))
+    assert_same(counted([]))
     shuffled = classes[:]
     rng.shuffle(shuffled)
     assert assert_same(with_classes(d, shuffled)).passed
@@ -259,7 +265,7 @@ def test_empty_extra_and_relabelled_classes_agree():
         assert not assert_same(with_classes(d, relabelled)).passed
     # relabel the vertices by a random permutation: still valid, and each
     # mutation of the relabelled copy is judged alike
-    w = d.params.weight
+    w = d.params.n + 1
     perm = list(range(d.params.v))
     rng.shuffle(perm)
     relabel = {Vertex(f // w, f % w): Vertex(p // w, p % w) for f, p in enumerate(perm)}
@@ -396,7 +402,8 @@ def test_respelled_ids_keep_the_verdict(key, moved, data):
     assert report.passed == (not moved)
     assert verify(loads(dumps(respelled))) == report
     assert [[sorted(block_vertices(b)) for b in fc.blocks] for fc in respelled.classes] == [
-        [sorted(Vertex(*vertex_key(k, w)) for k in block) for block in fc.blocks()]
+        [sorted(Vertex(*vertex_key(k, w)) for k in fc.ids[a:b])
+         for a, b in zip(fc.bounds, fc.bounds[1:])]
         for fc in respelled.flat
     ]
 
@@ -631,7 +638,7 @@ def test_uncovered_pair_at_either_end_of_the_order(v, end):
     # the one-factorization of K_v with the edge (0,1), the first pair, or
     # (v-2,v-1), the last, taken out
     d = construct_pair(v, 3, v - 1, 0)
-    w = d.params.weight
+    w = d.params.n + 1
     a = 0 if end == "first" else v - 2
     u, x = Vertex(*divmod(a, w)), Vertex(*divmod(a + 1, w))
     report = assert_same(_edge_dropped(d, Edge(u, x)))
@@ -688,7 +695,7 @@ def test_duplicates_in_two_rows_count_each_pair_once_and_name_the_least():
 @pytest.mark.parametrize("args", [(12, 3, 0), (20, 3, 1), (24, 5, 0)])
 def test_duplicates_and_gaps_in_one_certificate(args):
     d = built(*args)
-    w = d.params.weight
+    w = d.params.n + 1
     last = Edge(Vertex(*divmod(d.params.v - 2, w)), Vertex(*divmod(d.params.v - 1, w)))
     ones = _ones(d.classes)
     for ci in ones[:2]:
