@@ -16,8 +16,6 @@ deliberately does not claim nonexistence; the search module exists to
 probe such cases.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .model import _require_odd_n

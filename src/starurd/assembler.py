@@ -17,8 +17,6 @@ route; output classes are ordered one-factors first, then star factors.
 Equal requests produce structurally identical decompositions.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import admissibility
@@ -49,14 +47,10 @@ class BuildRequest(namedtuple("BuildRequest", "v n ell")):
             raise ValueError(f"ell={ell} out of range 0..{t} for m={params.m}")
         return tuple.__new__(cls, (v, n, ell))
 
-    @property
-    def params(self) -> Params:
-        return Params.for_order(self.v, self.n)
-
 
 def construct(req: BuildRequest) -> Decomposition:
     """Build the decomposition of K_v for the requested ell."""
-    params = req.params
+    params = Params.for_order(req.v, req.n)
     m, n, w = params.m, params.n, params.n + 1
     seed = hamiltonian_decomposition(m)
 

@@ -60,8 +60,6 @@ model.FlatClass of its sorted ids; Edge and StarBlock objects are made
 only when `AurdOutput.classes` is read.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property

@@ -11,8 +11,6 @@ A cycle is stored as its base ordering, so the constructions apply to any
 base cycle, not just (0, 1, ..., m-1).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .model import Vertex

@@ -36,8 +36,6 @@ argparse alone writes help and usage errors, and a well-formed command
 does not import it.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from collections import namedtuple

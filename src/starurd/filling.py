@@ -24,8 +24,6 @@ Vertex (x, i) is built as its flat id x*(n+1) + i, and every factor is
 checked and kept on those ids by `aurd._output`, as the AURD stages are.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 
 from . import seeds

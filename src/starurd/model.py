@@ -12,7 +12,8 @@ Vertex, Edge and StarBlock objects (`factor_classes`), built on request
 with one Vertex per id.  `FlatClass.shape_fault` is the one rule for the
 shape of a class: fields that are sequences (SEQUENCES), a kind of KINDS,
 int bounds within its ids, one 0 or 1 flag per block, blocks of their
-flag's size, and ids that are ints or pairs of ints.  The verifier's walk
+flag's size, ids that are ints or pairs of ints, and no block that names
+one vertex twice, at the weight n+1 of its ids.  The verifier's walk
 reports a class that breaks it, and `id_keys` raises it for the writers and
 the object view.  `vertex_key` is the one rule that turns a flat id back
 into its (base, level) pair, for the verifier's walk, the reader's sort and
@@ -40,8 +41,6 @@ its fields, and it equals that plain tuple (and so any record with equal
 fields).  All but Decomposition, whose `classes` view is cached on the
 instance, have no instance __dict__.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
@@ -216,7 +215,7 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
             stars.append(star)
         return cls(fc.kind, tuple(ids), tuple(bounds), bytes(stars))
 
-    def shape_fault(self) -> str | None:
+    def shape_fault(self, w: int) -> str | None:
         """The first fault of the class's shape, said as a fault, or None:
         an ids, bounds or stars that is not a sequence (SEQUENCES); a kind
         other than ONE_FACTOR and STAR_FACTOR; a bound that is not an int
@@ -225,9 +224,13 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
         than one 0 or 1 per block; a block of the wrong size for its flag
         (an edge holds 2 ids, a star a center and at least one leaf); an
         id that is neither an int nor a pair of ints, and so names no
-        vertex (vertex_key).  It is the one shape rule: no reader reads a
-        block of a class that has a fault, and in a class that has none
-        each block is the slice its bounds name."""
+        vertex (vertex_key); a block that names one vertex twice at weight
+        w (a loop, a repeated leaf, a center among its leaves), compared
+        by vertex_key, so that 5 and (1, 1) at w=4 are one vertex.  Ids
+        that are all distinct ints need no block scanned.  It is the one
+        shape rule: no reader reads a block of a class that has a fault,
+        and in a class that has none each block is the slice its bounds
+        name, and an Edge or a StarBlock of distinct vertices."""
         ids, bounds, stars = self.ids, self.bounds, self.stars
         for name, field in ("ids", ids), ("bounds", bounds), ("stars", stars):
             if not isinstance(field, SEQUENCES):
@@ -255,17 +258,24 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
                 if type(k) is not int and not (
                         type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int):
                     return f"id {k!r} names no vertex"
+        elif len(set(ids)) == len(ids):
+            return None
+        for bi, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            names = [vertex_key(k, w) for k in ids[a:b]]
+            if len(set(names)) != len(names):
+                twice = next(name for i, name in enumerate(names) if name in names[:i])
+                return f"block {bi} names {twice} twice"
         return None
 
 
-def id_keys(ci: int, fc: FlatClass):
-    """The ids of class ci, by which every reader of a class but the
-    verifier looks its vertices up: fc.ids as they stand, or the
-    ValueError of its shape fault (FlatClass.shape_fault), which names the
-    class.  So the class's kind is one of KINDS, its fields are
-    sequences, each key is an int or a pair of ints, and keys equal only
-    if they name one vertex."""
-    if fault := fc.shape_fault():
+def id_keys(ci: int, fc: FlatClass, w: int):
+    """The ids of class ci of weight w, by which every reader of a class
+    but the verifier looks its vertices up: fc.ids as they stand, or the
+    ValueError of its shape fault at w (FlatClass.shape_fault), which
+    names the class.  So the class's kind is one of KINDS, its fields are
+    sequences, each key is an int or a pair of ints, keys equal only if
+    they name one vertex, and no block names a vertex twice."""
+    if fault := fc.shape_fault(w):
         raise ValueError(f"class {ci}: {fault}")
     return fc.ids
 
@@ -279,7 +289,7 @@ def factor_classes(flat, w: int) -> tuple[FactorClass, ...]:
     get = vertex.__getitem__
     classes = []
     for ci, fc in enumerate(flat):
-        keys, bounds = id_keys(ci, fc), fc.bounds
+        keys, bounds = id_keys(ci, fc, w), fc.bounds
         vertex.update((k, vertex_from_flat(k, w)) for k in set(keys) - vertex.keys())
         classes.append(FactorClass(fc.kind, tuple(
             StarBlock(get(keys[a]), tuple(map(get, keys[a + 1:b]))) if star

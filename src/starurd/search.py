@@ -73,13 +73,16 @@ recursion limit (K_64 into 63 one-factors is about 2000 levels deep) is
 reported as BUDGET_EXCEEDED with a reason that names the limit: the run
 was cut short, not exhausted.
 
-Pairs failing the arithmetic necessary conditions are rejected without
-search.  The vertex model addresses K_v as an m x (n+1) grid, so v must
-be a multiple of n+1; other orders (pure one-factorization instances) are
-outside this module's scope and raise ValueError.
+The outcome is decided once, after the walk: how the walk ended gives
+the status (FOUND, NOT_FOUND_EXHAUSTED, or BUDGET_EXCEEDED when the node
+budget, the timeout or the recursion limit stopped it) and the reason,
+the elapsed time is read then, before a witness is packaged and
+verified, and one SearchOutcome is returned.  Pairs failing the
+arithmetic necessary conditions are rejected without search, the only
+earlier return.  The vertex model addresses K_v as an m x (n+1) grid,
+so v must be a multiple of n+1; other orders (pure one-factorization
+instances) are outside this module's scope and raise ValueError.
 """
-
-from __future__ import annotations
 
 import math
 import sys
@@ -300,36 +303,25 @@ def exhaustive_urd(
     placed[0] = [(u, u + 1) for u in range(0, v, 2)]
     toggle(0)
 
+    witness = reason = None
     try:
-        ok = extend(1, 0)
+        status = FOUND if extend(1, 0) else NOT_FOUND_EXHAUSTED
     except _BudgetExceeded:
-        return SearchOutcome(BUDGET_EXCEEDED, None, nodes, time.perf_counter() - start)
+        status = BUDGET_EXCEEDED
     except RecursionError:
-        return SearchOutcome(
-            BUDGET_EXCEEDED,
-            None,
-            nodes,
-            time.perf_counter() - start,
-            reason=f"stopped at Python's recursion limit ({sys.getrecursionlimit()} frames)",
-        )
+        status = BUDGET_EXCEEDED
+        reason = f"stopped at Python's recursion limit ({sys.getrecursionlimit()} frames)"
     elapsed = time.perf_counter() - start
+    if status == NOT_FOUND_EXHAUSTED:
+        reason = "symmetry-reduced search tree exhausted"
+    elif status == FOUND:
+        def classes(kind: str, cis) -> tuple:
+            tagged = ((f"search@class={ci}", placed[ci]) for ci in cis)
+            return _output(kind, range(params.m), n + 1, tagged).flat
 
-    if not ok:
-        return SearchOutcome(
-            NOT_FOUND_EXHAUSTED,
-            None,
-            nodes,
-            elapsed,
-            reason="symmetry-reduced search tree exhausted",
-        )
-
-    def classes(kind: str, cis) -> tuple:
-        tagged = ((f"search@class={ci}", placed[ci]) for ci in cis)
-        return _output(kind, range(params.m), n + 1, tagged).flat
-
-    ones = classes(ONE_FACTOR, [0, *range(s + 1, r + s)])
-    witness = Decomposition(params, ones + classes(STAR_FACTOR, range(1, s + 1)), r, s)
-    report = verify(witness)
-    if not report.passed:
-        raise AssertionError(f"search produced an invalid witness: {report.violations}")
-    return SearchOutcome(FOUND, witness, nodes, elapsed)
+        ones = classes(ONE_FACTOR, [0, *range(s + 1, r + s)])
+        witness = Decomposition(params, ones + classes(STAR_FACTOR, range(1, s + 1)), r, s)
+        report = verify(witness)
+        if not report.passed:
+            raise AssertionError(f"search produced an invalid witness: {report.violations}")
+    return SearchOutcome(status, witness, nodes, elapsed, reason)

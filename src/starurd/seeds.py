@@ -16,8 +16,6 @@ Two deterministic schemes, both built around a fixed hub vertex:
 Everything returned is in canonical form: pairs sorted, factors sorted.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 Pair = tuple[int, int]

@@ -41,8 +41,10 @@ is rendered: both writers, as the object view does, refuse a class with
 a shape fault (model.FlatClass.shape_fault: a field that is no
 sequence, an unknown kind, bounds that are not ints or run outside the
 ids, flags other than one 0 or 1 per block, a block of the wrong size,
-an id that names no vertex) with the ValueError of model.id_keys, which
-names the class and the fault.  A class whose well-sized blocks are
+an id that names no vertex, a block that names one vertex twice) with
+the ValueError of model.id_keys, which names the class and the fault.
+So no block is written that the reader refuses as a loop, a repeated
+leaf or a center among its leaves.  A class whose well-sized blocks are
 flagged as the other kind's is written; the verifier reports it.
 dumps is the one writer of the schema.
 It writes the text of json.dumps(to_dict(d), indent=1) without building
@@ -54,8 +56,6 @@ dumps and to_text return the join of its pieces, or, given a stream,
 write the pieces there as they come, so `starurd build` never holds
 more than one class of the text.
 """
-
-from __future__ import annotations
 
 import gc
 import json
@@ -237,7 +237,7 @@ def _json_pieces(d: Decomposition):
     # each class text goes into the "[]" that empty ends with
     lead = empty[:-3] + "\n  "
     for ci, fc in enumerate(d.flat):
-        keys, bounds = id_keys(ci, fc), fc.bounds
+        keys, bounds = id_keys(ci, fc, w), fc.bounds
         blocks = []
         for a, b, star in zip(bounds, bounds[1:], fc.stars):
             if star:
@@ -263,7 +263,7 @@ def _text_pieces(d: Decomposition):
     w = d.params.n + 1
     name = _Rendered("({},{})".format, w)
     for ci, fc in enumerate(d.flat):
-        keys, bounds = id_keys(ci, fc), fc.bounds
+        keys, bounds = id_keys(ci, fc, w), fc.bounds
         lines = [f"\n\nclass {ci + 1}: {fc.kind}"]
         for a, b, star in zip(bounds, bounds[1:], fc.stars):
             if star:
@@ -287,15 +287,17 @@ def _emit(pieces, stream) -> str:
 
 
 def dumps(d: Decomposition, stream=None) -> str:
-    """The text of json.dumps(to_dict(d), indent=1).  Given a stream, the
-    text is written to it one class at a time, never held whole, and its
-    last character is returned."""
+    """The text of json.dumps(to_dict(d), indent=1), or the ValueError of
+    the first class with a shape fault at weight n+1 (model.id_keys).
+    Given a stream, the text is written to it one class at a time, never
+    held whole, and its last character is returned."""
     return _emit(_json_pieces(d), stream)
 
 
 def to_text(d: Decomposition, stream=None) -> str:
     """Human-readable listing, one class per paragraph.  Not machine-parsed.
-    Given a stream, it is written as dumps writes to one."""
+    A class with a shape fault raises as in dumps, and given a stream the
+    listing is written as dumps writes to one."""
     return _emit(_text_pieces(d), stream)
 
 

@@ -15,15 +15,18 @@ a star, with bounds of type int: it has no fault to find, and only its
 edges and star centers are taken.  Any other class goes through the fault
 walk.  A class with a shape fault (model.FlatClass.shape_fault: the one
 rule, by which the writers and the object view refuse a class) is reported
-as one WRONG_KIND with the fault's text, and no block of it is read.  Else
-the walk takes its blocks in order and reports each block of the wrong
-kind and each star of the wrong size, and the first vertex that an earlier
-block holds (blocks list their ids in the canonical order of Edge and
-StarBlock), then the vertices it fails to cover or holds outside the
-vertex set.  The walk takes each id as the vertex that model.vertex_key
-names, however it is spelled, trusting no flag of whoever made the class;
-it keeps the edges with an end outside the vertex set as Edge objects, and
-a block whose ids name one vertex is a loop, reported and not raised on.
+as its fault alone: one WRONG_KIND with the fault's text, and, as no block
+of it is read, a NOT_SPANNING of all v vertices uncovered; no block count
+is read from fields the rule rejected.  Else the walk takes its blocks in
+order and reports each block of the wrong kind and each star of the wrong
+size, and the first vertex that an earlier block holds (blocks list their
+ids in the canonical order of Edge and StarBlock), then the vertices it
+fails to cover or holds outside the vertex set, and a block count other
+than its kind's.  The walk takes each id as the vertex that
+model.vertex_key names, however it is spelled, trusting no flag of
+whoever made the class, and keeps the edges with an end outside the
+vertex set as Edge objects.  A block that names one vertex twice, a loop
+among them, is a shape fault, so every pair the walk takes is an edge.
 
 Together the classes must cover every pair of vertices exactly once,
 checked on integer ids without enumerating E(K_v).  A pair a < b is kept
@@ -42,8 +45,6 @@ claims.  Last, every vertex must be a star center in s/(n+1) classes: a
 valid decomposition forces it, and an edge count alone would miss it.
 """
 
-from __future__ import annotations
-
 from array import array
 from collections import Counter, defaultdict
 from functools import partial
@@ -59,7 +60,6 @@ from .model import (
     NOT_SPANNING,
     ONE_FACTOR,
     PARAM_MISMATCH,
-    SEQUENCES,
     STAR_FACTOR,
     WRONG_KIND,
     Decomposition,
@@ -74,18 +74,20 @@ from .model import (
 
 def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
                 extra: set[Edge], centers: list[int]) -> list[tuple[str, str]]:
-    """The faults of one class, found block by block: its shape fault
-    (FlatClass.shape_fault), after which no block is read and no field
-    that is no sequence is sized or sliced (bounds that are none bound no
-    block); else each block is the slice of the ids its bounds name, and,
-    in block order, each block of the wrong kind, each star of the wrong
-    size and the first vertex in two blocks; then the vertices the class
-    fails to cover or holds outside the vertex set, and a block count
-    other than its kind's.  Collects the class's edges on the way: a pair a < b of
-    the vertex set as b in rows[a], the row verify fills with the clean
-    classes, an edge with an end outside it into extra, and, in a star
-    class, the star centers in the vertex set into centers.  Every id is
-    taken as the vertex model.vertex_key names, however it is spelled."""
+    """The faults of one class, found block by block.  A class with a
+    shape fault (FlatClass.shape_fault) has that fault and all v vertices
+    uncovered, and nothing else: no block of it is read and no field of
+    it is sized or sliced.  Else each block is the slice of the ids its
+    bounds name, no block names a vertex twice, and the faults are, in
+    block order, each block of the wrong kind, each star of the wrong size
+    and the first vertex in two blocks; then the vertices the class fails
+    to cover or holds outside the vertex set, and a block count other
+    than its kind's.  Collects the class's edges on the way: a pair a < b
+    of the vertex set as b in rows[a], the row verify fills with the
+    clean classes, an edge with an end outside it into extra, and, in a
+    star class, the star centers in the vertex set into centers.  Every
+    id is taken as the vertex model.vertex_key names, however it is
+    spelled."""
     w = n + 1
     m = v // w
 
@@ -95,15 +97,15 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
         return base * w + level if 0 <= base < m and 0 <= level < w else None
 
     where = f"class {index}"
+    if fault := fc.shape_fault(w):
+        return [(WRONG_KIND, f"{where}: {fault}"),
+                (NOT_SPANNING, f"{where}: {v} vertices uncovered")]
     stars = fc.kind == STAR_FACTOR
     faults: list[tuple[str, str]] = []
-    ids, bounds, flags = fc.ids, fc.bounds, fc.stars
-    if fault := fc.shape_fault():
-        faults.append((WRONG_KIND, f"{where}: {fault}"))
-        bounds = flags = ()
+    ids, bounds = fc.ids, fc.bounds
     walked: set = set()
     disjoint = True
-    for lo, hi, star in zip(bounds, bounds[1:], flags):
+    for lo, hi, star in zip(bounds, bounds[1:], fc.stars):
         block = ids[lo:hi]
         if star != stars:
             kind = "edge block in a star factor" if stars else "star block in a one-factor"
@@ -123,8 +125,6 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
         if a is not None and star and stars:
             centers.append(a)
         for k in names[1:]:
-            if k == c:  # a loop is no edge; its class misses a vertex
-                continue
             if a is not None and (b := flat(k)) is not None:
                 if a < b:
                     rows[a].append(b)
@@ -140,7 +140,7 @@ def _walk_class(index: int, fc: FlatClass, n: int, v: int, rows: defaultdict,
             detail += f", {outside} outside the vertex set"
         faults.append((NOT_SPANNING, detail))
     want = v // 2 if fc.kind == ONE_FACTOR else v // w
-    count = len(fc.bounds[1:]) if isinstance(fc.bounds, SEQUENCES) else 0
+    count = len(bounds[1:])
     if count != want:
         faults.append((COUNT_MISMATCH, f"{where}: {count} blocks, expected {want}"))
     return faults

@@ -5,9 +5,10 @@
 runs `check`, a small `build`, `verify` of what it built and `search`,
 each through cli.main in a fresh `python -I -S` process with src on
 sys.path, so that neither site nor a .pth file preloads anything.  No
-command may load dataclasses, inspect or typing, nor argparse with the
-gettext and locale it pulls in, whose import costs more than the small
-commands' work, and `check` and `verify` load only the layers they run.
+command may load __future__, dataclasses, inspect or typing, nor
+argparse with the gettext and locale it pulls in, whose import costs
+more than the small commands' work, and `check` and `verify` load only
+the layers they run.
 It also runs `starurd --help` and a usage error, which only argparse
 reads: they must load it and exit 0 and 2.  Exits 1, naming each fault,
 if any is found.  The tier-1 test tests/test_startup.py runs the same
@@ -23,7 +24,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-NEVER_LOADED = ("dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
+NEVER_LOADED = ("__future__", "dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
 # per command, the only starurd modules it may load (None: any)
 ALLOWED = {
     "check": {"starurd", "starurd.cli", "starurd.model", "starurd.admissibility"},
