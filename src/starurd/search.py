@@ -6,9 +6,10 @@ vertex u by every block that can hold u.  The first class is always the
 canonical perfect matching {0,1}, {2,3}, ...: v = m(n+1) is even, so every
 admissible r = v-1-2nx is odd and at least 1, and there is always a
 one-factor to fix.  Fixing it is sound symmetry reduction: any solution
-can be relabeled to start with it.  No deeper isomorph rejection is
-attempted, so NOT_FOUND_EXHAUSTED is a genuine nonexistence certificate
-for the instance.
+can be relabeled to start with it.  The only other symmetry used is the
+order of the star classes (below), which relabels no vertex, so
+NOT_FOUND_EXHAUSTED is a genuine nonexistence certificate for the
+instance.
 
 Class scheduling: after the canonical first class, all star classes are
 built before the remaining one-factor classes.  Star classes carry the
@@ -36,18 +37,33 @@ The branch vertex u depends on the kind of the class:
   rows of uncovered vertices, which the deferred edges below leave exact.
 * a star class branches on its least uncovered vertex u.  Every star
   through u is tried once: u is its center, or a leaf of a center above
-  u, and every other member of that star is above u too.
+  u, and every other member of that star is above u too.  When n+1
+  vertices are left, the last star must hold them all, so it is decided
+  directly: u is its center exactly when u's leafable uncovered partners
+  are all the others, and a leaf of c exactly when c and c's leafable
+  uncovered partners are all of them.
+
+Star-class order.  The s star classes are interchangeable: permuting
+them relabels no vertex, so it keeps the canonical first class.  Vertex
+0's least neighbour in a star class (its center, or its least leaf if 0
+is the center) is a different vertex in every class, since each edge at
+0 is used once.  So the star classes are built in increasing order of
+that key: at the first node of star class ci >= 2 vertex 0 is the branch
+vertex, and only the stars that give it a key above class ci-1's are
+tried.
 
 Bookkeeping is in bitmasks over the vertices: the covered set of the
-current class, each vertex's row of still-unused edges (`adj`), and
-`used_by[k]`, the vertices that are already the center of k stars.  A
-class's edges leave `adj` when the class is complete and come back when
-the search backtracks out of it: within a class only edges between two
-covered vertices are taken, and the search reads no row of a covered
-vertex, so deferring them changes no choice.
+current class, each vertex's row of still-unused edges (`adj`), a star's
+leaves, and `used_by[k]`, the vertices that are already the center of k
+stars.  A class's edges leave `adj` when the class is complete and come
+back when the search backtracks out of it: within a class only edges
+between two covered vertices are taken, and the search reads no row of a
+covered vertex, so deferring them changes no choice.
 
-Two sound prunes keep exhaustion honest and fast; neither can discard a
-solution:
+Below, quota = s/(n+1), a vertex is spent once it has been the center of
+quota stars (`used_by[quota]`), and spare = r-1 one-factor classes follow
+the star classes.  These sound prunes keep exhaustion honest and fast;
+none can discard a solution:
 
 * in any solution every vertex is a star center in exactly s/(n+1) of
   the star classes (its degree across the star classes is v-1-r =
@@ -66,7 +82,28 @@ solution:
   given this test where its star is placed, before any bookkeeping, so
   the half or so of star nodes that fail it cost no call and no undo.
   One-factor classes skip it: their scan for the branch vertex ends the
-  node on a vertex with no partner.
+  node on a vertex with no partner, and a child with n+1 vertices left
+  skips it too, since the last star's own test implies it.
+
+* the spent-center rule (`_center_fits`): a spent vertex is never a
+  center again, so an unused edge between two spent vertices can only go
+  into one of the spare one-factor classes, and each of those holds one
+  edge at a vertex.  So a star whose center becomes spent with it leaves
+  at most spare unused edges from that center to spent vertices outside
+  its leaves.  The center was uncovered, so its row is exact.  The test
+  runs before the child is counted.  With r = 1 it says that the star
+  takes every spent vertex its center still has an edge to, so the
+  candidate leaves are also filtered that way, which costs less than
+  making and testing each child.
+
+* the balance rule (`_balanced`), once star class ci < s is complete and
+  its edges have left `adj`, with L = s-ci star classes left: a vertex a
+  that needs q more centers holds each unused edge to a spent vertex as
+  its center (at most n*q of them fit), and each unused edge to a vertex
+  that must be a center in every class left as its leaf (at most L-q
+  fit).  The edges over either bound need the spare one-factor classes,
+  so together they are at most spare.  It is one pass over the vertices
+  per completed star class.
 
 The search recurses at every node.  A tree deeper than Python's
 recursion limit (K_64 into 63 one-factors is about 2000 levels deep) is
@@ -115,12 +152,50 @@ class _BudgetExceeded(Exception):
 
 
 def _bits(mask: int) -> list[int]:
+    """The single-bit masks of mask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        out.append(low)
         mask ^= low
     return out
+
+
+def _center_fits(row: int, spent: int, leaves: int, spare: int) -> bool:
+    """The spent-center rule, for a star whose center becomes spent with
+    it: row is the center's unused edges before the star, spent the
+    vertices already spent, leaves the star's leaf mask.  Each unused edge
+    left between two spent vertices needs one of the spare one-factor
+    classes, and each holds one edge at the center."""
+    return (row & spent & ~leaves).bit_count() <= spare
+
+
+def _balanced(adj: list[int], centers_used: list[int], used_by: list[int],
+              n: int, left: int, spare: int) -> bool:
+    """The balance rule, once a star class is complete and its edges have
+    left adj, with `left` star classes still to build (used_by[k] for
+    k = 0..quota).  A vertex a that needs q more centers can hold n*q
+    unused edges to spent vertices (it must be their center) and left - q
+    to the vertices that must be a center in every class left (it must be
+    their leaf); the rest needs the spare one-factor classes."""
+    quota = len(used_by) - 1
+    spent = used_by[quota]
+    must = used_by[quota - left] if left <= quota else 0
+    for row, used in zip(adj, centers_used):
+        q = quota - used
+        over = max((row & spent).bit_count() - n * q, 0)
+        over += max((row & must).bit_count() - (left - q), 0)
+        if over > spare:
+            return False
+    return True
+
+
+def _order_key(center: int, leaves: int) -> int:
+    """Vertex 0's least neighbour in a star class, from the star (center,
+    leaf mask) that holds vertex 0: the center, or the least leaf if 0 is
+    the center.  No two star classes share it, and they are built in its
+    increasing order."""
+    return center or (leaves & -leaves).bit_length() - 1
 
 
 def exhaustive_urd(
@@ -163,6 +238,7 @@ def exhaustive_urd(
     last = r + s - 1
     placed: list[list[tuple]] = [[] for _ in range(r + s)]
     quota = s // (n + 1)  # forced per-vertex center count
+    spare = r - 1  # one-factor classes after the star classes
     centers_used = [0] * v
     # used_by[k]: the vertices that are already the center of k stars
     used_by = [full] + [0] * quota
@@ -174,37 +250,38 @@ def exhaustive_urd(
         """Take the edges of class ci out of adj, or give them back."""
         if 0 < ci <= s:
             for center, leaves in placed[ci]:
-                for leaf in leaves:
-                    adj[center] ^= 1 << leaf
-                    adj[leaf] ^= 1 << center
+                adj[center] ^= leaves
+                for leaf in _bits(leaves):
+                    adj[leaf.bit_length() - 1] ^= 1 << center
         else:
             for a, b in placed[ci]:
                 adj[a] ^= 1 << b
                 adj[b] ^= 1 << a
 
-    def place_star(ci: int, uncovered: int, center: int, leaves: tuple[int, ...]) -> bool:
-        # The child node is counted and its isolation test run here, before
-        # any bookkeeping: about half of all star children fail that test,
-        # and then cost no call and no undo.
+    def place_star(ci: int, uncovered: int, center: int, leaves: int) -> bool:
+        # The spent-center rule runs first, and the child node is counted
+        # and its isolation test run here, before any bookkeeping: a child
+        # that fails either costs no call and no undo.
         nonlocal nodes
         cbit = 1 << center
-        mask = cbit
-        for leaf in leaves:
-            mask |= 1 << leaf
-        uncovered ^= mask
+        k = centers_used[center]
+        if k + 1 == quota and not _center_fits(adj[center], used_by[quota], leaves, spare):
+            return False
+        uncovered ^= cbit | leaves
         if uncovered:
             nodes += 1
             if nodes > limit:
                 raise _BudgetExceeded
             if not nodes & 255 and time.perf_counter() > deadline:
                 raise _BudgetExceeded
-            scan = uncovered
-            while scan:
-                bit = scan & -scan
-                scan ^= bit
-                if not adj[bit.bit_length() - 1] & uncovered:
-                    return False
-        k = centers_used[center]
+            # With n+1 left, the last star's own test below implies this one.
+            if uncovered.bit_count() > n + 1:
+                scan = uncovered
+                while scan:
+                    bit = scan & -scan
+                    scan ^= bit
+                    if not adj[bit.bit_length() - 1] & uncovered:
+                        return False
         centers_used[center] = k + 1
         used_by[k] ^= cbit
         used_by[k + 1] |= cbit
@@ -225,7 +302,8 @@ def exhaustive_urd(
             if ci == last:
                 return True
             toggle(ci)
-            if extend(ci + 1, 0):
+            balanced = ci >= s or _balanced(adj, centers_used, used_by, n, s - ci, spare)
+            if balanced and extend(ci + 1, 0):
                 return True
             toggle(ci)
             return False
@@ -239,7 +317,10 @@ def exhaustive_urd(
             # It needs no isolation test: each vertex has used 1 + j*n +
             # (ci-1-j) of its v-1 = r + x*n + (s-x) edges (j <= x = quota
             # centers so far), which leaves at least s + 1 - ci >= 1.
-            return star_node(ci, full)
+            # Star-class order: vertex 0 is the branch vertex here, and its
+            # neighbour in this class must exceed the key of class ci-1.
+            above = -2 << _order_key(*placed[ci - 1][0]) if ci > 1 else -1
+            return star_node(ci, full, above)
 
         # One-factor class: branch on the uncovered vertex with the fewest
         # uncovered partners, the least such vertex on a tie.
@@ -268,12 +349,14 @@ def exhaustive_urd(
             blocks.pop()
         return False
 
-    def star_node(ci: int, uncovered: int) -> bool:
+    def star_node(ci: int, uncovered: int, above: int = -1) -> bool:
         """Branch a counted star-class node that has no isolated vertex on
-        its least uncovered vertex u."""
+        its least uncovered vertex u, whose neighbour in the star must be in
+        above.  Only a class's first node narrows above, and it never holds
+        the last star: a star class needs v >= 2(n+1)."""
         low = uncovered & -uncovered
         u = low.bit_length() - 1
-        avail = adj[u] & uncovered
+        avail = adj[u] & uncovered & above
         # left = s + 1 - ci star classes are still open, current
         # included.  A vertex that is the center of j stars needs quota - j
         # more: with j == k = quota - left it must be a center in every open
@@ -281,24 +364,58 @@ def exhaustive_urd(
         # class, and must is never a leaf, so each class makes it a center.
         k = quota - (s + 1 - ci)
         must = used_by[k] & uncovered if k >= 0 else 0
-        if must.bit_count() > uncovered.bit_count() // (n + 1):
+        count = uncovered.bit_count()
+        if must.bit_count() > count // (n + 1):
             return False
         leaf_ok = uncovered ^ must
         spent = used_by[quota]
 
+        if count == n + 1:
+            # The last star of the class holds every uncovered vertex.
+            others = uncovered ^ low
+            if not spent & low and adj[u] & leaf_ok == others:
+                if place_star(ci, uncovered, u, others):
+                    return True
+            if leaf_ok & low:
+                scan = avail & ~spent
+                while scan:
+                    cbit = scan & -scan
+                    scan ^= cbit
+                    center = cbit.bit_length() - 1
+                    if adj[center] & leaf_ok | cbit == uncovered:
+                        if place_star(ci, uncovered, center, uncovered ^ cbit):
+                            return True
+            return False
+
         # u joins a star either as its center or as a leaf of a later center;
         # every other member of that star is > u, so each star is tried once.
         if not spent & low:
-            for leaves in combinations(_bits(avail & leaf_ok), n):
+            for leaves in leaf_sets(u, avail & leaf_ok, n, 0):
                 if place_star(ci, uncovered, u, leaves):
                     return True
         if leaf_ok & low:
-            for center in _bits(avail & ~spent):
+            for cbit in _bits(avail & ~spent):
+                center = cbit.bit_length() - 1
                 rest = (adj[center] & leaf_ok) ^ low  # u is in both
-                for others in combinations(_bits(rest), n - 1):
-                    if place_star(ci, uncovered, center, (u, *others)):
+                for leaves in leaf_sets(center, rest, n - 1, low):
+                    if place_star(ci, uncovered, center, leaves):
                         return True
         return False
+
+    def leaf_sets(center: int, pool: int, size: int, fixed: int):
+        """The leaf masks of the stars at center: fixed and size more
+        leaves from pool, in lexicographic order.  With r = 1, a center
+        that becomes spent takes every spent vertex it still has an edge to
+        (the spent-center rule at spare = 0), so those leaves are fixed."""
+        if not spare and centers_used[center] + 1 == quota:
+            forced = adj[center] & used_by[quota] & ~fixed
+            size -= forced.bit_count()
+            if size < 0 or forced & ~pool:
+                return ()
+            pool ^= forced
+            fixed |= forced
+        masks = map(sum, combinations(_bits(pool), size))
+        return map(fixed.__or__, masks) if fixed else masks
 
     placed[0] = [(u, u + 1) for u in range(0, v, 2)]
     toggle(0)
@@ -319,6 +436,10 @@ def exhaustive_urd(
             tagged = ((f"search@class={ci}", placed[ci]) for ci in cis)
             return _output(kind, range(params.m), n + 1, tagged).flat
 
+        # A star's leaves are kept as a mask; the emitter takes their ids.
+        for ci in range(1, s + 1):
+            placed[ci] = [(c, tuple(leaf.bit_length() - 1 for leaf in _bits(leaves)))
+                          for c, leaves in placed[ci]]
         ones = classes(ONE_FACTOR, [0, *range(s + 1, r + s)])
         witness = Decomposition(params, ones + classes(STAR_FACTOR, range(1, s + 1)), r, s)
         report = verify(witness)

@@ -12,8 +12,10 @@ budget.  The budget boundaries are pinned too: where `max_nodes` and
 The rows were re-pinned when one-factor classes began to branch on their
 most constrained uncovered vertex instead of the least one: that changed
 the tree of every search with a one-factor class past the canonical one.
-Star classes still walk the same tree, so URD(8; 1, 4), which has no such
-class, keeps its 1273 nodes and its witness.
+They were re-pinned again when the star classes gained the spent-center
+rule, the balance rule and the star-class order (the `search` module
+docstring): only the URD(8; 1, 4) row moved, from 1273 nodes to 216,
+with the same witness, and SOME_NODE_COUNTS held.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from starurd import serialize
 from starurd.admissibility import admissible_pairs
 from starurd.search import BUDGET_EXCEEDED, FOUND, exhaustive_urd
 
-OUTCOMES_SHA256 = "3c52256e3548101bfd8ff5779ae7dfe9451cadca52570098d55dd4306a7dd2bd"
+OUTCOMES_SHA256 = "c656e1bc810f8388037ab39fdabfc1991e522810dd6d146711abfb03cb90e052"
 
 # (v, n, r, s): nodes of rows that the digest also covers, named for reading
 SOME_NODE_COUNTS = {
@@ -59,13 +61,18 @@ def test_search_outcomes_unchanged():
     assert _sha256(repr(rows)) == OUTCOMES_SHA256
 
 
-# (v, n, r, s): (nodes explored, sha256 of dumps of the witness).  The first
-# is the found instance of the benchmark's search workload; the second has
-# a center quota of 2, and the must-center prune cuts its tree (the budgeted
-# rows above cannot show that).
+# (v, n, r, s): (nodes explored, sha256 of dumps of the witness).
+# (24,3,17,4) is a found instance of the benchmark's search workload;
+# (24,3,11,8) has a center quota of 2, and the must-center prune cuts its
+# tree (the budgeted rows above cannot show that).  (20,3,1,12), which no
+# construction route reaches, and URD(16; 3, 8) are found only with the
+# star-class rules: before them the first stopped at a budget of 5,000,000
+# nodes and the second took 2,941,220.
 LONG_SEARCHES = {
     (24, 3, 17, 4): (412, "771dd750b3c53eacf49a60d7a60bbb1e85c463fb0702b3410f2687936e32d7ec"),
     (24, 3, 11, 8): (823132, "017ed033af7337d5ce2d2e329b5dee20d947e112e28a381cec4830e06a656d05"),
+    (20, 3, 1, 12): (30972, "cd903c588d072886196951f2cc77fd5ed83059e7605f994e262f6e861a52c82e"),
+    (16, 3, 3, 8): (22453, "d01434c0b9aad2c0286ccf0ff08b46bd0d5b24d754bff88c7445f392eaaf38d0"),
 }
 
 
@@ -77,10 +84,10 @@ def test_long_search_witness_unchanged(v, n, r, s):
 
 
 def test_node_budget_boundaries():
-    # URD(8; 1, 4) is found at node 1273: a budget of one node less stops
+    # URD(8; 1, 4) is found at node 216: a budget of one node less stops
     # on that node, and a budget of 0 stops on the first
-    for budget, status, nodes in [(0, BUDGET_EXCEEDED, 1), (1272, BUDGET_EXCEEDED, 1273),
-                                  (1273, FOUND, 1273)]:
+    for budget, status, nodes in [(0, BUDGET_EXCEEDED, 1), (215, BUDGET_EXCEEDED, 216),
+                                  (216, FOUND, 216)]:
         out = exhaustive_urd(8, 3, 1, 4, max_nodes=budget)
         assert (out.status, out.nodes_explored) == (status, nodes), budget
 

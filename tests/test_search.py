@@ -57,15 +57,18 @@ def test_pure_matching_m2_exists():
 
 
 def test_budget_exceeded_reported():
-    out = exhaustive_urd(20, 3, 1, 12, max_nodes=20000)
+    # (16, 7, 1, 8) is open: no construction reaches it, and no search has
+    # settled it within 3,000,000 nodes
+    out = exhaustive_urd(16, 7, 1, 8, max_nodes=20000)
     assert out.status == BUDGET_EXCEEDED
     assert out.witness is None
     assert out.nodes_explored >= 20000
 
 
 def test_zero_timeout_stops_at_the_first_deadline_check():
-    # the clock is read every 256 nodes, so an expired deadline is seen there
-    out = exhaustive_urd(8, 3, 1, 4, timeout=0)
+    # the clock is read every 256 nodes, so an expired deadline is seen
+    # there; (24, 3, 17, 4) takes 412 nodes, so it is still running then
+    out = exhaustive_urd(24, 3, 17, 4, timeout=0)
     assert out.status == BUDGET_EXCEEDED
     assert out.nodes_explored == 256
 
