@@ -48,9 +48,9 @@ them relabels no vertex, so it keeps the canonical first class.  Vertex
 0's least neighbour in a star class (its center, or its least leaf if 0
 is the center) is a different vertex in every class, since each edge at
 0 is used once.  So the star classes are built in increasing order of
-that key: at the first node of star class ci >= 2 vertex 0 is the branch
-vertex, and only the stars that give it a key above class ci-1's are
-tried.
+that key: at the first node of every star class vertex 0 is the branch
+vertex, and at ci >= 2 only the stars that give it a key above class
+ci-1's are tried.
 
 Bookkeeping is in bitmasks over the vertices: the covered set of the
 current class, each vertex's row of still-unused edges (`adj`), a star's
@@ -105,6 +105,35 @@ none can discard a solution:
   so together they are at most spare.  It is one pass over the vertices
   per completed star class.
 
+* the key-gap rule (`_key_gap`), at the first node of every star class
+  ci, class 1 included: the class's key k is vertex 0's least neighbour
+  in it, and classes ci+1..s have greater keys, so no neighbour of 0 in
+  classes ci..s is below k.  An unused edge from 0 to a vertex below k
+  can then only go into one of the spare one-factor classes, each of
+  which holds one edge at 0, so k is at most the (spare+1)-th least
+  vertex of 0's row; with r = 1, k is 0's least unused neighbour.  When
+  0 is a leaf the rule caps its center.  When 0 is the center its least
+  leaf is chosen first, under the cap, and the other leaves above it, so
+  the leaf sets still come in lexicographic order and none is made only
+  to be dropped.
+
+* the mate rule (`_mates`), at r = 1 only, next to the balance rule once
+  star class ci < s is complete.  A vertex a that needs one more center
+  is the center in exactly one star class X still to come, and is spent
+  after it.  No one-factor class follows, so every spent vertex z that a
+  still has an edge to is a leaf of a in X (z is never a center again).
+  Another center b of X that needs one more is spent after X too, so an
+  unused edge a-b (both are centers in X) or b-z (z is a's leaf in X)
+  could never be taken.  Neither a nor b is a center before X and z
+  never is, and every star edge holds its center, so those edges are
+  unused now exactly when they are at X.  The other v/(n+1) - 1 centers
+  of X are therefore mates of a: vertices not spent now that, if they
+  need one more center too, have no unused edge to a or to such a z.
+  Vertices that need two or more centers are unconstrained.  A branch in
+  which some a has fewer mates than that is cut.  It is one pass over the
+  vertices that need one more center per completed star class, with one
+  row read per spent neighbour.
+
 The search recurses at every node.  A tree deeper than Python's
 recursion limit (K_64 into 63 one-factors is about 2000 levels deep) is
 reported as BUDGET_EXCEEDED with a reason that names the limit: the run
@@ -125,7 +154,7 @@ import math
 import sys
 import time
 from collections import namedtuple
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import admissibility
 from .aurd import _output
@@ -188,6 +217,38 @@ def _balanced(adj: list[int], centers_used: list[int], used_by: list[int],
         if over > spare:
             return False
     return True
+
+
+def _mates(adj: list[int], used_by: list[int], centers: int) -> bool:
+    """The mate rule at r = 1, once a star class is complete and its edges
+    have left adj, with `centers` stars in a class (used_by[k] for
+    k = 0..quota).  A vertex a that needs one more center must find
+    centers - 1 mates for its last star class: vertices that are not spent
+    and, if they need one more center too, have no unused edge to a or to a
+    spent vertex that a still has an edge to."""
+    quota = len(used_by) - 1
+    spent, once = used_by[quota], used_by[quota - 1]
+    unspent = ((1 << len(adj)) - 1) ^ spent
+    for abit in _bits(once):
+        row = adj[abit.bit_length() - 1]
+        reach = row | abit
+        for z in _bits(row & spent):
+            reach |= adj[z.bit_length() - 1]
+        if (unspent & ~(once & reach)).bit_count() < centers - 1:
+            return False
+    return True
+
+
+def _key_gap(row: int, spare: int) -> int:
+    """The key-gap rule, from row, vertex 0's unused edges at the first node
+    of a star class: the keys it allows, the spare + 1 least vertices of
+    row, as a mask."""
+    keys = 0
+    for _ in range(spare + 1):
+        low = row & -row
+        keys |= low
+        row ^= low
+    return keys
 
 
 def _order_key(center: int, leaves: int) -> int:
@@ -302,7 +363,10 @@ def exhaustive_urd(
             if ci == last:
                 return True
             toggle(ci)
-            balanced = ci >= s or _balanced(adj, centers_used, used_by, n, s - ci, spare)
+            balanced = ci >= s or (
+                _balanced(adj, centers_used, used_by, n, s - ci, spare)
+                and (spare or _mates(adj, used_by, params.m))
+            )
             if balanced and extend(ci + 1, 0):
                 return True
             toggle(ci)
@@ -317,10 +381,11 @@ def exhaustive_urd(
             # It needs no isolation test: each vertex has used 1 + j*n +
             # (ci-1-j) of its v-1 = r + x*n + (s-x) edges (j <= x = quota
             # centers so far), which leaves at least s + 1 - ci >= 1.
-            # Star-class order: vertex 0 is the branch vertex here, and its
-            # neighbour in this class must exceed the key of class ci-1.
+            # Vertex 0 is the branch vertex here.  Its least neighbour in
+            # this class, the class's key, must exceed the key of class ci-1
+            # (star-class order) and pass the key-gap rule.
             above = -2 << _order_key(*placed[ci - 1][0]) if ci > 1 else -1
-            return star_node(ci, full, above)
+            return star_node(ci, full, above & _key_gap(adj[0], spare))
 
         # One-factor class: branch on the uncovered vertex with the fewest
         # uncovered partners, the least such vertex on a tie.
@@ -349,14 +414,14 @@ def exhaustive_urd(
             blocks.pop()
         return False
 
-    def star_node(ci: int, uncovered: int, above: int = -1) -> bool:
+    def star_node(ci: int, uncovered: int, keys: int = -1) -> bool:
         """Branch a counted star-class node that has no isolated vertex on
-        its least uncovered vertex u, whose neighbour in the star must be in
-        above.  Only a class's first node narrows above, and it never holds
-        the last star: a star class needs v >= 2(n+1)."""
+        its least uncovered vertex u, whose least neighbour in the star must
+        be in keys.  Only a class's first node narrows keys, and it never
+        holds the last star: a star class needs v >= 2(n+1)."""
         low = uncovered & -uncovered
         u = low.bit_length() - 1
-        avail = adj[u] & uncovered & above
+        avail = adj[u] & uncovered
         # left = s + 1 - ci star classes are still open, current
         # included.  A vertex that is the center of j stars needs quota - j
         # more: with j == k = quota - left it must be a center in every open
@@ -390,11 +455,19 @@ def exhaustive_urd(
         # u joins a star either as its center or as a leaf of a later center;
         # every other member of that star is > u, so each star is tried once.
         if not spent & low:
-            for leaves in leaf_sets(u, avail & leaf_ok, n, 0):
+            pool = avail & leaf_ok
+            if keys == -1:
+                stars = leaf_sets(u, pool, n, 0)
+            else:
+                # u's least leaf is the key: it is chosen first, in keys, and
+                # the other leaves above it, still in lexicographic order.
+                stars = chain.from_iterable(leaf_sets(u, pool & -2 * least, n - 1, least)
+                                            for least in _bits(pool & keys))
+            for leaves in stars:
                 if place_star(ci, uncovered, u, leaves):
                     return True
         if leaf_ok & low:
-            for cbit in _bits(avail & ~spent):
+            for cbit in _bits(avail & ~spent & keys):
                 center = cbit.bit_length() - 1
                 rest = (adj[center] & leaf_ok) ^ low  # u is in both
                 for leaves in leaf_sets(center, rest, n - 1, low):

@@ -12,7 +12,8 @@ The WITNESSES rows (12, 3, 11, 0), (12, 5, 11, 0) and (16, 3, 15, 0) were
 re-pinned when the search's one-factor classes began to branch on their
 most constrained vertex.  The (8, 3, 1, 4) row went from 1273 nodes to 216,
 with the same witness, when the star classes gained their spent-center,
-balance and order rules.
+balance and order rules, and from 216 to 14, with the same witness again,
+when they gained the key-gap and mate rules.
 """
 
 import hashlib
@@ -61,7 +62,7 @@ ONE_FACTORIZATIONS = {
 
 # (v, n, r, s): (nodes explored, sha256 of dumps of the witness)
 WITNESSES = {
-    (8, 3, 1, 4): (216, "259504a7135d3763cbcdafbd6a774a37331e46e9b40297d68224536b9e002de4"),
+    (8, 3, 1, 4): (14, "259504a7135d3763cbcdafbd6a774a37331e46e9b40297d68224536b9e002de4"),
     (12, 3, 11, 0): (63, "11e8c2b2de926bb342951d147d1e4bf1e86ec36e1d7780159410a64497aabdde"),
     (16, 3, 15, 0): (114, "89d933453a9154649097cec00200af60de836a6c3cdea0925b2bb55686d4fbd7"),
     (12, 5, 11, 0): (63, "73e9840baa27e7ca66f7cabf094d496e1ce443cf3dbb969dbe439d8e85b577e8"),

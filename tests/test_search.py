@@ -57,9 +57,9 @@ def test_pure_matching_m2_exists():
 
 
 def test_budget_exceeded_reported():
-    # (16, 7, 1, 8) is open: no construction reaches it, and no search has
-    # settled it within 3,000,000 nodes
-    out = exhaustive_urd(16, 7, 1, 8, max_nodes=20000)
+    # (24, 3, 5, 12) is open: no construction reaches it, and no search has
+    # settled it within 2,000,000 nodes
+    out = exhaustive_urd(24, 3, 5, 12, max_nodes=20000)
     assert out.status == BUDGET_EXCEEDED
     assert out.witness is None
     assert out.nodes_explored >= 20000
