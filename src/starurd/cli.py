@@ -39,7 +39,6 @@ does not import it.
 import os
 import sys
 from collections import namedtuple
-from pathlib import Path
 from types import SimpleNamespace
 
 from .model import ConstructionError, _require_odd_n
@@ -192,7 +191,8 @@ def cmd_verify(args) -> int:
     from .verifier import verify
 
     try:
-        text = Path(args.infile).read_text(encoding="utf-8")
+        with open(args.infile, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         return _fail(EXIT_USAGE, f"cannot read {args.infile}: {exc}")
     try:

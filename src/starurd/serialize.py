@@ -23,10 +23,18 @@ the header first and return the Decomposition with each class as a
 model.FlatClass of flat vertex ids, making no Vertex; every SchemaError
 comes from them, in one order: a block's shape, then each vertex's shape,
 the types and then the signs of its coordinates, then a loop edge,
-duplicate leaves or a center that is also a leaf.  loads reads a text
-whose keys all come before classes one class at a time, so the parsed
-form of the whole certificate, several times the size of its classes,
-never exists.  Any other text, and any text with a fault, loads reads as
+duplicate leaves or a center that is also a leaf.  The class check
+reads the two block shapes certificates are made of in its own loop,
+with no call per block or vertex: an edge, a list of two [base, level]
+lists of ints inside Z_m x Z_{n+1} that name two vertices, and a star, a
+dict of such a center and a nonempty list of such leaves, all distinct.
+It hands every other block, a faulty one or one with a vertex outside
+the grid, to the block check, which returns its ids or raises the error
+that names its first fault: a block reads the same either way, and only
+the block check names a fault.  loads reads a text whose keys all come
+before classes one class at a time, so the parsed form of the whole
+certificate, several times the size of its classes, never exists.  Any
+other text, and any text with a fault, loads reads as
 from_dict(json.loads(text)): its Decomposition or error is that of the
 whole-text parse, and a JSON error anywhere wins over a schema error.
 The reader puts each block in the canonical order of Edge and StarBlock
@@ -54,24 +62,46 @@ parses what dumps writes.  Each format, the schema and the listing of
 to_text, has one renderer, which yields its text one class at a time:
 dumps and to_text return the join of its pieces, or, given a stream,
 write the pieces there as they come, so `starurd build` never holds
-more than one class of the text.
+more than one class of the text.  The writers render ints and kinds
+themselves, so only loads and to_dict import json, when they run:
+`starurd build` and `starurd search` do not load it.  Both run with the
+cyclic GC off.
 """
 
 import gc
-import json
 
 from .model import KINDS, Decomposition, FlatClass, Params, id_keys, vertex_from_flat, vertex_key
 
 SCHEMA_VERSION = "1"
+# the JSON text of each class kind, which the writer looks up by the kind
+# that the shape rule has matched
+_KIND_TEXTS = {kind: f'"{kind}"' for kind in KINDS}
 
 
 class SchemaError(ValueError):
     pass
 
 
+def _without_gc(read, *args):
+    """read(*args) with the cyclic GC off: what the readers make holds no
+    cycles, and GC passes over its many lists and tuples would only walk
+    them.  A GC the caller had enabled is enabled again, whatever read
+    raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return read(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def to_dict(d: Decomposition) -> dict:
-    """The dict form of d: the JSON object that dumps(d) writes."""
-    return json.loads(dumps(d))
+    """The dict form of d: the JSON object that dumps(d) writes, parsed
+    with the cyclic GC off (_without_gc)."""
+    import json
+
+    return _without_gc(lambda: json.loads(dumps(d)))
 
 
 def _int(obj, what: str) -> int:
@@ -137,8 +167,15 @@ def _checked_block(obj, m: int, w: int) -> tuple[tuple, int]:
 def _checked_class(cobj, ci: int, m: int, w: int) -> FlatClass:
     """Class ci of a certificate as a FlatClass, read block by block: or
     the SchemaError of its shape, its kind, or its first faulty block,
-    labelled with where the block is.  The block label is made only for
-    the error."""
+    labelled with where the block is.
+
+    The two block shapes a certificate is made of are read in the loop,
+    with no call per block or vertex: an edge, a list of two [base, level]
+    lists of ints inside Z_m x Z_w that are not one vertex, and a star,
+    a dict of such a center and a nonempty list of such leaves, all
+    distinct.  Any other block goes to _checked_block, which returns its
+    ids or raises its fault, so a block reads the same either way.  The
+    block label is made only for the error."""
     where = f"class {ci}"
     if not isinstance(cobj, dict) or set(cobj) != {"kind", "blocks"}:
         raise SchemaError(f"{where}: need exactly kind and blocks")
@@ -147,11 +184,51 @@ def _checked_class(cobj, ci: int, m: int, w: int) -> FlatClass:
     if not isinstance(cobj["blocks"], list):
         raise SchemaError(f"{where}: blocks must be a list")
     ids, bounds, stars = [], [0], bytearray()
-    for bi, obj in enumerate(cobj["blocks"]):
+    for obj in cobj["blocks"]:
+        if type(obj) is list:
+            try:  # a ValueError: a list of another length than 2, handed off
+                u, x = obj
+                if type(u) is list is type(x):
+                    (a, i), (b, j) = u, x
+                    if (type(a) is int and type(i) is int and type(b) is int and type(j) is int
+                            and 0 <= a < m and 0 <= i < w and 0 <= b < m and 0 <= j < w):
+                        a, b = a * w + i, b * w + j
+                        if a != b:
+                            ids += (a, b) if a < b else (b, a)
+                            bounds.append(len(ids))
+                            stars.append(0)
+                            continue
+            except ValueError:
+                pass
+        elif type(obj) is dict and len(obj) == 2:
+            u, leaves = obj.get("center"), obj.get("leaves")
+            if type(u) is list is type(leaves) and leaves:
+                try:  # as above
+                    a, i = u
+                    star = []
+                    for x in leaves:
+                        if type(x) is not list:
+                            break
+                        b, j = x
+                        if not (type(b) is int and type(j) is int and 0 <= b < m and 0 <= j < w):
+                            break
+                        star.append(b * w + j)
+                    else:
+                        if type(a) is int and type(i) is int and 0 <= a < m and 0 <= i < w:
+                            a = a * w + i
+                            if len({a, *star}) == len(star) + 1:
+                                star.sort()
+                                ids.append(a)
+                                ids += star
+                                bounds.append(len(ids))
+                                stars.append(1)
+                                continue
+                except ValueError:
+                    pass
         try:
             block, star = _checked_block(obj, m, w)
         except SchemaError as exc:
-            raise SchemaError(f"{where} block {bi}{exc}") from None
+            raise SchemaError(f"{where} block {len(stars)}{exc}") from None
         ids += block
         bounds.append(len(ids))
         stars.append(star)
@@ -221,12 +298,23 @@ def _pair_at(depth: int):
     return lambda base, level: _join("[]", [str(base), str(level)], depth)
 
 
+def _number(value) -> str:
+    """A header value as json.dumps writes it: an exact int as its repr,
+    without importing json, and any other value, which only a hand-built
+    Decomposition holds, through json.dumps."""
+    if type(value) is int:
+        return int.__repr__(value)
+    import json
+
+    return json.dumps(value)
+
+
 def _json_pieces(d: Decomposition):
     """The text of json.dumps(to_dict(d), indent=1), one class at a time:
     the header with the first class, each further class, then the close."""
-    header = {"version": SCHEMA_VERSION, "v": d.params.v, "n": d.params.n,
-              "m": d.params.m, "r": d.r, "s": d.s}
-    empty = _join("{}", [f'"{key}": {json.dumps(value)}' for key, value in header.items()]
+    header = {"v": d.params.v, "n": d.params.n, "m": d.params.m, "r": d.r, "s": d.s}
+    empty = _join("{}", [f'"version": "{SCHEMA_VERSION}"']
+                  + [f'"{key}": {_number(value)}' for key, value in header.items()]
                   + ['"classes": []'], 0)
     if not d.flat:
         yield empty
@@ -249,7 +337,7 @@ def _json_pieces(d: Decomposition):
                 # _join("[]", [endpoint texts], 4), written out: the hot path
                 blocks.append(f"[\n     {at5[keys[a]]},\n     {at5[keys[a + 1]]}\n    ]")
         yield lead + _join("{}", [
-            f'"kind": {json.dumps(fc.kind)}', f'"blocks": {_join("[]", blocks, 3)}'
+            f'"kind": {_KIND_TEXTS[fc.kind]}', f'"blocks": {_join("[]", blocks, 3)}'
         ], 2)
         lead = ",\n  "
     yield "\n ]\n}"
@@ -302,16 +390,14 @@ def to_text(d: Decomposition, stream=None) -> str:
 
 
 def _json(text: str):
+    import json
+
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
         raise SchemaError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError("not valid JSON: nested too deeply") from exc
-
-
-_DECODE = json.JSONDecoder().raw_decode
-_SKIP = json.decoder.WHITESPACE.match
 
 
 def _read_in_order(text: str) -> Decomposition | None:
@@ -321,22 +407,25 @@ def _read_in_order(text: str) -> Decomposition | None:
     last value, as in json.loads.  For any other text this returns None or
     raises the JSON or schema error that stopped the walk, and loads reads
     the text whole."""
-    at = _SKIP(text, 0).end()
+    from json.decoder import WHITESPACE, JSONDecoder
+
+    decode, skip = JSONDecoder().raw_decode, WHITESPACE.match
+    at = skip(text, 0).end()
     if text[at:at + 1] != "{":
         return None
     header = {}
     while True:
-        key, at = _DECODE(text, _SKIP(text, at + 1).end())
+        key, at = decode(text, skip(text, at + 1).end())
         if type(key) is not str:
             return None
-        at = _SKIP(text, at).end()
+        at = skip(text, at).end()
         if text[at:at + 1] != ":":
             return None
-        at = _SKIP(text, at + 1).end()
+        at = skip(text, at + 1).end()
         if key == "classes":
             break
-        header[key], at = _DECODE(text, at)
-        at = _SKIP(text, at).end()
+        header[key], at = decode(text, at)
+        at = skip(text, at).end()
         if text[at:at + 1] != ",":
             return None
     header["classes"] = classes = []
@@ -344,41 +433,37 @@ def _read_in_order(text: str) -> Decomposition | None:
     if text[at:at + 1] != "[":
         return None
     m, w = params.m, params.n + 1
-    at = _SKIP(text, at + 1).end()
+    at = skip(text, at + 1).end()
     if text[at:at + 1] != "]":
         while True:
-            cobj, at = _DECODE(text, at)
+            cobj, at = decode(text, at)
             classes.append(_checked_class(cobj, len(classes), m, w))
-            at = _SKIP(text, at).end()
+            at = skip(text, at).end()
             if text[at:at + 1] != ",":
                 break
-            at = _SKIP(text, at + 1).end()
+            at = skip(text, at + 1).end()
         if text[at:at + 1] != "]":
             return None
-    at = _SKIP(text, at + 1).end()
-    if text[at:at + 1] != "}" or _SKIP(text, at + 1).end() != len(text):
+    at = skip(text, at + 1).end()
+    if text[at:at + 1] != "}" or skip(text, at + 1).end() != len(text):
         return None
     return Decomposition(params, tuple(classes), r, s)
 
 
+def _read(text: str) -> Decomposition:
+    try:
+        d = _read_in_order(text)
+    except (ValueError, RecursionError):  # not JSON or not the schema
+        d = None
+    return from_dict(_json(text)) if d is None else d
+
+
 def loads(text: str) -> Decomposition:
-    """The Decomposition of a certificate text, with the cyclic GC off
-    while it is read: the classes read hold no cycles, and GC passes over
-    their many tuples would only walk them.  A GC the caller had enabled
-    is enabled again, whatever loads raises.
+    """The Decomposition of a certificate text, read with the cyclic GC
+    off (_without_gc).
 
     A text whose keys all come before classes is read one class at a
     time.  Any other text, and any text the walk finds at fault, is read
     as from_dict(json.loads(text)), so its Decomposition or SchemaError is
     that of the whole-text parse."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        try:
-            d = _read_in_order(text)
-        except (ValueError, RecursionError):  # not JSON or not the schema
-            d = None
-        return from_dict(_json(text)) if d is None else d
-    finally:
-        if enabled:
-            gc.enable()
+    return _without_gc(_read, text)

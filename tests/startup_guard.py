@@ -7,7 +7,9 @@ each through cli.main in a fresh `python -I -S` process with src on
 sys.path, so that neither site nor a .pth file preloads anything.  No
 command may load __future__, dataclasses, inspect or typing, nor
 argparse with the gettext and locale it pulls in, whose import costs
-more than the small commands' work, and `check` and `verify` load only
+more than the small commands' work, nor pathlib with the re, enum,
+fnmatch, urllib.parse and ipaddress it pulls in; only `verify`, which
+reads a certificate, may load json; and `check` and `verify` load only
 the layers they run.
 It also runs `starurd --help` and a usage error, which only argparse
 reads: they must load it and exit 0 and 2.  Exits 1, naming each fault,
@@ -24,7 +26,10 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-NEVER_LOADED = ("__future__", "dataclasses", "inspect", "typing", "argparse", "gettext", "locale")
+NEVER_LOADED = ("__future__", "dataclasses", "inspect", "typing", "argparse", "gettext", "locale",
+                "pathlib")
+# modules of the read path, which only the command that reads a certificate may load
+READ_PATH = {"json": "verify"}
 # per command, the only starurd modules it may load (None: any)
 ALLOWED = {
     "check": {"starurd", "starurd.cli", "starurd.model", "starurd.admissibility"},
@@ -82,6 +87,8 @@ def faults(command: str, code: int, modules: set[str]) -> list[str]:
         return out + ([] if "argparse" in modules else [f"{command} does not load argparse"])
     out = [f"{command}: exit {code}"] if code != 0 else []
     out += [f"{command} loads {name}" for name in NEVER_LOADED if name in modules]
+    out += [f"{command} loads {name}" for name, reader in READ_PATH.items()
+            if name in modules and command != reader]
     if ALLOWED[command] is not None:
         out += [f"{command} loads {name}" for name in sorted(modules)
                 if name.split(".")[0] == "starurd" and name not in ALLOWED[command]]

@@ -19,6 +19,7 @@ from starurd.model import (
     Edge,
     FactorClass,
     FlatClass,
+    Params,
     StarBlock,
     Vertex,
     vertex_key,
@@ -83,6 +84,34 @@ def test_loads_reads_with_the_gc_off_and_restores_its_state(monkeypatch, text, e
         (gc.enable if was else gc.disable)()
     assert not any(during)
     assert during or text == "{"  # only a text that is not JSON skips the header
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_to_dict_parses_with_the_gc_off_and_restores_its_state(monkeypatch, enabled):
+    import starurd.serialize as serialize
+
+    real, during = serialize.dumps, []
+
+    def checked_dumps(d):
+        during.append(gc.isenabled())
+        return real(d)
+
+    monkeypatch.setattr(serialize, "dumps", checked_dumps)
+    d = construct(BuildRequest(12, 3, 0))
+    # class 0 as a loop: the shape fault dumps refuses with a ValueError
+    faulty = Decomposition(d.params, (FlatClass(ONE_FACTOR, (1, 1), (0, 2), b"\0"),), 1, 0)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert to_dict(d) == json.loads(real(d))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError) as info:
+            to_dict(faulty)
+        assert str(info.value) == "class 0: block 0 names (0, 1) twice"
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_not_json_rejected():
@@ -296,6 +325,19 @@ def test_dumps_renders_empty_lists_as_json_does(classes):
     text = dumps(d)
     assert text == json.dumps(to_dict(d), indent=1)
     assert ": []" in text
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("claim", [True, 2.5, "5", None, Count(5), 2**70], ids=repr)
+def test_dumps_writes_a_hand_built_claim_as_json_does(claim):
+    # the exact ints the package makes are written without json; any
+    # other claim goes through json.dumps, so the text is the same
+    d = construct(BuildRequest(12, 3, 0))
+    hand = Decomposition(d.params, d.flat, claim, claim)
+    assert dumps(hand) == json.dumps(object_dict(hand), indent=1)
 
 
 def test_dumps_of_a_search_witness_is_json_dumps_of_the_dict():
@@ -561,6 +603,149 @@ def test_schema_error_names_its_location_once(obj, message):
     with pytest.raises(SchemaError) as info:
         from_dict(obj)
     assert str(info.value) == message
+
+
+# Blocks that the class loop does not read itself and hands to
+# _checked_block: each faulty block of SCHEMA_ERRORS and a few more, with
+# the message that follows its label
+HANDOFF = [
+    pytest.param(p.values[0]["classes"][0]["blocks"][0], p.values[1][len("class 0 block 0"):],
+                 id=p.id)
+    for p in SCHEMA_ERRORS if p.values[1].startswith("class 0 block 0")
+] + [
+    pytest.param([[0, 2], [0, True]], " must be an integer, got True", id="bool-coordinate"),
+    pytest.param([[0, 2], [0, 1.0]], " must be an integer, got 1.0", id="float-coordinate"),
+    pytest.param({"center": [0, 0], "leaves": [[0, 2], [0, True]]},
+                 " must be an integer, got True", id="bool-leaf-coordinate"),
+    pytest.param({"center": [0, 0], "leaves": [[1.0, 1], [0, 2]]},
+                 " must be an integer, got 1.0", id="float-leaf-coordinate"),
+    pytest.param({"center": [0, 1], "leaves": [[0, 2], [0, 1]]},
+                 ": star center Vertex(base=0, level=1) repeated as leaf", id="center-as-leaf"),
+    pytest.param({"center": [0, False], "leaves": [[0, 1]]},
+                 " must be an integer, got False", id="bool-center-coordinate"),
+    pytest.param([[0, 1], [0, 1, 2]], " must be a [base, level] pair, got [0, 1, 2]",
+                 id="three-coordinates"),
+    pytest.param([[0, 0], [0, 1], [0, 2]], ": edge block needs two vertices",
+                 id="three-vertex-edge"),
+    pytest.param({"center": [0, 0], "leaves": [[0, 1]], "note": 1},
+                 ": star block needs center and leaves", id="star-with-extra-key"),
+]
+# Blocks that read without a fault, with how many of their vertices lie
+# outside Z_3 x Z_4: those _checked_block reads, as their (base, level)
+# pairs; the class loop reads the others, whose vertices it must order
+READ_BLOCKS = [
+    pytest.param([[0, 0], [0, 4]], 1, id="level-past-n"),
+    pytest.param([[3, 1], [0, 1]], 1, id="base-past-m"),
+    pytest.param([[0, 2], [2**70, 0]], 1, id="huge-base"),
+    pytest.param({"center": [0, 4], "leaves": [[0, 1], [2, 3]]}, 1, id="center-outside"),
+    pytest.param({"center": [0, 1], "leaves": [[3, 0], [0, 0]]}, 1, id="leaf-base-past-m"),
+    pytest.param({"center": [0, 1], "leaves": [[0, 2], [0, 4]]}, 1, id="leaf-level-past-n"),
+    pytest.param([[2, 3], [0, 1]], 0, id="endpoints-in-reverse"),
+    pytest.param({"center": [1, 1], "leaves": [[2, 3], [0, 0], [1, 0]]}, 0, id="leaves-unsorted"),
+]
+BUILT = dumps(construct(BuildRequest(12, 3, 0)))  # m = 3, n = 3: classes of 6 edges, 3 stars
+PLACES = [(kind, where, layout) for kind in (ONE_FACTOR, STAR_FACTOR)
+          for where in ("first", "middle", "last") for layout in ("dumps", "compact")]
+
+
+def placed(block, kind, where, layout):
+    """The text of BUILT with block in place of the first, a middle or the
+    last block of its second class of the kind, and where it is."""
+    obj = json.loads(BUILT)
+    ci = [i for i, c in enumerate(obj["classes"]) if c["kind"] == kind][1]
+    blocks = obj["classes"][ci]["blocks"]
+    bi = {"first": 0, "middle": len(blocks) // 2, "last": len(blocks) - 1}[where]
+    blocks[bi] = block
+    if layout == "dumps":
+        return json.dumps(obj, indent=1), ci, bi
+    return json.dumps(obj, separators=(",", ":")), ci, bi
+
+
+@pytest.mark.parametrize("place", PLACES, ids="-".join)
+@pytest.mark.parametrize("block,fault", HANDOFF)
+def test_a_handed_off_block_is_named_wherever_it_sits(block, fault, place):
+    text, ci, bi = placed(block, *place)
+    for read in (loads, lambda text: from_dict(json.loads(text))):
+        with pytest.raises(SchemaError) as info:
+            read(text)
+        assert str(info.value) == f"class {ci} block {bi}{fault}"
+
+
+@pytest.mark.parametrize("place", PLACES, ids="-".join)
+@pytest.mark.parametrize("block,outside", READ_BLOCKS)
+def test_a_block_is_read_as_the_object_view_reads_it_wherever_it_sits(block, outside, place):
+    text, ci, bi = placed(block, *place)
+    d = loads(text)
+    assert d == from_dict(json.loads(text)) == object_view_read(json.loads(text))
+    assert sum(type(k) is tuple for k in d.flat[ci].ids) == outside
+
+
+def object_view_read(obj):
+    """The Decomposition of a certificate object with a valid header, read
+    through the object view: each block as an Edge or a StarBlock of
+    Vertex pairs of nonnegative ints, each class as FlatClass.of of its
+    FactorClass.  None where the view refuses a block."""
+    def vertex(x):
+        if type(x) is not list or len(x) != 2 or not all(type(c) is int and c >= 0 for c in x):
+            raise ValueError(f"no vertex: {x!r}")
+        return Vertex(*x)
+
+    params = Params(obj["v"], obj["n"], obj["m"])
+    classes = []
+    try:
+        for c in obj["classes"]:
+            blocks = []
+            for b in c["blocks"]:
+                if type(b) is list and len(b) == 2:
+                    blocks.append(Edge(*map(vertex, b)))
+                elif (type(b) is dict and set(b) == {"center", "leaves"}
+                        and type(b["leaves"]) is list):
+                    blocks.append(StarBlock(vertex(b["center"]), tuple(map(vertex, b["leaves"]))))
+                else:
+                    raise ValueError(f"no block: {b!r}")
+            classes.append(FlatClass.of(FactorClass(c["kind"], blocks), params.m, params.n + 1))
+    except ValueError:
+        return None
+    return Decomposition(params, tuple(classes), obj["r"], obj["s"])
+
+
+# vertex-like values around the grid Z_3 x Z_4 of BUILT: pairs drawn from
+# few values, so that loops and repeated leaves come up, pairs inside and
+# outside the grid, and faulty ones
+VERTEX_LIKE = st.one_of(
+    st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    st.lists(st.integers(0, 5), min_size=2, max_size=2),
+    st.sampled_from([[0, True], [False, 0], [0, 1.0], [0, -1], [-1, 0], [0], [0, 1, 2], [],
+                     0, "01", None, {"base": 0, "level": 0}]),
+)
+BLOCK_LIKE = st.one_of(
+    st.lists(VERTEX_LIKE, min_size=1, max_size=3),
+    st.fixed_dictionaries({"center": VERTEX_LIKE, "leaves": st.lists(VERTEX_LIKE, max_size=4)},
+                          optional={"note": st.just(1)}),
+    st.sampled_from([5, None, "ab", {}, {"center": [0, 0]}, {"center": [0, 0], "leaves": "01"}]),
+)
+
+
+@st.composite
+def damaged_texts(draw):
+    obj = json.loads(BUILT)
+    blocks = draw(st.sampled_from(obj["classes"]))["blocks"]
+    blocks[draw(st.integers(0, len(blocks) - 1))] = draw(BLOCK_LIKE)
+    if draw(st.booleans()):
+        return json.dumps(obj, indent=1)
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(damaged_texts())
+def test_loads_reads_each_block_as_the_object_view_does(text):
+    want = object_view_read(json.loads(text))
+    for read in (loads, lambda text: from_dict(json.loads(text))):
+        if want is None:
+            with pytest.raises(SchemaError):
+                read(text)
+        else:
+            assert read(text) == want
 
 
 # Reader differential: loads walks a header-first text one class at a time
