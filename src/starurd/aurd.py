@@ -49,21 +49,23 @@ non-aligned edge exactly once:
 * weighted_one_factor_aurd: n one-factors B_d of a blown-up perfect
   matching; class d pairs level i with level i+d across every base pair.
 
-Slots, stars and blown-up matchings give flat vertex ids base*(n+1)+level:
-an edge is a pair of ids, a star its center id and sorted leaf ids.
-`_output` is the one emitter that turns flat blocks into classes, for these
-stages, the filling and the search witness.  It sorts each class and
-checks it on those ids to be a perfect matching (or a spanning disjoint
-star set) the moment it is built; a failure raises ConstructionError with
-the family tag rather than being repaired.  A checked class is kept as the
-model.FlatClass of its sorted ids; Edge and StarBlock objects are made
-only when `AurdOutput.classes` is read.
+Slots, stars and blown-up matchings give flat vertex ids base*(n+1)+level,
+and every block is a run of them whose first id is joined to the rest, the
+form model.FlatClass keeps: an edge is its two ids in either order, a star
+its center id and then its sorted leaf ids.  `_output` is the one emitter
+that turns runs into classes, for these stages, the filling and the search
+witness.  It sorts each class and checks it on those ids to be a perfect
+matching (or a spanning disjoint star set) the moment it is built; a
+failure raises ConstructionError with the family tag rather than being
+repaired.  A checked class is kept as the model.FlatClass of its sorted
+ids; Edge and StarBlock objects are made only when `AurdOutput.classes`
+is read.
 """
 
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .blowup import WeightedCycle, WeightedOneFactor
 from .model import (
@@ -95,25 +97,20 @@ def _check_args(weight: int) -> int:
 
 
 def _class(kind: str, blocks: list, ids: set[int], w: int, tag: str) -> FlatClass:
-    """The class of the flat blocks, sorted, if they cover each of ids
-    exactly once.
+    """The class of the runs, sorted, if they cover each of ids exactly
+    once.
 
-    Edges are pairs of flat ids in either order; stars are (center, leaves)
-    with the leaves sorted.  Flat ids order vertices as the Vertex order
-    does, so the sorted blocks are in the order of sorted(blocks) on the
-    Edge and StarBlock objects, and each block's ids are in their
-    canonical order.
+    Each block is a run of flat ids whose first id is joined to the rest:
+    an edge is its two ids in either order, and only edges are put in
+    order; a star is its center and then its sorted leaves.  Flat ids
+    order vertices as the Vertex order does, so the sorted runs are in the
+    order of sorted(blocks) on the Edge and StarBlock objects, and each
+    run is its block's ids in their canonical order.
     """
     if kind == ONE_FACTOR:
-        blocks = sorted(p if p[0] < p[1] else (p[1], p[0]) for p in blocks)
-        covered = [u for pair in blocks for u in pair]
-        bounds = range(0, len(covered) + 1, 2)
-        stars = bytes(len(blocks))
-    else:
-        blocks = sorted(blocks)
-        covered = [u for center, leaves in blocks for u in (center, *leaves)]
-        bounds = accumulate((1 + len(leaves) for _, leaves in blocks), initial=0)
-        stars = b"\x01" * len(blocks)
+        blocks = [p if p[0] < p[1] else (p[1], p[0]) for p in blocks]
+    blocks.sort()
+    covered = list(chain.from_iterable(blocks))
     seen = set(covered)
     if len(seen) != len(covered):  # name the first repeat, in block order
         first: set[int] = set()
@@ -125,13 +122,14 @@ def _class(kind: str, blocks: list, ids: set[int], w: int, tag: str) -> FlatClas
         raise ConstructionError(
             tag, f"not spanning: {len(seen)} of {len(ids)} vertices covered"
         )
-    return FlatClass(kind, tuple(covered), tuple(bounds), stars)
+    bounds = tuple(accumulate(map(len, blocks), initial=0))
+    return FlatClass(kind, tuple(covered), bounds, bytes([kind == STAR_FACTOR]) * len(blocks))
 
 
 def _output(
     kind: str, bases: Iterable[int], w: int, tagged: Iterable[tuple[str, list]]
 ) -> AurdOutput:
-    """Check each (tag, flat blocks) pair as a class of the given kind that
+    """Check each (tag, runs) pair as a class of the given kind that
     spans the w levels of the bases, in order."""
     ids = {x * w + i for x in bases for i in range(w)}
     flat: list[FlatClass] = []
@@ -218,13 +216,13 @@ def matching_aurd(c: WeightedCycle) -> AurdOutput:
 def star_aurd(c: WeightedCycle) -> AurdOutput:
     """n+1 spanning star factors covering every non-aligned edge once."""
     w = _check_args(c.weight) + 1
-    starts = [x * w for x in c.base]
+    levels = [tuple(range(x * w, x * w + w)) for x in c.base]
     # the leaves of the star at level j are the levels j+1..j+n, that is
     # every level but j, of the next position
     return _output(STAR_FACTOR, c.base, w, (
         (f"S@j={j}", [
-            (here + j, tuple(after + i for i in range(w) if i != j))
-            for here, after in zip(starts, starts[1:] + starts[:1])
+            (here[j], *after[:j], *after[j + 1:])
+            for here, after in zip(levels, levels[1:] + levels[:1])
         ])
         for j in range(w)
     ))

@@ -12,10 +12,10 @@ Vertex, Edge and StarBlock objects (`factor_classes`), built on request
 with one Vertex per id.  `FlatClass.shape_fault` is the one rule for the
 shape of a class: fields that are sequences (SEQUENCES), a kind of KINDS,
 int bounds within its ids, one 0 or 1 flag per block, blocks of their
-flag's size, ids that are ints or pairs of ints, and no block that names
-one vertex twice, at the weight n+1 of its ids.  The verifier's walk
-reports a class that breaks it, and `id_keys` raises it for the writers and
-the object view.  `vertex_key` is the one rule that turns a flat id back
+flag's size, ids that are nonnegative ints or pairs of nonnegative ints,
+and no block that names one vertex twice, at the weight n+1 of its ids.
+The verifier's walk reports a class that breaks it, and `id_keys` raises
+it for the writers and the object view.  `vertex_key` is the one rule that turns a flat id back
 into its (base, level) pair, for the verifier's walk, the reader's sort and
 `vertex_from_flat`, which makes the Vertex.  `FlatClass.of` turns a
 FactorClass into a FlatClass.
@@ -113,11 +113,12 @@ def vertex_key(k, weight: int) -> tuple:
 
     An int names divmod(id, weight), so on K_v exactly the ints 0..v-1
     name vertices of Z_m x Z_weight, and v+3 names (m, 3) outside it.  A
-    pair of ints, the id FlatClass gives a vertex outside the grid, names
-    itself, so (1, 1) and 1*weight + 1 are two spellings of one vertex.
-    Ids sort on it as their vertices do.  No other id names a vertex: a
-    class that holds one has a shape fault (FlatClass.shape_fault), and
-    no reader takes its ids to this rule."""
+    pair of nonnegative ints, the id FlatClass gives a vertex outside the
+    grid, names itself, so (1, 1) and 1*weight + 1 are two spellings of
+    one vertex.  Ids sort on it as their vertices do.  No other id, a
+    negative one among them, names a vertex: a class that holds one has
+    a shape fault (FlatClass.shape_fault), and no reader takes its ids
+    to this rule."""
     return divmod(k, weight) if type(k) is int else k
 
 
@@ -223,10 +224,11 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
         position in the ids); bounds that run outside the ids; flags other
         than one 0 or 1 per block; a block of the wrong size for its flag
         (an edge holds 2 ids, a star a center and at least one leaf); an
-        id that is neither an int nor a pair of ints, and so names no
-        vertex (vertex_key); a block that names one vertex twice at weight
-        w (a loop, a repeated leaf, a center among its leaves), compared
-        by vertex_key, so that 5 and (1, 1) at w=4 are one vertex.  Ids
+        id that is neither a nonnegative int nor a pair of nonnegative
+        ints, and so names no vertex (vertex_key), as the schema has it;
+        a block that names one vertex twice at weight w (a loop, a
+        repeated leaf, a center among its leaves), compared by
+        vertex_key, so that 5 and (1, 1) at w=4 are one vertex.  Ids
         that are all distinct ints need no block scanned.  It is the one
         shape rule: no reader reads a block of a class that has a fault,
         and in a class that has none each block is the slice its bounds
@@ -253,10 +255,10 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
             for bi, (k, star) in enumerate(zip(map(sub, bounds[1:], bounds), stars)):
                 if k < 2 or (k > 2 and not star):
                     return f"block {bi} holds {k} ids"
-        if not set(map(type, ids)) <= {int}:
+        if not set(map(type, ids)) <= {int} or min(ids, default=0) < 0:
             for k in ids:
-                if type(k) is not int and not (
-                        type(k) is tuple and len(k) == 2 and type(k[0]) is type(k[1]) is int):
+                if not (type(k) is int and k >= 0 or type(k) is tuple and len(k) == 2
+                        and type(k[0]) is type(k[1]) is int and min(k) >= 0):
                     return f"id {k!r} names no vertex"
         elif len(set(ids)) == len(ids):
             return None
@@ -273,8 +275,9 @@ def id_keys(ci: int, fc: FlatClass, w: int):
     but the verifier looks its vertices up: fc.ids as they stand, or the
     ValueError of its shape fault at w (FlatClass.shape_fault), which
     names the class.  So the class's kind is one of KINDS, its fields are
-    sequences, each key is an int or a pair of ints, keys equal only if
-    they name one vertex, and no block names a vertex twice."""
+    sequences, each key is a nonnegative int or a pair of nonnegative
+    ints, keys equal only if they name one vertex, and no block names a
+    vertex twice."""
     if fault := fc.shape_fault(w):
         raise ValueError(f"class {ci}: {fault}")
     return fc.ids

@@ -19,10 +19,12 @@ conflict into an enormous star subtree (tens of millions of nodes for
 v=12) while stars-early resolves the same instances in hundreds.  The
 witness is reported with its one-factor classes first regardless: class
 0 and classes s+1..r+s-1, then the star classes 1..s, as a Decomposition
-that claims the r and s searched for.  Blocks are placed as flat vertex
-ids; `aurd._output`, the emitter of the construction classes, packages
-each kind's classes, and the independent verifier re-checks the witness
-before it is returned.
+that claims the r and s searched for.  Every placed block, edge or star,
+is its first vertex and a mask of the others (an edge's partner, a star's
+leaves), so one loop takes any class's edges out of `adj`; on FOUND each
+becomes its run of flat ids, which `aurd._output`, the emitter of the
+construction classes, packages into each kind's classes, and the
+independent verifier re-checks the witness before it is returned.
 
 The branch vertex u depends on the kind of the class:
 
@@ -53,12 +55,13 @@ vertex, and at ci >= 2 only the stars that give it a key above class
 ci-1's are tried.
 
 Bookkeeping is in bitmasks over the vertices: the covered set of the
-current class, each vertex's row of still-unused edges (`adj`), a star's
-leaves, and `used_by[k]`, the vertices that are already the center of k
-stars.  A class's edges leave `adj` when the class is complete and come
-back when the search backtracks out of it: within a class only edges
-between two covered vertices are taken, and the search reads no row of a
-covered vertex, so deferring them changes no choice.
+current class, each vertex's row of still-unused edges (`adj`), the
+other vertices of each placed block, and `used_by[k]`, the vertices that
+are already the center of k stars.  A class's edges leave `adj` when the
+class is complete and come back when the search backtracks out of it:
+within a class only edges between two covered vertices are taken, and
+the search reads no row of a covered vertex, so deferring them changes
+no choice.
 
 Below, quota = s/(n+1), a vertex is spent once it has been the center of
 quota stars (`used_by[quota]`), and spare = r-1 one-factor classes follow
@@ -309,15 +312,13 @@ def exhaustive_urd(
 
     def toggle(ci: int) -> None:
         """Take the edges of class ci out of adj, or give them back."""
-        if 0 < ci <= s:
-            for center, leaves in placed[ci]:
-                adj[center] ^= leaves
-                for leaf in _bits(leaves):
-                    adj[leaf.bit_length() - 1] ^= 1 << center
-        else:
-            for a, b in placed[ci]:
-                adj[a] ^= 1 << b
-                adj[b] ^= 1 << a
+        for first, others in placed[ci]:
+            adj[first] ^= others
+            bit = 1 << first
+            while others:
+                low = others & -others
+                others ^= low
+                adj[low.bit_length() - 1] ^= bit
 
     def place_star(ci: int, uncovered: int, center: int, leaves: int) -> bool:
         # The spent-center rule runs first, and the child node is counted
@@ -408,7 +409,7 @@ def exhaustive_urd(
         while avail:
             bw = avail & -avail
             avail ^= bw
-            blocks.append((u, bw.bit_length() - 1))
+            blocks.append((u, bw))
             if extend(ci, covered | low | bw):
                 return True
             blocks.pop()
@@ -490,7 +491,7 @@ def exhaustive_urd(
         masks = map(sum, combinations(_bits(pool), size))
         return map(fixed.__or__, masks) if fixed else masks
 
-    placed[0] = [(u, u + 1) for u in range(0, v, 2)]
+    placed[0] = [(u, 2 << u) for u in range(0, v, 2)]
     toggle(0)
 
     witness = reason = None
@@ -505,14 +506,15 @@ def exhaustive_urd(
     if status == NOT_FOUND_EXHAUSTED:
         reason = "symmetry-reduced search tree exhausted"
     elif status == FOUND:
+        # A block is kept as its first vertex and a mask of the others; the
+        # emitter takes it as their run of ids.
+        runs = [[(first, *(bit.bit_length() - 1 for bit in _bits(others)))
+                 for first, others in blocks] for blocks in placed]
+
         def classes(kind: str, cis) -> tuple:
-            tagged = ((f"search@class={ci}", placed[ci]) for ci in cis)
+            tagged = ((f"search@class={ci}", runs[ci]) for ci in cis)
             return _output(kind, range(params.m), n + 1, tagged).flat
 
-        # A star's leaves are kept as a mask; the emitter takes their ids.
-        for ci in range(1, s + 1):
-            placed[ci] = [(c, tuple(leaf.bit_length() - 1 for leaf in _bits(leaves)))
-                          for c, leaves in placed[ci]]
         ones = classes(ONE_FACTOR, [0, *range(s + 1, r + s)])
         witness = Decomposition(params, ones + classes(STAR_FACTOR, range(1, s + 1)), r, s)
         report = verify(witness)

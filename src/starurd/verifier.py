@@ -12,10 +12,15 @@ flattened FactorClass made them; it never reads the object view
 the ids 0..v-1 in a tuple, each once and each of type int, in blocks
 flagged as its kind and of its kind's size, 2 ids for an edge and n+1 for
 a star, with bounds of type int: it has no fault to find, and only its
-edges and star centers are taken.  Any other class goes through the fault
-walk.  A class with a shape fault (model.FlatClass.shape_fault: the one
-rule, by which the writers and the object view refuse a class) is reported
-as its fault alone: one WRONG_KIND with the fault's text, and, as no block
+edges and star centers are taken.  A block's edges join its first id to
+the rest: a one-factor's are read as the pairs of its two strides, a star
+class's block by block.  One stride loop for both kinds, the j-th edges
+of all blocks at a time, reads the same pairs into the same rows in the
+same order per row, but was measured slower on star classes (ROADMAP
+item 12).  Any other class goes through the fault walk.  A class with a
+shape fault (model.FlatClass.shape_fault: the one rule, by which the
+writers and the object view refuse a class) is reported as its fault
+alone: one WRONG_KIND with the fault's text, and, as no block
 of it is read, a NOT_SPANNING of all v vertices uncovered; no block count
 is read from fields the rule rejected.  Else the walk takes its blocks in
 order and reports each block of the wrong kind and each star of the wrong

@@ -292,13 +292,13 @@ def _spanning(rnd, shape, m, w):
 
 
 def _flat(rnd, block, w):
-    """The flat form of a block that aurd._class takes: an edge as its two
-    ids in either order, a star as its center id and sorted leaf ids."""
+    """The run of flat ids of a block that aurd._class takes: an edge as
+    its two ids in either order, a star as its center id and then its
+    sorted leaf ids."""
     if isinstance(block, Edge):
         pair = (block.u.base * w + block.u.level, block.v.base * w + block.v.level)
         return pair if rnd.random() < 0.5 else pair[::-1]
-    return (block.center.base * w + block.center.level,
-            tuple(leaf.base * w + leaf.level for leaf in block.leaves))
+    return tuple(u.base * w + u.level for u in (block.center, *block.leaves))
 
 
 @settings(max_examples=60, deadline=None)

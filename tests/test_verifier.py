@@ -314,6 +314,43 @@ def test_the_fault_walk_passes_every_valid_class(monkeypatch):
         assert len(walked) == len(flat), name
 
 
+def _clean_but_uncovering(d):
+    """d with two blocks of its first one-factor class re-paired, and d
+    with two leaves swapped between two stars of its first star class
+    (when it has one): every class still holds the ids 0..v-1 once in
+    blocks of its kind, so each is clean, but some pairs are covered twice
+    and others not at all."""
+    w = d.params.n + 1
+    for kind, a, b in ((ONE_FACTOR, 1, 3), (STAR_FACTOR, 1, w + 1)):
+        ci = next((ci for ci, fc in enumerate(d.flat) if fc.kind == kind), None)
+        if ci is None:
+            continue
+        flat = list(d.flat)
+        ids = list(flat[ci].ids)
+        ids[a], ids[b] = ids[b], ids[a]
+        flat[ci] = flat[ci]._replace(ids=tuple(ids))
+        yield kind, flat
+
+
+def test_the_fault_walk_and_the_clean_path_report_alike(monkeypatch):
+    # bounds as tuples pass the clean-class test and as lists fail it: on
+    # classes that are clean but break the pair coverage, both paths must
+    # report the same violations
+    walked = []
+    walk = verifier._walk_class
+    monkeypatch.setattr(verifier, "_walk_class", lambda *args: walked.append(1) or walk(*args))
+    for name, d in _valid_certificates().items():
+        for kind, flat in _clean_but_uncovering(d):
+            walked.clear()
+            clean = verify(Decomposition(d.params, tuple(flat), d.r, d.s))
+            assert walked == [], (name, kind)
+            listed = tuple(fc._replace(bounds=list(fc.bounds)) for fc in flat)
+            walk_report = verify(Decomposition(d.params, listed, d.r, d.s))
+            assert len(walked) == len(flat), (name, kind)
+            assert not clean.passed, (name, kind)
+            assert walk_report.violations == clean.violations, (name, kind)
+
+
 def test_verify_peaks_under_20_bytes_a_pair():
     # the pairs of K_144 as 8-byte ints in one row per smaller end, each
     # row sorted on its own: about 13 bytes a pair; an int object a pair in

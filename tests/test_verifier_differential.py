@@ -207,10 +207,12 @@ def test_benchmark_mutations_agree():
 
 def test_foreign_vertices_do_not_alias():
     # as flat ids, (0, n+1) would alias (1, 0) and (m, 0) would be v, one
-    # past the last vertex; each must stay a vertex of its own
+    # past the last vertex; each must stay a vertex of its own.  A vertex
+    # with a negative coordinate names no vertex at all: a shape fault
+    # (test_negative_ids_are_a_shape_fault)
     d = built(20, 3, 1)
     m, n = d.params.m, d.params.n
-    foreigners = [Vertex(0, n + 1), Vertex(m, 0), Vertex(-1, 0), Vertex(0, -1)]
+    foreigners = [Vertex(0, n + 1), Vertex(m, 0)]
     ci = _ones(d.classes)[0]
     si = _stars(d.classes)[0]
     for foreign in foreigners:
@@ -469,19 +471,74 @@ def test_class_failing_one_clean_class_condition_agrees(case):
     st.sampled_from([(built, args) for args in SMALL] + [(witness, args) for args in WITNESSES]),
     st.integers(0, 2**16),
     st.integers(0, 2**16),
-    st.one_of(st.none(), st.integers(1, 3)),
+    st.integers(1, 3),
     st.booleans(),
 )
 def test_ids_outside_the_vertex_set_never_pass(source, ci, position, t, everywhere):
     # id k of one class, or every occurrence of it in every class, written
-    # as k + t*v, or as -1 - k if t is None: an int that names no vertex
+    # as k + t*v: an int that names a vertex outside the vertex set
     make, args = source
     d = make(*args)
     v = d.params.v
     ci %= len(d.flat)
     k = d.flat[ci].ids[position % len(d.flat[ci].ids)]
-    forged = renamed(d, k, -1 - k if t is None else k + t * v, None if everywhere else ci)
+    forged = renamed(d, k, k + t * v, None if everywhere else ci)
     assert not assert_same(forged).passed
+
+
+def _refused_as_a_shape_fault(d, fault):
+    """verify reports fault, a shape fault, without raising, and the
+    writers and the object view raise it as the same ValueError."""
+    report = verify(d)
+    assert not report.passed
+    assert (WRONG_KIND, fault) in report.violations
+    for read in (dumps, to_text, lambda d: d.classes):
+        with pytest.raises(ValueError) as info:
+            read(d)
+        assert type(info.value) is ValueError
+        assert str(info.value) == fault
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(built, args) for args in SMALL] + [(witness, args) for args in WITNESSES]),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+def test_negative_ids_are_a_shape_fault(source, ci, position, everywhere):
+    # id k of one class, or every occurrence of it in every class, written
+    # as -1 - k: an int below 0, which names no vertex, as the schema's
+    # vertices are pairs of nonnegative integers.  The first class that
+    # holds it, class 0 if every class does, has a shape fault
+    make, args = source
+    d = make(*args)
+    ci %= len(d.flat)
+    k = d.flat[ci].ids[position % len(d.flat[ci].ids)]
+    forged = renamed(d, k, -1 - k, None if everywhere else ci)
+    fault = f"class {0 if everywhere else ci}: id {-1 - k} names no vertex"
+    _refused_as_a_shape_fault(forged, fault)
+
+
+def test_foreign_vertices_with_a_negative_coordinate_are_a_shape_fault():
+    # Vertex(-1, 0) and Vertex(0, -1) as an edge's end, a star's center or
+    # a star's leaf keep their pair as their id, which names no vertex
+    d = built(20, 3, 1)
+    ci = _ones(d.classes)[0]
+    si = _stars(d.classes)[0]
+    for foreign in (Vertex(-1, 0), Vertex(0, -1)):
+        fault = f"id {tuple(foreign)!r} names no vertex"
+        for bi in (0, 3):
+            star = d.classes[si].blocks[bi]
+            for index, block in (
+                (ci, Edge(d.classes[ci].blocks[bi].u, foreign)),
+                (si, StarBlock(foreign, star.leaves)),
+                (si, StarBlock(star.center, (foreign,) + star.leaves[1:])),
+            ):
+                classes = list(d.classes)
+                _replace_block(classes, index, bi, block)
+                _refused_as_a_shape_fault(Decomposition(d.params, tuple(classes), d.r, d.s),
+                                          f"class {index}: {fault}")
 
 
 @settings(max_examples=80, deadline=None)
