@@ -18,7 +18,7 @@ probe such cases.
 
 from collections import namedtuple
 
-from .model import _require_odd_n
+from .model import _require_order
 
 CONSTRUCTIVE = "CONSTRUCTIVE"
 ADMISSIBLE_UNRESOLVED = "ADMISSIBLE_UNRESOLVED"
@@ -35,12 +35,6 @@ class CoverageVerdict(namedtuple("CoverageVerdict", "status reason ell", default
     __slots__ = ()
 
 
-def _require_args(v: int, n: int) -> None:
-    _require_odd_n(n)
-    if v < 1:
-        raise ValueError(f"v must be positive, got {v}")
-
-
 def construction_range(m: int, n: int) -> tuple[int, int]:
     """(t, threshold) of the constructions on K_{m(n+1)}: ell runs over
     0..t and realizes r = 2n*ell + threshold, s = (n+1)(t - ell)."""
@@ -49,7 +43,7 @@ def construction_range(m: int, n: int) -> tuple[int, int]:
 
 def admissible_pairs(v: int, n: int) -> list[AdmissiblePair]:
     """All (r, s) pairs passing the necessary conditions, in increasing x."""
-    _require_args(v, n)
+    _require_order(v, n)
     xs = range((v - 1) // (2 * n) + 1)
     pairs = (AdmissiblePair(v - 1 - 2 * n * x, (n + 1) * x, x) for x in xs)
     return [p for p in pairs if inadmissibility_reason(v, n, p.r, p.s) is None]
@@ -57,7 +51,7 @@ def admissible_pairs(v: int, n: int) -> list[AdmissiblePair]:
 
 def inadmissibility_reason(v: int, n: int, r: int, s: int) -> str | None:
     """Why (r, s) fails the necessary conditions, or None if it passes."""
-    _require_args(v, n)
+    _require_order(v, n)
     if r < 0 or s < 0:
         return f"negative class count (r={r}, s={s})"
     if (n + 1) * r + 2 * n * s != (n + 1) * (v - 1):

@@ -41,7 +41,7 @@ import sys
 from collections import namedtuple
 from types import SimpleNamespace
 
-from .model import ConstructionError, _require_odd_n
+from .model import ConstructionError, _require_order
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,16 +69,6 @@ def _fail(code: int, *lines: str) -> int:
     except OSError:
         _drop(sys.stderr)
     return code
-
-
-def _check_vn(v: int, n: int) -> str | None:
-    try:
-        _require_odd_n(n, "--n")
-    except ValueError as exc:
-        return str(exc)
-    if v < 1:
-        return f"--v must be positive, got {v}"
-    return None
 
 
 def _write_payload(write, out: str | None) -> bool:
@@ -356,9 +346,10 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.command != "verify":  # every other command takes --v and --n
-        problem = _check_vn(args.v, args.n)
-        if problem:
-            return _fail(EXIT_USAGE, f"error: {problem}")
+        try:
+            _require_order(args.v, args.n, "--")
+        except ValueError as exc:
+            return _fail(EXIT_USAGE, f"error: {exc}")
     # looked up as the command runs, so a rebound cmd_* (a span wrapper) runs
     return globals()[f"cmd_{args.command}"](args)
 

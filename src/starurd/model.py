@@ -15,10 +15,13 @@ int bounds within its ids, one 0 or 1 flag per block, blocks of their
 flag's size, ids that are nonnegative ints or pairs of nonnegative ints,
 and no block that names one vertex twice, at the weight n+1 of its ids.
 The verifier's walk reports a class that breaks it, and `id_keys` raises
-it for the writers and the object view.  `vertex_key` is the one rule that turns a flat id back
-into its (base, level) pair, for the verifier's walk, the reader's sort and
-`vertex_from_flat`, which makes the Vertex.  `FlatClass.of` turns a
-FactorClass into a FlatClass.
+it for the writers and the object view.  `block_ids` is the one rule that
+turns a block's vertices into flat ids, for `FlatClass.of`, which turns a
+FactorClass into a FlatClass, and for the JSON reader's per-block check.
+`vertex_key` is the one rule that turns a flat id back into its (base,
+level) pair, for the shape rule, the verifier's walk, the writers and
+`vertex_from_flat`, which makes the Vertex.  `_require_order` is the one
+check that n is odd and >= 3 and v >= 1, for the CLI and admissibility.
 
 Blocks are either a single Edge (a K_2) or an n-star (StarBlock: one
 center joined to n leaves).  A FactorClass is a spanning set of pairwise
@@ -81,6 +84,14 @@ def _require_odd_n(n: int, name: str = "n") -> None:
     """Raise ValueError unless the star size n is odd and >= 3."""
     if n < 3 or n % 2 == 0:
         raise ValueError(f"{name} must be odd and >= 3, got {n}")
+
+
+def _require_order(v: int, n: int, flag: str = "") -> None:
+    """Raise ValueError unless n is odd and >= 3 and then v >= 1, naming
+    each as flag + its name."""
+    _require_odd_n(n, flag + "n")
+    if v < 1:
+        raise ValueError(f"{flag}v must be positive, got {v}")
 
 
 class Params(namedtuple("Params", "v n m")):
@@ -164,6 +175,19 @@ class StarBlock(namedtuple("StarBlock", "center leaves")):
 Block = Edge | StarBlock
 
 
+def block_ids(block, m: int, w: int) -> list:
+    """The flat ids of a block's vertices in Z_m x Z_w, in its canonical
+    order (an Edge's endpoints, a StarBlock's center and then its leaves):
+    base*w + level for a vertex of the grid, the (base, level) pair for
+    any other (see FlatClass).  Any other object has no ids."""
+    ends = ((block.center, *block.leaves) if isinstance(block, StarBlock)
+            else block if isinstance(block, Edge) else ())
+    return [
+        u.base * w + u.level if 0 <= u.base < m and 0 <= u.level < w else (u.base, u.level)
+        for u in ends
+    ]
+
+
 class FactorClass(namedtuple("FactorClass", "kind blocks")):
     """One resolution class: blocks of a single kind, meant to span K_v.
 
@@ -205,15 +229,9 @@ class FlatClass(namedtuple("FlatClass", "kind ids bounds stars")):
         nor a StarBlock becomes an edge block with no ids: a shape fault."""
         ids, bounds, stars = [], [0], bytearray()
         for b in fc.blocks:
-            star = isinstance(b, StarBlock)
-            ends = (b.center, *b.leaves) if star else (b.u, b.v) if isinstance(b, Edge) else ()
-            ids += [
-                u.base * w + u.level if 0 <= u.base < m and 0 <= u.level < w
-                else (u.base, u.level)
-                for u in ends
-            ]
+            ids += block_ids(b, m, w)
             bounds.append(len(ids))
-            stars.append(star)
+            stars.append(isinstance(b, StarBlock))
         return cls(fc.kind, tuple(ids), tuple(bounds), bytes(stars))
 
     def shape_fault(self, w: int) -> str | None:

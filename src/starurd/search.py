@@ -289,11 +289,10 @@ def exhaustive_urd(
             time.perf_counter() - start,
             reason=f"necessary conditions fail: {reason}",
         )
-    if v % (n + 1) != 0:
-        raise ValueError(
-            f"v={v} is not a multiple of n+1={n + 1}: no grid vertex model"
-        )
-    params = Params.for_order(v, n)
+    try:
+        params = Params.for_order(v, n)
+    except ValueError as exc:  # v is no multiple of n+1: n and v passed above
+        raise ValueError(f"{exc}: no grid vertex model") from None
 
     full = (1 << v) - 1
     adj = [full ^ (1 << u) for u in range(v)]

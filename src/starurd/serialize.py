@@ -20,20 +20,25 @@ fine and are left for the verifier to flag.
 There is one reader of the schema: a header check and a class check,
 which from_dict runs on a parsed object and loads on text.  They check
 the header first and return the Decomposition with each class as a
-model.FlatClass of flat vertex ids, making no Vertex; every SchemaError
-comes from them, in one order: a block's shape, then each vertex's shape,
-the types and then the signs of its coordinates, then a loop edge,
-duplicate leaves or a center that is also a leaf.  The class check
+model.FlatClass of flat vertex ids, making a Vertex only for a block the
+class check hands off (below); every SchemaError comes from them, in one
+order: a block's shape, then each vertex's shape, the types and then the
+signs of its coordinates, then a loop edge, duplicate leaves or a center
+that is also a leaf.  The class check
 reads the two block shapes certificates are made of in its own loop,
 with no call per block or vertex: an edge, a list of two [base, level]
 lists of ints inside Z_m x Z_{n+1} that name two vertices, and a star, a
 dict of such a center and a nonempty list of such leaves, all distinct.
 It hands every other block, a faulty one or one with a vertex outside
-the grid, to the block check, which returns its ids or raises the error
-that names its first fault: a block reads the same either way, and only
-the block check names a fault.  loads reads a text whose keys all come
-before classes one class at a time, so the parsed form of the whole
-certificate, several times the size of its classes, never exists.  Any
+the grid, to the block check, which reads it through the object view:
+after the shape and coordinate checks it makes the Edge or StarBlock of
+its Vertex objects, whose ValueError (a loop, duplicate leaves, a center
+among its leaves) it raises as the block's SchemaError, and returns the
+ids model.block_ids gives, the rule FlatClass.of flattens a block by.  So
+a block reads the same either way, and only the block check names a
+fault.  loads reads a text whose keys all come before classes one class
+at a time, so the parsed form of the whole certificate, several times
+the size of its classes, never exists.  Any
 other text, and any text with a fault, loads reads as
 from_dict(json.loads(text)): its Decomposition or error is that of the
 whole-text parse, and a JSON error anywhere wins over a schema error.
@@ -70,7 +75,8 @@ cyclic GC off.
 
 import gc
 
-from .model import KINDS, Decomposition, FlatClass, Params, id_keys, vertex_from_flat, vertex_key
+from .model import (KINDS, Decomposition, Edge, FlatClass, Params, StarBlock, Vertex,
+                    block_ids, id_keys, vertex_key)
 
 SCHEMA_VERSION = "1"
 # the JSON text of each class kind, which the writer looks up by the kind
@@ -110,58 +116,43 @@ def _int(obj, what: str) -> int:
     return obj
 
 
-def _vertex_id(obj, m: int, w: int):
-    """The id of the vertex a [base, level] pair names (see FlatClass),
-    or a SchemaError, on its shape, then each coordinate's type, then
-    their signs, whose message follows the label of its block."""
+def _vertex(obj) -> Vertex:
+    """The Vertex a [base, level] pair names, or a SchemaError, on its
+    shape, then each coordinate's type, then their signs, whose message
+    follows the label of its block."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise SchemaError(f" must be a [base, level] pair, got {obj!r}")
-    base, level = obj
-    if type(base) is not int:
-        _int(base, "")
-    if type(level) is not int:
-        _int(level, "")
-    if 0 <= base < m and 0 <= level < w:
-        return base * w + level
+    base, level = _int(obj[0], ""), _int(obj[1], "")
     if base < 0 or level < 0:
         raise SchemaError(f" has negative coordinates: {obj!r}")
-    return (base, level)
+    return Vertex(base, level)
 
 
-def _checked_block(obj, m: int, w: int) -> tuple[tuple, int]:
-    """The ids of one block in canonical order and 1 if it is a star.  Or
-    the SchemaError that names its first fault, with a message that
-    follows the block's label: the block's shape, each vertex's own
-    checks in turn, then a loop edge, duplicate leaves or a center that
-    is also a leaf, with the messages of Edge and StarBlock.  Ids inside
-    Z_m x Z_w sort in (base, level) order as they stand; a block with a
-    pair among them sorts on vertex_key."""
+def _checked_block(obj, m: int, w: int) -> tuple[list, bool]:
+    """The ids of one block in canonical order (model.block_ids) and
+    whether it is a star, read through the object view: the block's
+    shape and each vertex's own checks in turn, then the Edge or
+    StarBlock of its vertices.  Or the SchemaError that names the first
+    fault, with a message that follows the block's label; a loop edge,
+    duplicate leaves or a center that is also a leaf is the ValueError
+    of Edge or StarBlock."""
     if isinstance(obj, (list, tuple)):
         if len(obj) != 2:
             raise SchemaError(": edge block needs two vertices")
-        a, b = _vertex_id(obj[0], m, w), _vertex_id(obj[1], m, w)
-        if a == b:
-            raise SchemaError(f": loop edge at {vertex_from_flat(a, w)}")
-        paired = type(a) is tuple or type(b) is tuple
-        if (vertex_key(a, w) < vertex_key(b, w)) if paired else a < b:
-            return (a, b), 0
-        return (b, a), 0
-    if isinstance(obj, dict):
+        make, args = Edge, (_vertex(obj[0]), _vertex(obj[1]))
+    elif isinstance(obj, dict):
         if set(obj) != {"center", "leaves"}:
             raise SchemaError(": star block needs center and leaves")
         if not isinstance(obj["leaves"], list) or not obj["leaves"]:
             raise SchemaError(": leaves must be a nonempty list")
-        center = _vertex_id(obj["center"], m, w)
-        leaves = [_vertex_id(leaf, m, w) for leaf in obj["leaves"]]
-        distinct = set(leaves)
-        if len(distinct) != len(leaves):
-            raise SchemaError(f": duplicate leaves in star at {vertex_from_flat(center, w)}")
-        if center in distinct:
-            raise SchemaError(f": star center {vertex_from_flat(center, w)} repeated as leaf")
-        paired = type(center) is tuple or tuple in map(type, leaves)
-        leaves.sort(key=(lambda k: vertex_key(k, w)) if paired else None)
-        return (center, *leaves), 1
-    raise SchemaError(f": unrecognized block shape {obj!r}")
+        make, args = StarBlock, (_vertex(obj["center"]), tuple(map(_vertex, obj["leaves"])))
+    else:
+        raise SchemaError(f": unrecognized block shape {obj!r}")
+    try:
+        block = make(*args)
+    except ValueError as exc:
+        raise SchemaError(f": {exc}") from None
+    return block_ids(block, m, w), make is StarBlock
 
 
 def _checked_class(cobj, ci: int, m: int, w: int) -> FlatClass:

@@ -112,11 +112,10 @@ def test_factor_class_kind_checked():
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, -3])
-def test_every_caller_keeps_its_odd_n_message(n):
+def test_every_caller_keeps_its_odd_n_message(n, capsys):
     # one model helper checks "n odd and >= 3" for five callers; each keeps
-    # its exception type and message
-    from starurd import admissibility, filling
-    from starurd.cli import _check_vn
+    # its exception type and message, and the CLI's its exit and usage line
+    from starurd import admissibility, cli, filling
 
     want = f"n must be odd and >= 3, got {n}"
     for call in (
@@ -128,4 +127,5 @@ def test_every_caller_keeps_its_odd_n_message(n):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == want
-    assert _check_vn(12, n) == f"--{want}"
+    assert cli.main(["check", "--v", "12", "--n", str(n)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --{want}\n"

@@ -641,6 +641,10 @@ READ_BLOCKS = [
     pytest.param({"center": [0, 1], "leaves": [[0, 2], [0, 4]]}, 1, id="leaf-level-past-n"),
     pytest.param([[2, 3], [0, 1]], 0, id="endpoints-in-reverse"),
     pytest.param({"center": [1, 1], "leaves": [[2, 3], [0, 0], [1, 0]]}, 0, id="leaves-unsorted"),
+    # an off-grid pair that sorts ahead of an in-grid int id
+    pytest.param([[1, 0], [0, 4]], 1, id="pair-before-int-endpoint"),
+    pytest.param({"center": [2, 0], "leaves": [[1, 1], [0, 4], [0, 1]]}, 1,
+                 id="pair-before-int-leaf"),
 ]
 BUILT = dumps(construct(BuildRequest(12, 3, 0)))  # m = 3, n = 3: classes of 6 edges, 3 stars
 PLACES = [(kind, where, layout) for kind in (ONE_FACTOR, STAR_FACTOR)
@@ -677,6 +681,18 @@ def test_a_block_is_read_as_the_object_view_reads_it_wherever_it_sits(block, out
     d = loads(text)
     assert d == from_dict(json.loads(text)) == object_view_read(json.loads(text))
     assert sum(type(k) is tuple for k in d.flat[ci].ids) == outside
+
+
+@pytest.mark.parametrize("block,ids", [
+    ([[1, 0], [0, 4]], ((0, 4), 4)),
+    ({"center": [2, 0], "leaves": [[1, 1], [0, 4], [0, 1]]}, (8, 1, (0, 4), 5)),
+])
+def test_an_off_grid_pair_sorts_by_the_vertex_it_names(block, ids):
+    # in (base, level) order, not by the type of its id
+    text, ci, bi = placed(block, ONE_FACTOR if type(block) is list else STAR_FACTOR,
+                          "middle", "compact")
+    fc = loads(text).flat[ci]
+    assert fc.ids[fc.bounds[bi]:fc.bounds[bi + 1]] == ids
 
 
 def object_view_read(obj):
