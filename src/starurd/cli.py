@@ -13,11 +13,13 @@ Exit codes are stable:
     5  internal construction, self-verification or search failure
     6  search budget exceeded
 
-No command writes output before it has passed its checks: a certificate
-is written only after self-verification passes, to its file or to
-stdout, one class at a time as serialize renders it, so the whole
-text is never held; every other stdout text, help included, is rendered
-fully and written once, through the same writer as the files.
+No command writes output before it has passed its checks.  `build`
+writes its certificate only after self-verification passes, to `--out`
+or stdout, one class at a time as serialize renders it, so the whole
+text is never held.  `search` writes its witness the same way to
+`--out`; on stdout it prints the witness, which is desk-scale, whole
+after its status lines.  Every other stdout text, help included, is
+rendered fully and written once, through the same writer as the files.
 Each diagnostic is written to stderr once, by `_fail`, which cannot raise.
 
 Each command imports the layers it runs when it runs, so that `verify`
@@ -246,18 +248,20 @@ def cmd_search(args) -> int:
 _Flag = namedtuple("_Flag", "name dest type required default choices help",
                    defaults=(False, None, None, None))
 
+# --v and --n, which main checks (model._require_order) wherever they are parsed.
+_ORDER = (_Flag("--v", "v", int, True), _Flag("--n", "n", int, True))
+
 # The command-line surface: per command, its help and its flags in the
-# order argparse lists them.  build_parser and _read_canonical both read it.
+# order argparse lists them.  build_parser and _read_canonical both read
+# it.  A command takes --v and --n if and only if it splices in _ORDER.
 _COMMANDS = {
     "check": ("admissibility and construction coverage", (
-        _Flag("--v", "v", int, True),
-        _Flag("--n", "n", int, True),
+        *_ORDER,
         _Flag("--r", "r", int),
         _Flag("--s", "s", int),
     )),
     "build": ("construct a decomposition", (
-        _Flag("--v", "v", int, True),
-        _Flag("--n", "n", int, True),
+        *_ORDER,
         _Flag("--ell", "ell", int, help="number of matching-route cycles"),
         _Flag("--r", "r", int),
         _Flag("--s", "s", int),
@@ -268,8 +272,7 @@ _COMMANDS = {
         _Flag("--in", "infile", str, True),
     )),
     "search": ("exhaustive backtracking existence check", (
-        _Flag("--v", "v", int, True),
-        _Flag("--n", "n", int, True),
+        *_ORDER,
         _Flag("--r", "r", int, True),
         _Flag("--s", "s", int, True),
         _Flag("--max-nodes", "max_nodes", int),
@@ -345,7 +348,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if args.command != "verify":  # every other command takes --v and --n
+    if hasattr(args, "n"):
         try:
             _require_order(args.v, args.n, "--")
         except ValueError as exc:

@@ -246,12 +246,7 @@ def _key_gap(row: int, spare: int) -> int:
     """The key-gap rule, from row, vertex 0's unused edges at the first node
     of a star class: the keys it allows, the spare + 1 least vertices of
     row, as a mask."""
-    keys = 0
-    for _ in range(spare + 1):
-        low = row & -row
-        keys |= low
-        row ^= low
-    return keys
+    return sum(_bits(row)[:spare + 1])
 
 
 def _order_key(center: int, leaves: int) -> int:

@@ -38,10 +38,10 @@ ids model.block_ids gives, the rule FlatClass.of flattens a block by.  So
 a block reads the same either way, and only the block check names a
 fault.  loads reads a text whose keys all come before classes one class
 at a time, so the parsed form of the whole certificate, several times
-the size of its classes, never exists.  Any
-other text, and any text with a fault, loads reads as
-from_dict(json.loads(text)): its Decomposition or error is that of the
-whole-text parse, and a JSON error anywhere wins over a schema error.
+the size of its classes, never exists.  That walk gives up on any other
+text, and on any text with a fault, by raising, and loads then reads it
+as from_dict(json.loads(text)): its Decomposition or error is that of
+the whole-text parse, and a JSON error anywhere wins over a schema error.
 The reader puts each block in the canonical order of Edge and StarBlock
 (endpoints, and a star's leaves after its center, in (base, level)
 order), which the verifier's samples rely on: NOT_DISJOINT names the
@@ -391,62 +391,65 @@ def _json(text: str):
         raise SchemaError("not valid JSON: nested too deeply") from exc
 
 
-def _read_in_order(text: str) -> Decomposition | None:
+def _read_in_order(text: str) -> Decomposition:
     """The Decomposition of a certificate text whose keys all come before
     classes, read one class at a time: only the class being read is ever
     a parsed object, not the whole certificate.  A repeated key keeps its
-    last value, as in json.loads.  For any other text this returns None or
-    raises the JSON or schema error that stopped the walk, and loads reads
-    the text whole."""
+    last value, as in json.loads.  Any other text raises."""
     from json.decoder import WHITESPACE, JSONDecoder
 
     decode, skip = JSONDecoder().raw_decode, WHITESPACE.match
     at = skip(text, 0).end()
-    if text[at:at + 1] != "{":
-        return None
+
+    def past(char: str) -> None:
+        """Step over char, which must be next, and the whitespace after it."""
+        nonlocal at
+        if text[at:at + 1] != char:
+            raise ValueError(f"expected {char!r} at {at}")
+        at = skip(text, at + 1).end()
+
+    def value():
+        """The JSON value next in the text, stepping over it and the
+        whitespace after it."""
+        nonlocal at
+        obj, at = decode(text, at)
+        at = skip(text, at).end()
+        return obj
+
+    past("{")
     header = {}
     while True:
-        key, at = decode(text, skip(text, at + 1).end())
+        key = value()
         if type(key) is not str:
-            return None
-        at = skip(text, at).end()
-        if text[at:at + 1] != ":":
-            return None
-        at = skip(text, at + 1).end()
+            raise ValueError(f"expected a key at {at}")
+        past(":")
         if key == "classes":
             break
-        header[key], at = decode(text, at)
-        at = skip(text, at).end()
-        if text[at:at + 1] != ",":
-            return None
+        header[key] = value()
+        past(",")
     header["classes"] = classes = []
     params, r, s = _checked_header(header)
-    if text[at:at + 1] != "[":
-        return None
+    past("[")
     m, w = params.m, params.n + 1
-    at = skip(text, at + 1).end()
-    if text[at:at + 1] != "]":
-        while True:
-            cobj, at = decode(text, at)
-            classes.append(_checked_class(cobj, len(classes), m, w))
-            at = skip(text, at).end()
-            if text[at:at + 1] != ",":
-                break
-            at = skip(text, at + 1).end()
-        if text[at:at + 1] != "]":
-            return None
-    at = skip(text, at + 1).end()
-    if text[at:at + 1] != "}" or skip(text, at + 1).end() != len(text):
-        return None
+    while text[at:at + 1] != "]":
+        if classes:
+            past(",")
+        classes.append(_checked_class(value(), len(classes), m, w))
+    past("]")
+    past("}")
+    if at != len(text):
+        raise ValueError(f"extra data at {at}")
     return Decomposition(params, tuple(classes), r, s)
 
 
 def _read(text: str) -> Decomposition:
     try:
-        d = _read_in_order(text)
-    except (ValueError, RecursionError):  # not JSON or not the schema
-        d = None
-    return from_dict(_json(text)) if d is None else d
+        return _read_in_order(text)
+    except (ValueError, RecursionError):
+        pass
+    # past the handler, so the walk's error and the classes it read are
+    # freed before the whole text is parsed
+    return from_dict(_json(text))
 
 
 def loads(text: str) -> Decomposition:

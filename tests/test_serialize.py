@@ -870,6 +870,9 @@ def test_header_first_text_is_read_without_parsing_it_whole(monkeypatch, make, l
 
 
 EMPTY = json.dumps(dict(HEADER, classes=[]))
+# a valid certificate, so a fault placed after a class comes after one
+# the walk has read
+COMPACT = json.dumps(to_dict(construct(BuildRequest(12, 3, 0))), separators=(",", ":"))
 
 
 @pytest.mark.parametrize("text", [
@@ -885,9 +888,15 @@ EMPTY = json.dumps(dict(HEADER, classes=[]))
     EMPTY[:-2] + ",]}",
     EMPTY[:-2] + "{},]}",
     EMPTY[:-1],
+    COMPACT[:-2] + ",]}",
+    COMPACT.replace('},{"kind"', '}{"kind"', 1),
+    COMPACT.replace('"classes":[', '"classes":[,', 1),
+    COMPACT + " []",
 ], ids=["classes-first", "key-after-classes", "repeated-key-last-bad", "repeated-key-last-good",
         "repeated-classes", "trailing-whitespace", "trailing-data", "two-objects",
-        "trailing-comma", "comma-in-empty-classes", "trailing-comma-in-classes", "unclosed"])
+        "trailing-comma", "comma-in-empty-classes", "trailing-comma-in-classes", "unclosed",
+        "trailing-comma-after-a-class", "missing-comma-between-classes",
+        "comma-before-the-first-class", "data-after-a-certificate"])
 def test_texts_around_the_walk_read_as_from_dict_of_the_parsed_text(text):
     assert_reads_as_whole(text)
 
